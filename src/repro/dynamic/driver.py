@@ -4,9 +4,12 @@ One *campaign* = one seeded instance plus one seeded update stream
 (:mod:`repro.dynamic.updates`).  After every update (an *epoch*) the
 driver re-runs the full interactive proof on the mutated graph and diffs
 the resulting per-node labels against the previous epoch using the
-packed wire form: a node's labels across the prover rounds pack to
-``(schema desc, payload bytes)`` pairs, so "did this node's proof
-change?" is a byte-equality check, not a structural walk.
+packed wire form: each label a node carries becomes one row keyed by
+its interned schema and payload integer, and a node's signature is the
+hash multiset (row -> count) of its rows, so "did this node's proof
+change?" is one dict comparison, not a structural walk.  Schemas are
+interned per process, so signatures are process-local: they are never
+pickled or sent, only diffed where they were computed.
 
 Per epoch the driver records how many node labels changed, how many wire
 bits they carried, and whether the verdict matched the ground-truth
@@ -41,6 +44,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.labels import LabelSchema
 from ..core.network import Graph
 from ..obs import metrics as obs_metrics
 from ..runtime.cache import CachedFactory
@@ -50,15 +54,21 @@ from .updates import (
     EdgeUpdate,
     apply_stream,
     generate_stream,
+    update_from_tuple,
 )
 
-#: per-node signature: one row per label the node carries, in the packed
-#: wire form ``(source, round, kind, key, schema desc, width, payload)``.
-#: For composite protocols (planarity & friends) ``source`` names the
-#: sub-run and ``key`` the derived-graph node/edge mapped onto this host
-#: node, so a re-decomposition after an update honestly reads as churn.
-SignatureRow = Tuple[str, int, str, Any, tuple, int, bytes]
-NodeSignature = Tuple[SignatureRow, ...]
+#: one signature row per label a node carries, in the packed wire form
+#: ``(source, round, kind, key, schema, width, payload)``: ``schema`` is
+#: the interned :class:`LabelSchema` from ``Label.pack()`` (identity
+#: equals desc equality within a process) and ``payload`` the packed
+#: integer.  For composite protocols (planarity & friends) ``source``
+#: names the sub-run and ``key`` the derived-graph node/edge mapped onto
+#: this host node, so a re-decomposition after an update honestly reads
+#: as churn.  A node's signature is the hash multiset of its rows,
+#: ``row -> count``; it holds schema identities, so it only means
+#: anything inside the process that computed it.
+SignatureRow = Tuple[str, int, str, Any, Optional[LabelSchema], int, int]
+NodeSignature = Dict[SignatureRow, int]
 
 
 @dataclass(frozen=True)
@@ -141,33 +151,31 @@ def _packed_row(
     source: str, r_idx: int, kind: str, key, label
 ) -> SignatureRow:
     schema, payload = label.pack()
-    return (
-        source,
-        r_idx,
-        kind,
-        key,
-        schema.desc,
-        schema.total_width,
-        payload.to_bytes((schema.total_width + 7) // 8, "big"),
-    )
+    return (source, r_idx, kind, key, schema, schema.total_width, payload)
 
 
 def node_signatures(result) -> Dict[int, NodeSignature]:
     """Packed per-node label signatures of one run's result.
 
-    Byte-equality of two signatures is equivalent to structural equality
-    of the node's labels across all prover rounds (the PR-6 packing
-    invariant), so epoch-over-epoch diffing is a per-node hash/equality
-    check, not a structural walk.  Flat :class:`RunResult` transcripts
-    attribute each label to its node (edge labels to the low endpoint, as
-    in Lemma 2.4); :class:`CompositeRunResult` sub-run labels are routed
-    to host nodes through the sub-run's ``node_map`` / ``edge_map``, the
-    same attribution the proof-size metric uses.
+    Each node maps to the multiset of its packed rows.  Equal interned
+    schema plus equal payload is equivalent to structural equality of
+    the label (the packing invariant), so two signatures are equal
+    exactly when the node's labels across all prover rounds are; dict
+    equality ignores order, so no canonical sort is needed.  Flat
+    :class:`RunResult` transcripts attribute each label to its node
+    (edge labels to the low endpoint, as in Lemma 2.4);
+    :class:`CompositeRunResult` sub-run labels are routed to host nodes
+    through the sub-run's ``node_map`` / ``edge_map``, the same
+    attribution the proof-size metric uses.
     """
-    rows: Dict[int, List[SignatureRow]] = {}
+    sigs: Dict[int, NodeSignature] = {}
 
     def add(host: int, row: SignatureRow) -> None:
-        rows.setdefault(host, []).append(row)
+        sig = sigs.get(host)
+        if sig is None:
+            sigs[host] = {row: 1}
+        else:
+            sig[row] = sig.get(row, 0) + 1
 
     if hasattr(result, "sub_runs"):  # CompositeRunResult
         for sub in result.sub_runs:
@@ -188,15 +196,14 @@ def node_signatures(result) -> Dict[int, NodeSignature]:
                         add(host, row)
         for r_idx, per_host in enumerate(getattr(result, "extra_bits", ())):
             for host, bits in per_host.items():
-                add(host, ("host", r_idx, "extra", None, (), bits, b""))
+                add(host, ("host", r_idx, "extra", None, None, bits, 0))
     else:
         for r_idx, rnd in enumerate(result.transcript.prover_rounds()):
             for v, label in rnd.labels.items():
                 add(v, _packed_row("run", r_idx, "node", v, label))
             for (u, v), label in rnd.edge_labels.items():
                 add(u, _packed_row("run", r_idx, "edge", (u, v), label))
-    # rows mix key types across sub-runs; repr gives one total order
-    return {host: tuple(sorted(entries, key=repr)) for host, entries in rows.items()}
+    return sigs
 
 
 def diff_signatures(
@@ -204,24 +211,25 @@ def diff_signatures(
 ) -> Tuple[int, int]:
     """``(labels_changed, wire_bits_changed)`` between two epochs.
 
-    A node counts as changed if its signature differs at all (including
-    appearing or disappearing).  ``wire_bits_changed`` is the width of
-    every row the prover must re-transmit — rows present in the new
-    signature but absent from the old; dropped rows cost nothing on the
-    wire.  Against ``prev=None`` (the init epoch) everything is new.
+    A node counts as changed if its row multiset differs at all
+    (including appearing or disappearing).  ``wire_bits_changed`` is the
+    width of every row the prover must re-transmit — rows present in the
+    new signature but absent from the old, counted with multiplicity;
+    dropped rows cost nothing on the wire.  Against ``prev=None`` (the
+    init epoch) everything is new.
     """
     if prev is None:
-        bits = sum(row[5] for sig in cur.values() for row in sig)
+        bits = sum(row[5] * count for sig in cur.values() for row, count in sig.items())
         return len(cur), bits
     changed = 0
     bits = 0
+    empty: NodeSignature = {}
     for v in prev.keys() | cur.keys():
-        a, b = prev.get(v, ()), cur.get(v, ())
-        if a == b:
+        old, new = prev.get(v, empty), cur.get(v, empty)
+        if old == new:
             continue
         changed += 1
-        old = set(a)
-        bits += sum(row[5] for row in b if row not in old)
+        bits += sum(row[5] * count for row, count in new.items() if row not in old)
     return changed, bits
 
 
@@ -368,18 +376,15 @@ def _epoch_records(
             update.apply(g)
             op, uu, vv = update.op, update.u, update.v
         result = _certify_epoch(task_spec, protocol, g, spec.seed, epoch)
+        sigs = node_signatures(result)
         if verify_full:
             fresh = apply_stream(g0, [u for u, _ in stream[:epoch]])
             scratch = _certify_epoch(task_spec, protocol, fresh, spec.seed, epoch)
-            if (
-                scratch.accepted != result.accepted
-                or node_signatures(scratch) != node_signatures(result)
-            ):
+            if scratch.accepted != result.accepted or node_signatures(scratch) != sigs:
                 raise RuntimeError(
                     f"epoch {epoch}: incremental certification diverged from "
                     f"a from-scratch re-proof of the same graph"
                 )
-        sigs = node_signatures(result)
         changed, bits = diff_signatures(prev, sigs)
         records.append(
             EpochRecord(
@@ -400,12 +405,20 @@ def _epoch_records(
 
 
 def _shard_worker(
-    spec_dict: Dict[str, Any], lo: int, hi: int, verify_full: bool
+    spec_dict: Dict[str, Any],
+    wire_stream: Sequence[Tuple[Tuple[str, int, int], bool]],
+    lo: int,
+    hi: int,
+    verify_full: bool,
 ) -> List[EpochRecord]:
-    """Pool entry point: rebuild the campaign and certify one epoch shard."""
+    """Pool entry point: rebuild the campaign and certify one epoch shard.
+
+    ``wire_stream`` is the parent's stream prefix as
+    ``(update.as_tuple(), expected)`` pairs, so shards never regenerate it.
+    """
     spec = ChurnCampaignSpec(**spec_dict)
     g0 = initial_graph(spec)
-    stream = campaign_stream(spec, g0)
+    stream = [(update_from_tuple(item), expected) for item, expected in wire_stream]
     return _epoch_records(spec, g0, stream, lo, hi, verify_full=verify_full)
 
 
@@ -424,8 +437,8 @@ def run_campaign(
     """Run one churn campaign; serial when ``workers == 0``.
 
     The pool path shards the epoch range contiguously; every shard
-    regenerates the stream from the campaign seed and replays its prefix,
-    so record streams concatenate into exactly the serial record stream.
+    receives the parent's stream prefix in wire form and replays it, so
+    record streams concatenate into exactly the serial record stream.
     ``verify_full`` re-proves every epoch from a freshly rebuilt graph
     and fails loudly if the incremental transcript ever diverges.
     """
@@ -443,11 +456,17 @@ def run_campaign(
             workers=workers,
             chunk_size=chunk_size or max(1, -(-n_epochs // workers)),
         )
+        wire_stream = [(update.as_tuple(), expected) for update, expected in stream]
         records = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
-                    _shard_worker, spec.as_dict(), shard[0], shard[-1] + 1, verify_full
+                    _shard_worker,
+                    spec.as_dict(),
+                    wire_stream[: shard[-1] + 1],
+                    shard[0],
+                    shard[-1] + 1,
+                    verify_full,
                 )
                 for shard in shards
             ]

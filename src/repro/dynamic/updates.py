@@ -4,9 +4,10 @@ A *churn campaign* certifies one long-lived graph instance over a stream
 of edge insertions and deletions.  Everything here is a pure function of
 ``(task, n, seed, stream kind)`` driven through the hash-derived
 :class:`~repro.runtime.seeds.SeedSequence` streams, so a campaign is
-bit-reproducible no matter which driver replays it — the serial driver,
-the process pool, and the live service all regenerate the identical
-update stream from the campaign seed.
+bit-reproducible no matter which driver replays it: any process that
+regenerates the stream from the campaign seed gets the identical update
+stream (pool shards skip even that and receive the parent's stream in
+wire form).
 
 Two stream kinds:
 

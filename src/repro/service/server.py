@@ -110,7 +110,9 @@ class _DynamicState:
         self.spec = spec  # ChurnCampaignSpec identity of the instance
         self.graph = graph  # current working graph (lane-thread private)
         self.epoch = epoch  # last certified epoch index (0 = init proof)
-        self.prev_sigs = prev_sigs  # packed label signatures of that epoch
+        # per-node hash multisets of that epoch's packed label rows; they
+        # key on interned schema identity, so they stay in this process
+        self.prev_sigs = prev_sigs
 
 
 class _Job:

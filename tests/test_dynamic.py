@@ -10,17 +10,22 @@ The load-bearing invariants:
 * applying a stream and then its inverse restores a byte-identical
   certification (packed and object-tree label legs);
 * mutating a dynamic instance can never corrupt the shared instance
-  cache (aliasing regression).
+  cache (aliasing regression);
+* the hash-multiset signatures diff every epoch exactly like the
+  reference repr-sorted byte-row signatures kept below as an oracle.
 """
 
 import contextlib
 import json
+import pickle
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.core.labels import Label, PackedLabel
 from repro.core.network import Graph
 from repro.dynamic import (
     DYNAMIC_TASKS,
@@ -29,6 +34,7 @@ from repro.dynamic import (
     EdgeInsert,
     apply_stream,
     campaign_stream,
+    diff_signatures,
     epoch_rng,
     generate_stream,
     initial_graph,
@@ -182,6 +188,169 @@ def test_reversibility_object_tree_leg(monkeypatch):
     restored = apply_stream(forward, inverse_stream([u for u, _ in stream]))
     assert restored == g0
     assert node_signatures(_certify("planarity", restored, 11)) == before
+
+
+# -- signatures vs the byte-row oracle ------------------------------------
+#
+# The reference below is the byte-row signature design: every row carries
+# the schema desc tuple and the payload as bytes, and a node's rows are
+# sorted by repr into a tuple.  It is slow but transparently canonical;
+# the hash-multiset signatures must diff every epoch exactly like it.
+
+
+def _oracle_row(source, r_idx, kind, key, label):
+    schema, payload = label.pack()
+    return (
+        source,
+        r_idx,
+        kind,
+        key,
+        schema.desc,
+        schema.total_width,
+        payload.to_bytes((schema.total_width + 7) // 8, "big"),
+    )
+
+
+def oracle_node_signatures(result):
+    rows = {}
+
+    def add(host, row):
+        rows.setdefault(host, []).append(row)
+
+    if hasattr(result, "sub_runs"):
+        for sub in result.sub_runs:
+            transcript = sub.result.transcript
+            for r_idx, rnd in enumerate(transcript.prover_rounds()):
+                for v, label in rnd.labels.items():
+                    row = _oracle_row(sub.name, r_idx, "node", v, label)
+                    for host in sub.node_map.get(v, ()):
+                        add(host, row)
+                for (u, v), label in rnd.edge_labels.items():
+                    hosts = ()
+                    if sub.edge_map is not None:
+                        hosts = sub.edge_map.get((u, v), ())
+                    if not hosts:
+                        hosts = (sub.node_map.get(u) or sub.node_map.get(v) or ())[:1]
+                    row = _oracle_row(sub.name, r_idx, "edge", (u, v), label)
+                    for host in hosts:
+                        add(host, row)
+        for r_idx, per_host in enumerate(getattr(result, "extra_bits", ())):
+            for host, bits in per_host.items():
+                add(host, ("host", r_idx, "extra", None, (), bits, b""))
+    else:
+        for r_idx, rnd in enumerate(result.transcript.prover_rounds()):
+            for v, label in rnd.labels.items():
+                add(v, _oracle_row("run", r_idx, "node", v, label))
+            for (u, v), label in rnd.edge_labels.items():
+                add(u, _oracle_row("run", r_idx, "edge", (u, v), label))
+    return {host: tuple(sorted(entries, key=repr)) for host, entries in rows.items()}
+
+
+def oracle_diff_signatures(prev, cur):
+    if prev is None:
+        return len(cur), sum(row[5] for sig in cur.values() for row in sig)
+    changed = 0
+    bits = 0
+    for v in prev.keys() | cur.keys():
+        a, b = prev.get(v, ()), cur.get(v, ())
+        if a == b:
+            continue
+        changed += 1
+        old = set(a)
+        bits += sum(row[5] for row in b if row not in old)
+    return changed, bits
+
+
+def _epoch_results(spec):
+    """Every epoch's certified result for ``spec``, in epoch order."""
+    g = initial_graph(spec)
+    stream = campaign_stream(spec, g)
+    results = [_certify(spec.task, g, spec.seed)]
+    for k, (update, _) in enumerate(stream, start=1):
+        update.apply(g)
+        results.append(_certify(spec.task, g, spec.seed, epoch=k))
+    return results
+
+
+def _diff_trace(results, signatures, diff):
+    trace, prev = [], None
+    for result in results:
+        sigs = signatures(result)
+        trace.append(diff(prev, sigs))
+        prev = sigs
+    return trace
+
+
+@pytest.mark.parametrize("stream", ["preserving", "crossing"])
+@pytest.mark.parametrize("task", sorted(DYNAMIC_TASKS))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(10, 20))
+def test_multiset_signatures_match_byte_row_oracle(task, stream, seed, n):
+    spec = ChurnCampaignSpec(task=task, n=n, seed=seed, n_updates=6, stream=stream)
+    results = _epoch_results(spec)
+    # every dynamic task is composite and ships host-level extra_bits rows
+    assert any(per_host for r in results for per_host in r.extra_bits)
+    got = _diff_trace(results, node_signatures, diff_signatures)
+    want = _diff_trace(results, oracle_node_signatures, oracle_diff_signatures)
+    assert got == want
+
+
+def _one_sub_run_result(node_map, label, extra_bits):
+    """A hand-built composite result: one sub-run, one node label."""
+    rnd = SimpleNamespace(labels={0: label}, edge_labels={})
+    transcript = SimpleNamespace(prover_rounds=lambda: [rnd])
+    sub = SimpleNamespace(
+        name="sub",
+        result=SimpleNamespace(transcript=transcript),
+        node_map=node_map,
+        edge_map=None,
+    )
+    return SimpleNamespace(sub_runs=[sub], extra_bits=extra_bits)
+
+
+def test_repeated_row_is_counted_as_a_multiset():
+    # one host receives the same 7-bit row twice, plus a 4-bit extra row
+    label = Label().uint("x", 5, 7)
+    once = _one_sub_run_result({0: (3,)}, label, [{3: 4}])
+    twice = _one_sub_run_result({0: (3, 3)}, label, [{3: 4}])
+    new = {"once": node_signatures(once), "twice": node_signatures(twice), "none": {}}
+    ref = {
+        "once": oracle_node_signatures(once),
+        "twice": oracle_node_signatures(twice),
+        "none": {},
+    }
+    # set semantics would call these equal; the multiset does not
+    assert set(new["once"][3]) == set(new["twice"][3])
+    assert new["once"] != new["twice"]
+    for prev, cur, expected in [
+        (None, "twice", (1, 7 + 7 + 4)),  # init: every copy is sent
+        ("none", "twice", (1, 7 + 7 + 4)),  # a new host sends every copy
+        ("once", "twice", (1, 0)),  # a second copy of an already-sent row
+        ("twice", "once", (1, 0)),  # dropping a copy costs nothing
+        ("twice", "twice", (0, 0)),
+    ]:
+        assert diff_signatures(prev and new[prev], new[cur]) == expected
+        assert oracle_diff_signatures(prev and ref[prev], ref[cur]) == expected
+
+
+@pytest.mark.parametrize("label_repr", ["packed", "object-tree"])
+def test_signatures_survive_a_pickle_round_trip(monkeypatch, label_repr):
+    # wire-backed labels decode through schema_from_desc, so their rows
+    # must key on the very schema objects the in-process labels use
+    if label_repr == "object-tree":
+        monkeypatch.setenv("REPRO_DISABLE_PACKED_LABELS", "1")
+    for task in sorted(DYNAMIC_TASKS):
+        spec = ChurnCampaignSpec(task=task, n=16, seed=4)
+        local = _certify(task, initial_graph(spec), spec.seed)
+        wired = pickle.loads(pickle.dumps(local))
+        kinds = {
+            type(label)
+            for sub in wired.sub_runs
+            for rnd in sub.result.transcript.prover_rounds()
+            for label in rnd.labels.values()
+        }
+        assert kinds == ({PackedLabel} if label_repr == "packed" else {Label})
+        assert node_signatures(wired) == node_signatures(local)
 
 
 # -- the driver -------------------------------------------------------------
