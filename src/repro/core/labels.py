@@ -280,8 +280,9 @@ class Label:
         ``schema`` is the interned :class:`LabelSchema` describing the
         (names, kinds, widths) layout; ``payload`` is the label's bits as
         one big-endian integer, first field in the most significant bits.
-        Packing is lazy and cached: honest in-process runs never pay for
-        it, while pickling, hex dumps, and byte-equality reuse one pass.
+        Packing is lazy and cached: an in-process run packs only the label
+        a fuzzer mutates, while pickling, churn signatures, hex dumps, and
+        byte-equality reuse one pass.
         """
         wire = self._wire
         if wire is None:

@@ -20,7 +20,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, Iterable, Optional
 
 from .columnar import run_kernel as run_columnar_kernel
-from .labels import EMPTY_LABEL, BitString, Label, packed_labels_disabled
+from .labels import EMPTY_LABEL, BitString, Label
 from .network import Graph
 from .transcript import RunResult, Transcript
 from .views import NodeView, build_views
@@ -55,10 +55,15 @@ def merge_labels(parts: Dict[str, Optional[Label]]) -> Label:
 # fuzzing adversary possible: it corrupts the built ``Label`` objects on
 # the wire instead of subclassing each prover.
 #
+# The tap sees the labels as the prover built them; nothing is packed on
+# its behalf.  The mutation engine packs only the one label it corrupts
+# (``wire_leaf_span``), to report where on the wire the mutated field lives.
+#
 # The slot is process-global (BatchRunner isolation is per *process*, not
-# per thread); installing a tap replaces any previous one, and taps are
-# expected to be single-shot (inert once fired) so a stale tap left by an
-# earlier run cannot corrupt a later honest execution.
+# per thread); installing a tap replaces any previous one.  Two things keep
+# a stale tap from corrupting a later honest execution: taps are
+# single-shot (inert once fired), and the runner detaches a run's tap when
+# its execution raises before the tap could fire.
 
 _LABEL_TAP: Optional["LabelTap"] = None
 
@@ -301,14 +306,6 @@ class Interaction:
                 raise ProtocolError(f"prover sent a non-Label to edge ({u}, {v})")
             canonical[(u, v) if u <= v else (v, u)] = label
         if _LABEL_TAP is not None:
-            if not packed_labels_disabled():
-                # seal the round to its wire form first: the tap then
-                # fuzzes genuinely packed leaves (a bit flip lands on a
-                # known wire offset, reported from the sealed schemas)
-                for lbl in labels.values():
-                    lbl.pack()
-                for lbl in canonical.values():
-                    lbl.pack()
             _LABEL_TAP.on_prover_round(
                 self, len(self.transcript.prover_rounds()), labels, canonical
             )

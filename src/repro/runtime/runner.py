@@ -279,7 +279,7 @@ def execute_one_run(spec: _BatchSpec, i: int) -> RunRecord:
             )
         else:
             prover = spec.prover_factory(instance)
-    trace = None
+    trace = tracer = None
     if spec.trace:
         # imported lazily so the untraced path never touches repro.obs
         from ..core.protocol import clear_tracer, install_tracer
@@ -292,17 +292,22 @@ def execute_one_run(spec: _BatchSpec, i: int) -> RunRecord:
             seed=spec.master_seed,
             run_index=i,
         )
-        try:
-            result = spec.protocol.execute(
-                instance, prover=prover, rng=run_ss.child("protocol").rng()
-            )
-            trace = tracer.end_run().summary()
-        finally:
-            clear_tracer(tracer)
-    else:
+    try:
         result = spec.protocol.execute(
             instance, prover=prover, rng=run_ss.child("protocol").rng()
         )
+        if tracer is not None:
+            trace = tracer.end_run().summary()
+    except BaseException:
+        # finalize_report() is not reached: detach the fuzz tap here, or an
+        # un-fired one stays installed and corrupts the next run in-process
+        detach = getattr(prover, "detach", None)
+        if detach is not None:
+            detach()
+        raise
+    finally:
+        if tracer is not None:
+            clear_tracer(tracer)
     extra = None
     if prover is not None and hasattr(prover, "finalize_report"):
         extra = prover.finalize_report(result)

@@ -337,8 +337,9 @@ def test_repeated_row_is_counted_as_a_multiset():
 def test_signatures_survive_a_pickle_round_trip(monkeypatch, label_repr):
     # wire-backed labels decode through schema_from_desc, so their rows
     # must key on the very schema objects the in-process labels use
-    if label_repr == "object-tree":
-        monkeypatch.setenv("REPRO_DISABLE_PACKED_LABELS", "1")
+    monkeypatch.setenv(
+        "REPRO_DISABLE_PACKED_LABELS", "1" if label_repr == "object-tree" else "0"
+    )
     for task in sorted(DYNAMIC_TASKS):
         spec = ChurnCampaignSpec(task=task, n=16, seed=4)
         local = _certify(task, initial_graph(spec), spec.seed)
