@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.network import Graph, norm_edge
 from .biconnectivity import biconnected_components, component_nodes, is_biconnected
-from .planarity import _deep_recursion
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +204,32 @@ def hamiltonian_cycle_of_biconnected_outerplanar(
         return None
 
     def expand(eid: int, start: int) -> List[int]:
-        if eid not in expansion:
-            return []
-        e1, mid, e2 = expansion[eid]
-        u = _other(endpoints[e1], mid)
-        w = _other(endpoints[e2], mid)
-        if start == u:
-            return expand(e1, u) + [mid] + expand(e2, mid)
-        if start == w:
-            return expand(e2, w) + [mid] + expand(e1, mid)
-        raise AssertionError("expansion endpoint mismatch")
+        """Interior nodes of the path ``eid`` replaced, walked from ``start``.
 
-    with _deep_recursion(10_000 + 10 * graph.n):
-        ea, eb = eids
-        cycle = [x] + expand(ea, x) + [y] + expand(eb, y)
+        An in-order walk of the expansion tree over an explicit stack:
+        ``(None, v)`` entries emit node ``v``."""
+        path: List[int] = []
+        todo: List[Tuple[Optional[int], int]] = [(eid, start)]
+        while todo:
+            e, s = todo.pop()
+            if e is None:
+                path.append(s)
+                continue
+            if e not in expansion:
+                continue
+            e1, mid, e2 = expansion[e]
+            u = _other(endpoints[e1], mid)
+            w = _other(endpoints[e2], mid)
+            if s == u:
+                todo += [(e2, mid), (None, mid), (e1, u)]
+            elif s == w:
+                todo += [(e1, mid), (None, mid), (e2, w)]
+            else:
+                raise AssertionError("expansion endpoint mismatch")
+        return path
+
+    ea, eb = eids
+    cycle = [x] + expand(ea, x) + [y] + expand(eb, y)
     if not is_cycle_with_nested_chords(graph, cycle):
         return None
     return cycle

@@ -246,13 +246,16 @@ def is_nested_ear_decomposition(graph: Graph, ears: Sequence[Ear]) -> bool:
     if seen_edges != graph.edge_set():
         return False
     # (1) endpoints in the parent ear; parents come earlier
+    paths = [set(ear.path) for ear in ears]
+    attached_to: Dict[int, List[Ear]] = {}  # parent index -> its ears, by index
     for j, ear in enumerate(ears[1:], start=1):
         i = ear.parent
         if not 0 <= i < j:
             return False
         u, v = ear.endpoints
-        if u not in ears[i].path or v not in ears[i].path:
+        if u not in paths[i] or v not in paths[i]:
             return False
+        attached_to.setdefault(i, []).append(ear)
     if ears[0].parent != -1:
         return False
     # (2) interiors are new nodes
@@ -263,11 +266,8 @@ def is_nested_ear_decomposition(graph: Graph, ears: Sequence[Ear]) -> bool:
                 return False
         used.update(ear.path)
     # (3) ears attached to each P_i are properly nested within P_i
-    for i, parent in enumerate(ears):
-        attached = [e for j, e in enumerate(ears) if j > 0 and e.parent == i]
-        if not attached:
-            continue
+    for i, attached in attached_to.items():
         intervals = [e.endpoints for e in attached]
-        if not properly_nested(parent.path, intervals):
+        if not properly_nested(ears[i].path, intervals):
             return False
     return True

@@ -144,10 +144,12 @@ class SeriesParallelProtocol(DIPProtocol):
         for j, q in enumerate(sub_ears):
             for v in q:
                 owner.setdefault(v, j)
+        attached_to: Dict[int, List[Tuple[int, Ear]]] = {}
+        for j, e in enumerate(ears):
+            if j > 0:
+                attached_to.setdefault(e.parent, []).append((j, e))
         for i, parent_ear in enumerate(ears):
-            attached = [
-                (j, e) for j, e in enumerate(ears) if j > 0 and e.parent == i
-            ]
+            attached = attached_to.get(i)
             if not attached:
                 continue
             path = parent_ear.path
@@ -223,6 +225,11 @@ def _ear_nonce_stage(
 ) -> bool:
     """Condition (1): every ear's endpoints lie in its parent ear.
 
+    Also enforces condition (1)'s parent ordering, before any parent is
+    indexed: ``ears[0]`` is the root (parent -1) and every later ear
+    ``j`` names a parent in ``[0, j)``.  An ear attached to no ear would
+    otherwise escape the per-ear nesting stage entirely.
+
     Nonces r_Q per sub-ear; node labels (ear, pred_ear); the connecting
     edges tie a sub-ear's pred_ear to the actual nonce of the parent's
     sub-ear.  Passes for any committed decomposition satisfying (1)-(2);
@@ -237,14 +244,18 @@ def _ear_nonce_stage(
             owner[v] = j
     if len(owner) != g.n:
         return False
+    if ears[0].parent != -1:
+        return False
+    paths = [set(ear.path) for ear in ears]
     for j, ear in enumerate(ears):
         if j == 0:
             continue
         u, v = ear.endpoints
         parent = ear.parent
-        for endpoint in (u, v):
-            if endpoint not in ears[parent].path:
-                return False
+        if not 0 <= parent < j:
+            return False
+        if u not in paths[parent] or v not in paths[parent]:
+            return False
         # connecting edges must be real graph edges to the sub-ear ends
         if ear.interior:
             if not g.has_edge(u, ear.interior[0]):

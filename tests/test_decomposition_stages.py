@@ -10,12 +10,15 @@ import random
 
 import pytest
 
-from repro.core.network import Graph, cycle_graph
+from repro.core.network import Graph, complete_graph, cycle_graph
 from repro.graphs.biconnectivity import block_cut_tree
 from repro.graphs.generators import random_outerplanar, random_series_parallel
 from repro.graphs.series_parallel import Ear, nested_ear_decomposition
 from repro.protocols.outerplanarity import _nonce_stage
-from repro.protocols.series_parallel import _ear_nonce_stage
+from repro.protocols.instances import SeriesParallelInstance, Treewidth2Instance
+from repro.protocols.path_outerplanarity import HonestPathOuterplanarityProver
+from repro.protocols.series_parallel import SeriesParallelProtocol, _ear_nonce_stage
+from repro.protocols.treewidth2 import Treewidth2Protocol, Treewidth2Prover
 
 
 class TestBlockNonceStage:
@@ -106,3 +109,72 @@ class TestEarNonceStage:
             assert not _ear_nonce_stage(g2, ears, sub_ears, rng)
             return
         pytest.skip("no ear with interior found")
+
+
+class _K4ParentLiar:
+    """Commits K4 as a 'nested ear decomposition' whose last ear claims
+    parent -1 (attached to no ear), dodging the per-ear nesting stage."""
+
+    ears = [Ear([0, 1, 2, 3], -1), Ear([0, 2], 0), Ear([0, 3], 0), Ear([1, 3], -1)]
+
+    def __init__(self, instance, ears=None):
+        self.instance = instance
+        if ears is not None:
+            self.ears = ears
+
+    def decomposition(self):
+        return list(self.ears)
+
+    def sub_prover(self, sub_instance):
+        return HonestPathOuterplanarityProver(sub_instance)
+
+
+class TestEarParentOrdering:
+    """Condition (1) parent ordering: ears[0] is the root, ear j names a
+    parent in [0, j); anything else is rejected before indexing."""
+
+    def test_k4_with_unattached_ear_rejected_on_every_seed(self):
+        instance = SeriesParallelInstance(complete_graph(4))
+        protocol = SeriesParallelProtocol()
+        for seed in range(20):
+            result = protocol.execute(
+                instance, prover=_K4ParentLiar(instance), rng=random.Random(seed)
+            )
+            assert not result.accepted, seed
+
+    @pytest.mark.parametrize("parent", [4, 3, 99])
+    def test_out_of_range_parent_rejected_without_exception(self, parent):
+        instance = SeriesParallelInstance(complete_graph(4))
+        ears = list(_K4ParentLiar.ears)
+        ears[3] = Ear([1, 3], parent)
+        result = SeriesParallelProtocol().execute(
+            instance, prover=_K4ParentLiar(instance, ears), rng=random.Random(0)
+        )
+        assert not result.accepted
+
+    def test_stage_rejects_bad_parents_and_root(self):
+        rng = random.Random(6)
+        g, ears, sub_ears = TestEarNonceStage()._setup(rng)
+        assert _ear_nonce_stage(g, ears, sub_ears, rng)
+        for j in range(1, len(ears)):
+            for parent in (-1, j, len(ears)):
+                bad = list(ears)
+                bad[j] = Ear(ears[j].path, parent)
+                assert not _ear_nonce_stage(g, bad, sub_ears, rng)
+        rooted_badly = [Ear(ears[0].path, 0)] + list(ears[1:])
+        assert not _ear_nonce_stage(g, rooted_badly, sub_ears, rng)
+
+    def test_treewidth2_with_lying_block_prover_rejected(self):
+        class LyingTreewidth2Prover(Treewidth2Prover):
+            def block_prover(self, sub_instance):
+                return _K4ParentLiar(sub_instance)
+
+        instance = Treewidth2Instance(complete_graph(4))
+        protocol = Treewidth2Protocol()
+        for seed in range(10):
+            result = protocol.execute(
+                instance,
+                prover=LyingTreewidth2Prover(instance),
+                rng=random.Random(seed),
+            )
+            assert not result.accepted, seed

@@ -1,6 +1,9 @@
 """Left-right planarity test vs the networkx oracle + Euler validation."""
 
+import json
 import random
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -12,7 +15,14 @@ from repro.core.network import (
     cycle_graph,
     path_graph,
 )
+from repro.dynamic.driver import ChurnCampaignSpec, campaign_stream, initial_graph
+from repro.dynamic.updates import apply_stream
 from repro.graphs.embedding import embedding_is_planar
+from repro.graphs.generators import (
+    random_apollonian,
+    random_planar,
+    random_planar_embedding_instance,
+)
 from repro.graphs.planarity import find_planar_embedding, is_planar
 
 from conftest import nx_graph
@@ -120,3 +130,87 @@ class TestEmbeddingExtraction:
         emb = find_planar_embedding(g)
         assert emb is not None
         assert embedding_is_planar(g, emb)
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "lr_embedding_golden.json").read_text()
+)["graphs"]
+
+
+def _golden_sources():
+    """The graphs the golden fixture was recorded on, rebuilt by name."""
+    graphs = {}
+    for n in (16, 64, 256):
+        for seed in range(3):
+            g, _ = random_planar_embedding_instance(n, random.Random(seed))
+            graphs[f"random_planar_embedding_instance(n={n}, seed={seed})"] = g
+    graphs["random_apollonian(500, Random(1))"] = random_apollonian(500, random.Random(1))
+    spec = ChurnCampaignSpec(task="planarity", n=64, seed=31, n_updates=8)
+    g0 = initial_graph(spec)
+    stream = campaign_stream(spec, g0)
+    for k in range(spec.n_updates + 1):
+        graphs[f"planarity churn n=64 seed=31 preserving epoch {k}"] = apply_stream(
+            g0, [u for u, _ in stream[:k]]
+        )
+    return graphs
+
+
+class TestGoldenRotations:
+    """``find_planar_embedding`` reproduces recorded rotation systems
+    exactly: same DFS visiting order, same stable sort by nesting depth,
+    same side/ref resolution."""
+
+    @pytest.mark.parametrize("entry", GOLDEN, ids=[e["name"] for e in GOLDEN])
+    def test_rotations_match_golden(self, entry):
+        g = Graph(entry["n"], [tuple(e) for e in entry["edges"]])
+        emb = find_planar_embedding(g)
+        assert emb is not None
+        assert [emb.rotation(v) for v in g.nodes()] == entry["rotations"]
+
+    def test_fixture_graphs_are_the_named_graphs(self):
+        sources = _golden_sources()
+        named = {e["name"]: e for e in GOLDEN if e["name"] in sources}
+        assert set(named) == set(sources)
+        assert any([] in e["rotations"] for e in GOLDEN), "no graph with isolated nodes"
+        for name, g in sources.items():
+            assert named[name]["edges"] == [list(e) for e in g.edges()], name
+
+
+class TestStreamQueryShape:
+    """The churn stream's query: a random planar graph plus one random
+    non-edge (planar or not), checked against networkx."""
+
+    @pytest.mark.parametrize("n", [32, 128, 256])
+    def test_planar_plus_one_edge_matches_networkx(self, n):
+        rng = random.Random(n)
+        verdicts = []
+        for _ in range(4):
+            g = random_planar(n, rng)
+            for _ in range(17):
+                u, v = rng.randrange(n), rng.randrange(n)
+                while u == v or g.has_edge(u, v):
+                    u, v = rng.randrange(n), rng.randrange(n)
+                g.add_edge(u, v)
+                expected, _ = nx.check_planarity(nx_graph(g))
+                assert is_planar(g) == expected, (n, u, v)
+                emb = find_planar_embedding(g)
+                assert (emb is not None) == expected
+                if expected:
+                    assert embedding_is_planar(g, emb)
+                verdicts.append(expected)
+                g.remove_edge(u, v)
+        assert True in verdicts and False in verdicts
+
+
+class TestNoRecursion:
+    def test_long_cycle_leaves_recursion_limit_alone(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+        before = sys.getrecursionlimit()
+        g = cycle_graph(100_000)
+        assert is_planar(g)
+        emb = find_planar_embedding(g)
+        assert emb is not None
+        assert emb.rotation(0) == [1, 99_999]
+        assert sys.getrecursionlimit() == before
+        assert calls == []
