@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.labels import BitString, FieldPath, Label, wire_leaf_span
-from ..core.protocol import LabelTap, clear_label_tap, install_label_tap
+from ..core.protocol import LabelTap
 
 MUTATION_OPS = ("bit_flip", "rerandomize", "swap_between_nodes", "zero_out")
 
@@ -272,12 +272,14 @@ class MutatingProver:
 
     All attribute access is delegated to the wrapped prover, so the host
     protocol (and any composite protocol's hook calls) see the honest
-    strategy; the corruption happens in the installed :class:`MutationTap`
-    as the built labels pass through ``Interaction.prover_round``.
+    strategy; the corruption happens in :attr:`tap`, a :class:`MutationTap`
+    that sees the built labels pass through ``Interaction.prover_round``
+    of every interaction run under ``run_context(tap=prover.tap)`` (the
+    BatchRunner opens that context around each run).
 
     ``finalize_report(result)`` -- called by the BatchRunner after the
-    execution, or manually in direct use -- uninstalls the tap and returns
-    the per-run fuzz report consumed by the coverage analysis.
+    execution, or manually in direct use -- returns the per-run fuzz
+    report consumed by the coverage analysis.
     """
 
     def __init__(
@@ -296,7 +298,6 @@ class MutatingProver:
             fuzz_rng, target_round, op=op, emission=emission,
             exclude_prefixes=exclude_prefixes,
         )
-        install_label_tap(self.tap)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -305,14 +306,9 @@ class MutatingProver:
     def mutation(self) -> Optional[MutationRecord]:
         return self.tap.record
 
-    def detach(self) -> None:
-        """Uninstall the tap (idempotent; only if it is still the active one)."""
-        clear_label_tap(self.tap)
-
     # -- reporting ---------------------------------------------------------
 
     def finalize_report(self, result) -> Dict[str, Any]:
-        self.detach()
         rec = self.tap.record
         report: Dict[str, Any] = {
             "adversary": "mutating",

@@ -429,7 +429,9 @@ def schema_from_desc(desc: tuple) -> LabelSchema:
     """The interned schema for ``desc`` (identity-stable per process)."""
     schema = _SCHEMAS.get(desc)
     if schema is None:
-        schema = _SCHEMAS[desc] = LabelSchema(desc)
+        # setdefault is atomic: threads racing on a new layout all keep the
+        # first schema, so schema identity stays one object per layout
+        schema = _SCHEMAS.setdefault(desc, LabelSchema(desc))
     return schema
 
 

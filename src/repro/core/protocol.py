@@ -17,7 +17,10 @@ from __future__ import annotations
 import os
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterable, Optional
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional
 
 from .columnar import run_kernel as run_columnar_kernel
 from .labels import EMPTY_LABEL, BitString, Label
@@ -48,24 +51,16 @@ def merge_labels(parts: Dict[str, Optional[Label]]) -> Label:
 #
 # Every prover message of every protocol -- including the sub-runs spawned
 # by the composite protocols of Theorems 1.3-1.7 -- flows through
-# :meth:`Interaction.prover_round`.  A *label tap* installed here may
-# rewrite the labels in place just before they are recorded (and before
-# the protocol derives anything, e.g. coin widths, from them where it
-# shares the dict).  This is what makes a single protocol-agnostic
+# :meth:`Interaction.prover_round`.  A *label tap* in the run's context
+# may rewrite the labels in place just before they are recorded (and
+# before the protocol derives anything, e.g. coin widths, from them where
+# it shares the dict).  This is what makes a single protocol-agnostic
 # fuzzing adversary possible: it corrupts the built ``Label`` objects on
 # the wire instead of subclassing each prover.
 #
 # The tap sees the labels as the prover built them; nothing is packed on
 # its behalf.  The mutation engine packs only the one label it corrupts
 # (``wire_leaf_span``), to report where on the wire the mutated field lives.
-#
-# The slot is process-global (BatchRunner isolation is per *process*, not
-# per thread); installing a tap replaces any previous one.  Two things keep
-# a stale tap from corrupting a later honest execution: taps are
-# single-shot (inert once fired), and the runner detaches a run's tap when
-# its execution raises before the tap could fire.
-
-_LABEL_TAP: Optional["LabelTap"] = None
 
 
 class LabelTap:
@@ -87,24 +82,6 @@ class LabelTap:
         raise NotImplementedError
 
 
-def install_label_tap(tap: Optional[LabelTap]) -> Optional[LabelTap]:
-    """Install ``tap`` as the process-wide label tap (replacing any)."""
-    global _LABEL_TAP
-    _LABEL_TAP = tap
-    return tap
-
-
-def clear_label_tap(tap: Optional[LabelTap] = None) -> None:
-    """Remove the active tap (or only ``tap``, if given and still active)."""
-    global _LABEL_TAP
-    if tap is None or _LABEL_TAP is tap:
-        _LABEL_TAP = None
-
-
-def active_label_tap() -> Optional[LabelTap]:
-    return _LABEL_TAP
-
-
 # ---------------------------------------------------------------------------
 # trace hooks: round-level observability
 # ---------------------------------------------------------------------------
@@ -113,17 +90,11 @@ def active_label_tap() -> Optional[LabelTap]:
 # protocol-agnostic fuzzing makes one trace hook enough for
 # protocol-agnostic observability: every round of every protocol --
 # including the sub-interactions of the composite Theorems 1.3-1.7 --
-# passes through the methods below, so a hook installed here sees the
-# complete round structure of a run without any protocol knowing it is
-# being watched.  Unlike a label tap, a trace hook is strictly read-only:
-# it must never mutate labels, coins, or verdicts (the canonical-identity
-# invariant of the runtime is pinned against this).
-#
-# The slot is process-global, like the label tap; the batched runtime
-# installs a fresh :class:`repro.obs.tracer.Tracer` around each traced
-# run.
-
-_TRACER: Optional["TraceHook"] = None
+# passes through the methods below, so a hook in the run's context sees
+# the complete round structure of a run without any protocol knowing it
+# is being watched.  Unlike a label tap, a trace hook is strictly
+# read-only: it must never mutate labels, coins, or verdicts (the
+# canonical-identity invariant of the runtime is pinned against this).
 
 
 class TraceHook:
@@ -154,22 +125,44 @@ class TraceHook:
         """The final local-decision sweep of ``interaction`` finished."""
 
 
-def install_tracer(tracer: Optional["TraceHook"]) -> Optional["TraceHook"]:
-    """Install ``tracer`` as the process-wide trace hook (replacing any)."""
-    global _TRACER
-    _TRACER = tracer
-    return tracer
+# ---------------------------------------------------------------------------
+# the run context: which tap and tracer a run's interactions use
+# ---------------------------------------------------------------------------
+#
+# A run's tap and tracer belong to that run alone: in the DIP model each
+# node decides from its own coins and labels, so one run's adversary must
+# never rewrite another run's labels.  They travel in one frozen
+# :class:`RunContext` held by a :class:`contextvars.ContextVar`, so every
+# thread (and every asyncio task) sees only the context it set itself.
+# Each :class:`Interaction` reads the context once, when it is created --
+# composite sub-runs created inside the same ``with run_context(...)``
+# block share their root's tap and tracer.  Leaving the block restores
+# the previous context, whether the run finished or raised.
 
 
-def clear_tracer(tracer: Optional["TraceHook"] = None) -> None:
-    """Remove the active tracer (or only ``tracer``, if given and active)."""
-    global _TRACER
-    if tracer is None or _TRACER is tracer:
-        _TRACER = None
+@dataclass(frozen=True)
+class RunContext:
+    """The per-run hooks an :class:`Interaction` picks up at creation."""
+
+    tap: Optional[LabelTap] = None
+    tracer: Optional[TraceHook] = None
 
 
-def active_tracer() -> Optional["TraceHook"]:
-    return _TRACER
+_RUN_CONTEXT: ContextVar[RunContext] = ContextVar(
+    "repro_run_context", default=RunContext()
+)
+
+
+@contextmanager
+def run_context(
+    tap: Optional[LabelTap] = None, tracer: Optional[TraceHook] = None
+) -> Iterator[None]:
+    """Run the block's interactions under ``tap`` and ``tracer``."""
+    token = _RUN_CONTEXT.set(RunContext(tap, tracer))
+    try:
+        yield
+    finally:
+        _RUN_CONTEXT.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +177,14 @@ def active_tracer() -> Optional["TraceHook"]:
 # transcript pins every round label alive for the whole interaction, so
 # ``id(label)`` is a stable key for the duration of one decide sweep.
 #
-# :meth:`Interaction.decide` installs a fresh :class:`DecodeCache` around
-# the sweep (one per execution, like the per-run Tracer of PR-4), so each
-# shared structure is decoded once per run instead of once per node.
-# Checkers that find no installed cache build a private one per node,
-# which is exactly the old decode-everything-locally behavior — the
+# :meth:`Interaction.decide` hands a fresh :class:`DecodeCache` to every
+# view it builds (``NodeView.decode_cache``), so each shared structure is
+# decoded once per sweep instead of once per node.  Checkers that find no
+# cache on their view build a private one per node, which is exactly the
+# old decode-everything-locally behavior — the
 # ``REPRO_DISABLE_DECODE_CACHE=1`` escape hatch forces that path, and the
 # bit-identity suite pins canonical reports equal with the cache on and
-# off.  The slot is process-global like the label tap and trace hook.
-
-_DECODE_CACHE: Optional["DecodeCache"] = None
+# off.
 
 _CACHE_MISS = object()  # sentinel: distinguishes "absent" from cached None
 
@@ -230,24 +221,6 @@ class DecodeCache:
         return value
 
 
-def install_decode_cache(cache: Optional[DecodeCache]) -> Optional[DecodeCache]:
-    """Install ``cache`` as the process-wide decode cache (replacing any)."""
-    global _DECODE_CACHE
-    _DECODE_CACHE = cache
-    return cache
-
-
-def clear_decode_cache(cache: Optional[DecodeCache] = None) -> None:
-    """Remove the active cache (or only ``cache``, if given and active)."""
-    global _DECODE_CACHE
-    if cache is None or _DECODE_CACHE is cache:
-        _DECODE_CACHE = None
-
-
-def active_decode_cache() -> Optional[DecodeCache]:
-    return _DECODE_CACHE
-
-
 def decode_cache_disabled() -> bool:
     """True when the ``REPRO_DISABLE_DECODE_CACHE`` escape hatch is set."""
     return os.environ.get("REPRO_DISABLE_DECODE_CACHE", "") not in ("", "0")
@@ -261,8 +234,11 @@ class Interaction:
         self.rng = rng if rng is not None else random.Random()
         self.transcript = Transcript()
         self._last_kind: Optional[str] = None
-        if _TRACER is not None:
-            _TRACER.on_interaction_start(self)
+        ctx = _RUN_CONTEXT.get()
+        self._tap = ctx.tap
+        self._tracer = ctx.tracer
+        if self._tracer is not None:
+            self._tracer.on_interaction_start(self)
 
     # -- rounds -----------------------------------------------------------
 
@@ -281,8 +257,8 @@ class Interaction:
         }
         self.transcript.add_verifier_round(coins)
         self._last_kind = "verifier"
-        if _TRACER is not None:
-            _TRACER.on_verifier_round(self, coins)
+        if self._tracer is not None:
+            self._tracer.on_verifier_round(self, coins)
         return coins
 
     def prover_round(
@@ -305,14 +281,14 @@ class Interaction:
             if not isinstance(label, Label):
                 raise ProtocolError(f"prover sent a non-Label to edge ({u}, {v})")
             canonical[(u, v) if u <= v else (v, u)] = label
-        if _LABEL_TAP is not None:
-            _LABEL_TAP.on_prover_round(
+        if self._tap is not None:
+            self._tap.on_prover_round(
                 self, len(self.transcript.prover_rounds()), labels, canonical
             )
         self.transcript.add_prover_round(dict(labels), canonical)
         self._last_kind = "prover"
-        if _TRACER is not None:
-            _TRACER.on_prover_round(
+        if self._tracer is not None:
+            self._tracer.on_prover_round(
                 self, len(self.transcript.prover_rounds()) - 1, labels, canonical
             )
         return labels
@@ -351,26 +327,18 @@ class Interaction:
             # fully covered: skip view construction entirely
             rejecting = [v for v in self.graph.nodes() if not kernel_ok[v]]
         else:
-            views = build_views(self.graph, self.transcript, inputs, shared_inputs)
-            global _DECODE_CACHE
             cache = None if decode_cache_disabled() else DecodeCache()
-            previous = _DECODE_CACHE
-            _DECODE_CACHE = cache
-            try:
-                if kernel_ok is not None:
-                    rejecting = [
-                        v
-                        for v in self.graph.nodes()
-                        if not (
-                            check(views[v]) if kernel_fb[v] else kernel_ok[v]
-                        )
-                    ]
-                else:
-                    rejecting = [
-                        v for v in self.graph.nodes() if not check(views[v])
-                    ]
-            finally:
-                _DECODE_CACHE = previous
+            views = build_views(
+                self.graph, self.transcript, inputs, shared_inputs, cache
+            )
+            if kernel_ok is not None:
+                rejecting = [
+                    v
+                    for v in self.graph.nodes()
+                    if not (check(views[v]) if kernel_fb[v] else kernel_ok[v])
+                ]
+            else:
+                rejecting = [v for v in self.graph.nodes() if not check(views[v])]
         if kernel_ok is not None:
             from ..obs import metrics as obs_metrics
 
@@ -403,8 +371,8 @@ class Interaction:
             protocol_name=protocol_name,
             meta=meta,
         )
-        if _TRACER is not None:
-            _TRACER.on_decide(self, result)
+        if self._tracer is not None:
+            self._tracer.on_decide(self, result)
         return result
 
 

@@ -22,11 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .labels import EMPTY_LABEL, BitString, Label
 from .network import Graph
 from .transcript import Transcript
+
+if TYPE_CHECKING:
+    from .protocol import DecodeCache
 
 #: shared zero-width coin object for rounds in which a node drew no coins
 #: (BitStrings are immutable value objects, so one instance serves all views)
@@ -55,6 +58,9 @@ class NodeView:
     #: Read-only mappings: one copy is aliased across every neighboring
     #: view, so mutation by one checker must not corrupt its siblings.
     neighbor_inputs: List[Mapping[str, Any]] = field(default_factory=list)
+    #: the decide sweep's shared memo of pure label decodings (one object
+    #: for every view of the sweep); ``None`` means decode privately
+    decode_cache: Optional["DecodeCache"] = None
 
     def own(self, round_index: int) -> Label:
         return self.own_labels[round_index]
@@ -71,12 +77,14 @@ def build_views(
     transcript: Transcript,
     inputs: Dict[int, Dict[str, Any]] = None,
     shared_inputs: Dict[int, Dict[str, Any]] = None,
+    decode_cache: Optional["DecodeCache"] = None,
 ) -> Dict[int, NodeView]:
     """Assemble the per-node views of a finished execution.
 
     ``inputs`` maps node -> local input dict.  ``shared_inputs`` maps
     node -> the part of that node's input which its neighbors may also see
-    (edge-incident data such as port orientations).
+    (edge-incident data such as port orientations).  ``decode_cache`` is
+    set on every view (see :class:`~repro.core.protocol.DecodeCache`).
     """
     inputs = inputs or {}
     shared_inputs = shared_inputs or {}
@@ -126,6 +134,7 @@ def build_views(
             own_labels=[row[v] for row in label_rows],
             neighbor_labels=[[row[u] for u in nbrs] for row in label_rows],
             edge_labels=edge_labels,
+            decode_cache=decode_cache,
         )
         if shared_inputs:
             nbr_inputs = []

@@ -4,13 +4,13 @@ Three pillars, all strictly *outside* the canonical run identity (a
 traced, metered, journaled batch produces a ``BatchReport`` byte-identical
 to an unobserved one — pinned in ``tests/test_obs.py``):
 
-* :mod:`~repro.obs.tracer` — a :class:`Tracer` hook for the
-  process-global slot in :mod:`repro.core.protocol`, emitting per-round
+* :mod:`~repro.obs.tracer` — a :class:`Tracer` hook that a run carries
+  in its :func:`~repro.core.protocol.run_context`, emitting per-round
   spans (coin widths, label bits, wall-time slices) that nest under a
   deterministic ``(task, n, seed, run_index)`` root.
-* :mod:`~repro.obs.metrics` — a Prometheus-style counter/histogram
-  registry with a one-boolean-check no-op path when disabled;
-  incremented from the runner and the resilience coordinator.
+* :mod:`~repro.obs.metrics` — a process-wide Prometheus-style
+  counter/histogram registry with a one-boolean-check no-op path when
+  disabled; incremented from the runner and the resilience coordinator.
 * :mod:`~repro.obs.journal` — a JSONL event journal that
   ``BatchRunner`` streams run/failure/trace events to, merged per shard
   and ordered by run index under any worker layout.

@@ -215,7 +215,11 @@ def _fmt_labels(key: LabelKey, **extra: str) -> str:
     return "{" + body + "}"
 
 
-#: the process-global registry the module-level helpers accumulate into
+#: the process-global registry the module-level helpers accumulate into.
+#: Unlike a run's tap and tracer it stays a module global on purpose: it
+#: is a process-wide Prometheus-style sink that sums over every run and
+#: thread, and benchmark sessions read it through ``enabled_metrics`` and
+#: ``REGISTRY``.  The ``_ENABLED`` switch is process-wide for the same reason.
 REGISTRY = MetricsRegistry()
 
 

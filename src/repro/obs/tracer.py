@@ -1,12 +1,12 @@
 """Round-level tracing: where a 5-round interaction spends bits and time.
 
 The :class:`Tracer` implements the :class:`~repro.core.protocol.TraceHook`
-interface and is installed into the process-global slot of
-:mod:`repro.core.protocol` (the same install/clear/active discipline as
-the PR-2 label tap and the PR-3 fault plan).  Once installed, every
-:class:`~repro.core.protocol.Interaction` in the process — including the
-sub-interactions spawned by the composite protocols of Theorems 1.3-1.7
-— reports its rounds here, and each report closes a :class:`Span`:
+interface and is handed to a run through
+:func:`~repro.core.protocol.run_context`, next to the run's label tap.
+Every :class:`~repro.core.protocol.Interaction` created inside that
+context — including the sub-interactions spawned by the composite
+protocols of Theorems 1.3-1.7 — reports its rounds here, and no other
+run's (or thread's) interactions do; each report closes a :class:`Span`:
 
 * **verifier spans** carry the round's public-coin widths (max/mean over
   drawing nodes);
@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..core.protocol import TraceHook, clear_tracer, install_tracer
+from ..core.protocol import TraceHook, run_context
 from . import metrics
 
 #: span kinds, in the order they occur inside one interaction
@@ -161,11 +161,10 @@ class _OpenRun:
 class Tracer(TraceHook):
     """Collects :class:`RunTrace` objects for the runs executed under it.
 
-    One tracer is meant to live in one process; the batched runtime
-    installs a fresh one around each traced run (mirroring how mutation
-    taps are armed per run), so worker-side traces can never bleed
-    between runs.  Hooks fired while no run is open are ignored —
-    :meth:`begin_run` opens the root span.
+    The batched runtime builds a fresh tracer for each traced run and
+    puts it in that run's context (next to the run's mutation tap), so
+    traces can never bleed between runs.  Hooks fired while no run is
+    open are ignored — :meth:`begin_run` opens the root span.
     """
 
     def __init__(self, clock=time.perf_counter):
@@ -277,17 +276,16 @@ class Tracer(TraceHook):
 def trace_run(
     task: str, n: int, seed: int = 0, run_index: int = 0
 ) -> Iterator[Tracer]:
-    """Install a fresh tracer around a block and open one run.
+    """Trace the interactions of a block with a fresh tracer, as one run.
 
     The trace is finalized (and available as ``tracer.traces[-1]``) when
-    the block exits; the tracer is uninstalled either way.
+    the block exits; interactions created after the block see no tracer.
     """
     tracer = Tracer()
-    install_tracer(tracer)
     tracer.begin_run(task=task, n=n, seed=seed, run_index=run_index)
     try:
-        yield tracer
+        with run_context(tracer=tracer):
+            yield tracer
     finally:
         if tracer._run is not None:
             tracer.end_run()
-        clear_tracer(tracer)

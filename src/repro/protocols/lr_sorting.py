@@ -56,13 +56,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.labels import EMPTY_LABEL, BitString, Label, field_elem_width, uint_width
 from ..core.network import Edge, Graph, norm_edge
-from ..core.protocol import (
-    DecodeCache,
-    DIPProtocol,
-    Interaction,
-    ProtocolError,
-    active_decode_cache,
-)
+from ..core.protocol import DecodeCache, DIPProtocol, Interaction, ProtocolError
 from ..core.transcript import RunResult
 from ..core.views import NodeView
 from ..primitives.fields import next_prime
@@ -610,19 +604,20 @@ class LRNodeSlice:
     """
 
     def __init__(self, port_kinds, own_labels, neighbor_labels, edge_labels,
-                 coin2: int, coin4: int):
+                 coin2: int, coin4: int, decode_cache=None):
         self.port_kinds = port_kinds
         self._own = own_labels            # [r1, r3, r5] labels
         self._neighbors = neighbor_labels  # [round][port]
         self._edges = edge_labels          # [round][port]
         self.coin2 = coin2                 # this node's LR coins (round 2)
         self.coin4 = coin4                 # this node's LR coins (round 4)
+        self.decode_cache = decode_cache   # the sweep's, as on NodeView
 
     @classmethod
     def from_view(cls, view: NodeView) -> "LRNodeSlice":
         # unwraps are pure per label and every round label is shared with
         # all neighbors, so memoize them in the sweep's decode cache
-        cache = active_decode_cache()
+        cache = view.decode_cache
         if cache is None:
             cache = DecodeCache()
         cget = cache.get
@@ -657,6 +652,7 @@ class LRNodeSlice:
             [edges(i) for i in range(3)],
             view.coins[0].value,
             view.coins[1].value if len(view.coins) > 1 else 0,
+            view.decode_cache,
         )
 
     def own(self, i: int) -> Label:
@@ -762,7 +758,7 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
     if pm.n == 1:
         return True
 
-    cache = active_decode_cache()
+    cache = view.decode_cache
     if cache is None:
         cache = DecodeCache()
     m1 = cache.sub("lr_f1")

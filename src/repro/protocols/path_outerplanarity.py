@@ -37,13 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.labels import EMPTY_LABEL, BitString, Label, uint_width
 from ..core.network import Edge, Graph, norm_edge
-from ..core.protocol import (
-    DecodeCache,
-    DIPProtocol,
-    Interaction,
-    ProtocolError,
-    active_decode_cache,
-)
+from ..core.protocol import DecodeCache, DIPProtocol, Interaction, ProtocolError
 from ..core.transcript import RunResult
 from ..core.views import NodeView
 from ..graphs.outerplanar import find_path_outerplanar_witness
@@ -734,10 +728,10 @@ def check_path_outerplanarity_node(  # noqa: C901
 ) -> bool:
     if pm.n == 1:
         return True
-    # One decode cache per decide sweep (installed by Interaction.decide);
-    # with the cache disabled each node gets a private empty cache, which
-    # reproduces the uncached decode behaviour exactly.
-    cache = active_decode_cache()
+    # One decode cache per decide sweep (set on the view by
+    # Interaction.decide); with the cache disabled each node gets a private
+    # empty cache, which reproduces the uncached decode behaviour exactly.
+    cache = view.decode_cache
     if cache is None:
         cache = DecodeCache()
     m_commit = cache.sub("po_commit")
@@ -856,6 +850,7 @@ def check_path_outerplanarity_node(  # noqa: C901
         view.edge_labels,
         coin2,
         view.coins[1].value,
+        view.decode_cache,
     )
     if not lr_check_node(pm.lr, slice_):
         return False

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from ..core.labels import BitString, Label
 from ..core.network import Graph
-from ..core.protocol import DecodeCache, DIPProtocol, Interaction, active_decode_cache
+from ..core.protocol import DecodeCache, DIPProtocol, Interaction
 from ..core.transcript import RunResult
 from ..core.views import NodeView
 from ..graphs.spanning import RootedForest
@@ -102,7 +102,7 @@ class SpanningTreeVerificationProtocol(DIPProtocol):
         def check(view: NodeView) -> bool:
             # per-sweep decode cache: each round label is shared with every
             # neighbor, so extract its fields once instead of deg+1 times
-            cache = active_decode_cache()
+            cache = view.decode_cache
             if cache is None:
                 cache = DecodeCache()
             cget = cache.get

@@ -41,9 +41,6 @@ from .faults import (
     FaultPlan,
     InjectedFault,
     PlannedFault,
-    active_fault_plan,
-    clear_fault_plan,
-    install_fault_plan,
 )
 from .registry import TaskSpec, get_task, task_names
 from .resilience import (
@@ -79,12 +76,9 @@ __all__ = [
     "SeedSequence",
     "SerialBackend",
     "TaskSpec",
-    "active_fault_plan",
     "backend_names",
     "backoff_delay",
-    "clear_fault_plan",
     "get_task",
-    "install_fault_plan",
     "parse_address",
     "plan_shards",
     "process_cache",

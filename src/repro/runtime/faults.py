@@ -1,6 +1,6 @@
 """Deterministic fault injection for the batched runtime (chaos engine).
 
-PR 2 showed that one seeded, process-global tap at a single choke point
+One seeded tap at a single choke point
 (:class:`~repro.adversaries.mutation.MutationTap` inside
 ``Interaction.prover_round``) is enough to make *adversarial* corruption
 reproducible.  This module applies the same idea to *infrastructure*
@@ -34,10 +34,10 @@ for instances — the fault at run ``i`` is a pure function of
 ``(plan_seed, i)``, independent of execution order, retries elsewhere,
 and worker assignment.
 
-Like the label tap, a plan can be installed process-globally
-(:func:`install_fault_plan` / :func:`clear_fault_plan`); the resilient
-execution path installs the batch's plan inside each worker for the
-duration of a shard so nested code can consult :func:`active_fault_plan`.
+A plan travels with its batch, never through a module slot: it rides on
+the batch spec (``spec.fault_plan``) that every worker receives, and the
+resilient execution path fires it per attempt with
+``spec.fault_plan.fire(...)``.
 """
 
 from __future__ import annotations
@@ -241,28 +241,3 @@ class FaultPlan:
             f"kinds={self.kinds}, fires={self.fires}, "
             f"overrides={len(self.overrides)})"
         )
-
-
-# ---------------------------------------------------------------------------
-# the process-global slot (mirrors core.protocol's label tap)
-# ---------------------------------------------------------------------------
-
-_FAULT_PLAN: Optional[FaultPlan] = None
-
-
-def install_fault_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Install ``plan`` as the process-wide fault plan (replacing any)."""
-    global _FAULT_PLAN
-    _FAULT_PLAN = plan
-    return plan
-
-
-def clear_fault_plan(plan: Optional[FaultPlan] = None) -> None:
-    """Remove the active plan (or only ``plan``, if given and still active)."""
-    global _FAULT_PLAN
-    if plan is None or _FAULT_PLAN is plan:
-        _FAULT_PLAN = None
-
-
-def active_fault_plan() -> Optional[FaultPlan]:
-    return _FAULT_PLAN

@@ -40,8 +40,9 @@ a big-endian uint32 payload length::
 
 The agent loop is :func:`serve_worker`; :class:`InProcessWorker` runs it
 on a thread of the current process for tests and benchmarks (kill
-faults degrade to raises there, and shard execution is serialised
-because the decode-cache/tracer/fault-plan slots are per process).
+faults degrade to raises there).  Threaded workers need no lock around
+shard execution: a run's tap and tracer live in that thread's run
+context, and the decode cache rides on the views of one decide sweep.
 """
 
 from __future__ import annotations
@@ -697,7 +698,6 @@ def serve_worker(
     *,
     connect_timeout: float = 10.0,
     in_worker: bool = True,
-    execution_lock: Optional[threading.Lock] = None,
     result_send_hook: Optional[Callable[[socket.socket, bytes], None]] = None,
     max_frame_bytes: Optional[int] = None,
     reconnect: bool = False,
@@ -722,10 +722,10 @@ def serve_worker(
     answers within ``connect_timeout`` ends the retry loop with 0 (the
     coordinator is gone, same as today's dropped-connection exit).
 
-    ``in_worker`` / ``execution_lock`` / ``result_send_hook`` are seams
-    for the in-process harness and the chaos suite; real agents keep the
-    defaults, so a planned ``kill`` fault genuinely takes the agent down
-    mid-shard — the coordinator's loss accounting is the test subject.
+    ``in_worker`` / ``result_send_hook`` are seams for the in-process
+    harness and the chaos suite; real agents keep the defaults, so a
+    planned ``kill`` fault genuinely takes the agent down mid-shard — the
+    coordinator's loss accounting is the test subject.
     """
     host, port = address if isinstance(address, tuple) else parse_address(address)
     seed = os.getpid() if reconnect_seed is None else reconnect_seed
@@ -739,7 +739,6 @@ def serve_worker(
         outcome = _serve_connection(
             sock,
             in_worker=in_worker,
-            execution_lock=execution_lock,
             result_send_hook=result_send_hook,
             max_frame_bytes=max_frame_bytes,
         )
@@ -755,7 +754,6 @@ def _serve_connection(
     sock: socket.socket,
     *,
     in_worker: bool,
-    execution_lock: Optional[threading.Lock],
     result_send_hook: Optional[Callable[[socket.socket, bytes], None]],
     max_frame_bytes: Optional[int] = None,
 ) -> str:
@@ -786,16 +784,9 @@ def _serve_connection(
                     )
                 from .resilience import _execute_resilient_shard
 
-                if execution_lock is not None:
-                    with execution_lock:
-                        result = _execute_resilient_shard(
-                            spec, indices, attempts, run_timeout, in_worker=in_worker
-                        )
-                else:
-                    result = _execute_resilient_shard(
-                        spec, indices, attempts, run_timeout, in_worker=in_worker
-                    )
-                outcomes, stats = result
+                outcomes, stats = _execute_resilient_shard(
+                    spec, indices, attempts, run_timeout, in_worker=in_worker
+                )
                 send_frame(
                     sock,
                     OP_RESULT,
@@ -813,19 +804,14 @@ def _serve_connection(
             pass
 
 
-#: shard execution in in-process workers is serialised on this lock: the
-#: decode-cache, tracer, and fault-plan slots are process-global, so two
-#: threads executing runs concurrently would fight over them
-_INPROCESS_LOCK = threading.Lock()
-
-
 class InProcessWorker:
     """A worker agent on a thread of this process (tests/benchmarks).
 
     Faithful to a real agent at the protocol layer — same frames, same
     shard execution path — but ``kill`` faults degrade to transient
     raises (``in_worker=False``) so a chaos plan cannot take down the
-    host, and execution is serialised on a process-wide lock.  A
+    host.  Several in-process workers execute shards concurrently: each
+    run's tap and tracer live in its own thread's run context.  A
     ``result_send_hook`` can sabotage RESULT frames to model a socket
     dropped mid-blob.
     """
@@ -846,7 +832,6 @@ class InProcessWorker:
                     address,
                     connect_timeout=connect_timeout,
                     in_worker=False,
-                    execution_lock=_INPROCESS_LOCK,
                     result_send_hook=result_send_hook,
                 )
             except BaseException as exc:  # sabotage hooks unwind this way

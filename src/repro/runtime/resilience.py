@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import metrics as obs_metrics
-from .faults import InjectedFault, clear_fault_plan, install_fault_plan
+from .faults import InjectedFault
 from .seeds import retry_jitter
 
 try:  # pragma: no cover - exercised only when a worker dies hard
@@ -228,19 +228,12 @@ def _execute_resilient_shard(
     passes False so a planned ``kill`` degrades to a transient raise
     instead of taking down the hosting interpreter.
     """
-    plan = spec.fault_plan
-    if plan is not None:
-        install_fault_plan(plan)
     cache = getattr(spec.instance_factory, "cache", None)
     stats_before = cache.stats() if cache is not None else None
-    try:
-        outcomes = [
-            _attempt_run(spec, i, attempts.get(i, 0), run_timeout, in_worker=in_worker)
-            for i in indices
-        ]
-    finally:
-        if plan is not None:
-            clear_fault_plan(plan)
+    outcomes = [
+        _attempt_run(spec, i, attempts.get(i, 0), run_timeout, in_worker=in_worker)
+        for i in indices
+    ]
     stats_delta = None
     if stats_before is not None:
         after = cache.stats()
@@ -421,32 +414,25 @@ class _ResilientExecution:
 
     def run_serial(self) -> Tuple[List[Any], List[FailureRecord], Optional[Dict[str, int]]]:
         spec = self.spec
-        plan = spec.fault_plan
-        if plan is not None:
-            install_fault_plan(plan)
         cache = getattr(spec.instance_factory, "cache", None)
         stats_before = cache.stats() if cache is not None else None
-        try:
-            for i in range(self.n_runs):
-                while True:
-                    outcome = _attempt_run(
-                        spec, i, self.attempts[i], self.run_timeout, in_worker=False
-                    )
-                    self.attempts[i] += 1
-                    self.elapsed[i] += outcome.elapsed
-                    if outcome.record is not None:
-                        self.records[i] = outcome.record
-                        break
-                    retry: List[int] = []
-                    self._note_failure(
-                        i, outcome.fault, outcome.error, outcome.exc, retry
-                    )
-                    if not retry:
-                        break  # degraded: recorded as a failure
-                    self._backoff(retry)
-        finally:
-            if plan is not None:
-                clear_fault_plan(plan)
+        for i in range(self.n_runs):
+            while True:
+                outcome = _attempt_run(
+                    spec, i, self.attempts[i], self.run_timeout, in_worker=False
+                )
+                self.attempts[i] += 1
+                self.elapsed[i] += outcome.elapsed
+                if outcome.record is not None:
+                    self.records[i] = outcome.record
+                    break
+                retry: List[int] = []
+                self._note_failure(
+                    i, outcome.fault, outcome.error, outcome.exc, retry
+                )
+                if not retry:
+                    break  # degraded: recorded as a failure
+                self._backoff(retry)
         stats = None
         if stats_before is not None:
             after = cache.stats()

@@ -36,18 +36,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.protocol import run_context
 from ..obs import metrics as obs_metrics
 from .backends import ExecutionBackend, ProcessPoolBackend, resolve_backend
 from .cache import CachedFactory
 from .seeds import SeedSequence
-
-#: When true, every ``RunRecord`` probes ``json.dumps`` on its ``extra``
-#: payload at construction time, so a non-serializable adversary report
-#: fails at record time (with the run identifiable) instead of much later
-#: at report-dump time.  Off by default: the probe costs a serialization
-#: per run.  Enable via ``REPRO_VALIDATE_EXTRA=1`` or by flipping the
-#: module flag in tests.
-VALIDATE_EXTRA = os.environ.get("REPRO_VALIDATE_EXTRA", "") not in ("", "0")
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,9 @@ class RunRecord:
     extra: Optional[Dict[str, Any]] = None
 
     def __post_init__(self):
-        if VALIDATE_EXTRA and self.extra is not None:
+        # probe JSON-safety at record time, so a non-serializable adversary
+        # report fails naming its run instead of much later at dump time
+        if self.extra is not None:
             try:
                 json.dumps(self.extra)
             except (TypeError, ValueError) as exc:
@@ -245,7 +240,7 @@ class _BatchSpec:
     #: deterministic chaos plan (see :mod:`repro.runtime.faults`); only
     #: consulted by the resilient execution path
     fault_plan: Optional[Any] = None
-    #: install a :class:`repro.obs.tracer.Tracer` around each run and ship
+    #: run each run under a fresh :class:`repro.obs.tracer.Tracer` and ship
     #: the per-run trace summary back on ``RunRecord.extra["trace"]``
     #: (outside canonical identity, like everything else in ``extra``)
     trace: bool = False
@@ -279,35 +274,26 @@ def execute_one_run(spec: _BatchSpec, i: int) -> RunRecord:
             )
         else:
             prover = spec.prover_factory(instance)
-    trace = tracer = None
+    tracer = None
     if spec.trace:
         # imported lazily so the untraced path never touches repro.obs
-        from ..core.protocol import clear_tracer, install_tracer
         from ..obs.tracer import Tracer
 
-        tracer = install_tracer(Tracer())
+        tracer = Tracer()
         tracer.begin_run(
             task=getattr(spec.protocol, "name", type(spec.protocol).__name__),
             n=spec.n,
             seed=spec.master_seed,
             run_index=i,
         )
-    try:
+    # the fuzz tap and the tracer belong to this run only: interactions
+    # created outside the block (another thread's runs included) never
+    # see them, whether the execution returns or raises
+    with run_context(tap=getattr(prover, "tap", None), tracer=tracer):
         result = spec.protocol.execute(
             instance, prover=prover, rng=run_ss.child("protocol").rng()
         )
-        if tracer is not None:
-            trace = tracer.end_run().summary()
-    except BaseException:
-        # finalize_report() is not reached: detach the fuzz tap here, or an
-        # un-fired one stays installed and corrupts the next run in-process
-        detach = getattr(prover, "detach", None)
-        if detach is not None:
-            detach()
-        raise
-    finally:
-        if tracer is not None:
-            clear_tracer(tracer)
+    trace = tracer.end_run().summary() if tracer is not None else None
     extra = None
     if prover is not None and hasattr(prover, "finalize_report"):
         extra = prover.finalize_report(result)
@@ -344,6 +330,8 @@ def _execute_runs(spec: _BatchSpec, indices: Sequence[int]) -> Tuple[List[RunRec
 #: Shipping the spec once per *worker* (instead of pickling it into every
 #: shard submission) keeps shard messages down to a list of run indices —
 #: the fix for the parallel path previously running slower than serial.
+#: It stays a module global because the initializer sets it once for each
+#: worker process, and each process runs only that one batch.
 _WORKER_SPEC: Optional[_BatchSpec] = None
 
 
@@ -402,7 +390,7 @@ class BatchRunner:
 
     Observability knobs (see :mod:`repro.obs`):
 
-    - ``trace`` — install a round-level tracer around every run; the
+    - ``trace`` — run every run under its own round-level tracer; the
       per-run summary rides back on ``RunRecord.extra["trace"]``.
     - ``journal`` — a :class:`~repro.obs.journal.Journal` the finished
       batch is streamed to (run/failure/trace events in run-index

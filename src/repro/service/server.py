@@ -40,10 +40,11 @@ Robustness model:
   0.  Past ``drain_timeout``, still-queued requests are failed with a
   typed ``drained`` frame rather than silently leaked.
 
-Execution is serialised on a one-thread "lane": the decode cache,
-tracer, and fault-plan slots are process-global, so one batch at a time
-is a correctness requirement, not a simplification (the remote
-in-process workers make the same choice).  Concurrency lives in the
+Execution is serialised on a one-thread "lane": the live churn states
+(each target's working graph, epoch and label signatures) are private
+to the lane thread, so one batch at a time is what keeps them
+consistent without locks.  Per-run state needs no such care: a run's
+tap and tracer live in its own run context.  Concurrency lives in the
 serving layer; parallelism inside a request comes from its backend.
 """
 

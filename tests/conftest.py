@@ -54,34 +54,12 @@ def rng():
 
 
 @pytest.fixture(autouse=True)
-def _no_label_tap_leaks():
-    """Hermeticity: a mutation tap armed by one test must never survive
-    into the next (an unfired tap would silently corrupt a later honest
-    execution in the same process)."""
-    from repro.core.protocol import clear_label_tap
-
-    yield
-    clear_label_tap()
-
-
-@pytest.fixture(autouse=True)
-def _no_fault_plan_leaks():
-    """Hermeticity for the chaos engine: a fault plan installed by one
-    test must never survive into the next (it would inject faults into a
-    later test's honest batches)."""
-    from repro.runtime.faults import clear_fault_plan
-
-    yield
-    clear_fault_plan()
-
-
-@pytest.fixture(autouse=True)
 def _no_observability_leaks():
-    """Hermeticity for observability: a tracer installed (or metrics
-    enabled) by one test must never keep recording into the next."""
-    from repro.core.protocol import clear_tracer
+    """Hermeticity for observability: metrics enabled by one test must
+    never keep recording into the next.  The metrics registry is the one
+    process-wide sink left; taps and tracers live in a per-run context
+    that closes with its ``with`` block."""
     from repro.obs import metrics
 
     yield
-    clear_tracer()
     metrics.disable()

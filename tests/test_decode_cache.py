@@ -11,13 +11,9 @@ counters, the metrics export, and the runner's auto-serial heuristic.
 import pytest
 
 from repro.analysis.experiments import run_batch
-from repro.core.protocol import (
-    DecodeCache,
-    active_decode_cache,
-    clear_decode_cache,
-    decode_cache_disabled,
-    install_decode_cache,
-)
+from repro.core.labels import Label
+from repro.core.network import path_graph
+from repro.core.protocol import DecodeCache, Interaction, decode_cache_disabled
 from repro.obs import metrics as obs_metrics
 from repro.runtime.registry import canonical_name, get_task, task_names
 from repro.runtime.runner import BatchRunner, _usable_cores
@@ -88,15 +84,24 @@ class TestDecodeCacheUnit:
         assert 1 not in cache.sub("b")
         assert cache.sub("a") is cache.sub("a")
 
-    def test_install_and_clear(self):
-        cache = install_decode_cache(DecodeCache())
-        try:
-            assert active_decode_cache() is cache
-            clear_decode_cache(DecodeCache())  # not the active one: no-op
-            assert active_decode_cache() is cache
-        finally:
-            clear_decode_cache(cache)
-        assert active_decode_cache() is None
+    @staticmethod
+    def _sweep_caches():
+        """The ``decode_cache`` of every view one decide sweep built."""
+        ia = Interaction(path_graph(4))
+        ia.prover_round({v: Label() for v in range(4)})
+        seen = []
+        ia.decide(lambda view: seen.append(view.decode_cache) or True)
+        return seen
+
+    def test_decide_hands_one_cache_to_every_view(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DISABLE_DECODE_CACHE", raising=False)
+        first, *rest = self._sweep_caches()
+        assert isinstance(first, DecodeCache)
+        assert all(c is first for c in rest)
+        # a fresh cache per sweep: nothing outlives its decide
+        assert self._sweep_caches()[0] is not first
+        monkeypatch.setenv("REPRO_DISABLE_DECODE_CACHE", "1")
+        assert self._sweep_caches() == [None] * 4
 
     def test_disabled_env_hatch(self, monkeypatch):
         monkeypatch.delenv("REPRO_DISABLE_DECODE_CACHE", raising=False)

@@ -3,8 +3,8 @@
 Fast-tier checks of the machinery itself (the per-protocol soundness
 statistics live in test_fuzz_protocols.py and the slow regression suite):
 single-shot tap semantics, deterministic replay, op semantics, report
-shape, and -- critically -- that a finished fuzz run leaves no armed tap
-behind to corrupt a later honest execution.
+shape, and -- critically -- that a tap only ever reaches the
+interactions of its own run context, never a later honest execution.
 """
 
 import random
@@ -18,7 +18,7 @@ from repro.adversaries import (
     SeededMutatingProver,
 )
 from repro.analysis.fuzz_coverage import fuzz_coverage
-from repro.core.protocol import active_label_tap, clear_label_tap
+from repro.core.protocol import run_context
 from repro.protocols.lr_sorting import HonestLRSortingProver, LRSortingProtocol
 from repro.protocols.outerplanarity import OuterplanarityProtocol, OuterplanarityProver
 from repro.runtime.registry import get_task
@@ -33,7 +33,8 @@ def _lr_fuzzed_run(seed, target_round=3, op="random", n=60):
         inst, HonestLRSortingProver(inst), random.Random(seed),
         target_round=target_round, op=op,
     )
-    result = proto.execute(inst, prover=prover, rng=random.Random(1))
+    with run_context(tap=prover.tap):
+        result = proto.execute(inst, prover=prover, rng=random.Random(1))
     report = prover.finalize_report(result)
     return result, report
 
@@ -74,40 +75,40 @@ def test_zero_out_falls_back_when_already_zero():
         assert report["applied_op"] in ("zero_out", "bit_flip")
 
 
-def test_finalize_clears_the_tap_and_honest_run_recovers():
+def test_honest_run_after_a_fuzzed_run_recovers():
     _lr_fuzzed_run(seed=5)
-    assert active_label_tap() is None
     inst = make_lr_instance(60, random.Random(11))
     result = LRSortingProtocol(c=2).execute(inst, rng=random.Random(2))
     assert result.accepted
 
 
 def test_tap_is_single_shot():
-    """A fired tap is inert: a second execution with the same (stale) tap
-    installed stays honest."""
+    """A fired tap is inert: a second execution under the same (stale)
+    tap stays honest."""
     inst = make_lr_instance(60, random.Random(11))
     proto = LRSortingProtocol(c=2)
     prover = MutatingProver(
         inst, HonestLRSortingProver(inst), random.Random(3), target_round=1
     )
-    r1 = proto.execute(inst, prover=prover, rng=random.Random(1))
-    assert prover.mutation is not None and not r1.accepted
-    # tap deliberately NOT finalized: it must have disarmed itself
-    r2 = proto.execute(inst, rng=random.Random(1))
+    with run_context(tap=prover.tap):
+        r1 = proto.execute(inst, prover=prover, rng=random.Random(1))
+        assert prover.mutation is not None and not r1.accepted
+        # tap deliberately NOT finalized: it must have disarmed itself
+        r2 = proto.execute(inst, rng=random.Random(1))
     assert r2.accepted
-    prover.detach()
 
 
-def test_new_prover_replaces_stale_tap():
+def test_constructing_a_prover_arms_nothing():
+    """A tap acts only inside a run context that carries it: building a
+    MutatingProver (and running it outside any context) stays honest."""
     inst = make_lr_instance(60, random.Random(11))
-    stale = MutatingProver(
+    prover = MutatingProver(
         inst, HonestLRSortingProver(inst), random.Random(0), target_round=1
     )
-    fresh = MutatingProver(
-        inst, HonestLRSortingProver(inst), random.Random(1), target_round=1
+    result = LRSortingProtocol(c=2).execute(
+        inst, prover=prover, rng=random.Random(1)
     )
-    assert active_label_tap() is fresh.tap
-    clear_label_tap()
+    assert result.accepted and prover.mutation is None
 
 
 def test_delegation_preserves_inner_prover_surface():
@@ -115,7 +116,6 @@ def test_delegation_preserves_inner_prover_surface():
     inner = HonestLRSortingProver(inst)
     prover = MutatingProver(inst, inner, random.Random(0), target_round=1)
     assert prover.params is inner.params  # attribute delegation
-    prover.detach()
 
 
 def test_composite_delegation_reaches_prover_hooks():
@@ -125,9 +125,10 @@ def test_composite_delegation_reaches_prover_hooks():
     prover = MutatingProver(
         inst, OuterplanarityProver(inst), random.Random(9), target_round=3
     )
-    result = OuterplanarityProtocol(c=2).execute(
-        inst, prover=prover, rng=random.Random(4)
-    )
+    with run_context(tap=prover.tap):
+        result = OuterplanarityProtocol(c=2).execute(
+            inst, prover=prover, rng=random.Random(4)
+        )
     report = prover.finalize_report(result)
     assert report["mutated"]
     assert not report["accepted"]
@@ -160,7 +161,8 @@ def test_seeded_factory_is_picklable_and_deterministic():
     reports = []
     for f in (factory, clone):
         prover = f(inst, random.Random(77))
-        result = proto.execute(inst, prover=prover, rng=random.Random(5))
+        with run_context(tap=prover.tap):
+            result = proto.execute(inst, prover=prover, rng=random.Random(5))
         reports.append(prover.finalize_report(result))
     assert reports[0] == reports[1]
 

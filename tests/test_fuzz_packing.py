@@ -10,7 +10,7 @@ Three pins around the fuzzing path through ``Interaction.prover_round``:
   wire offset/width) of every task x {fuzz_r1, fuzz_r3, fuzz_r5} at
   n=16, seed 21, two serial runs, byte for byte;
 - a fuzzed run that raises before its tap fired must not leave the tap
-  installed to corrupt the next honest batch in the same process.
+  behind to corrupt the next honest batch in the same process.
 """
 
 import json
@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.core import labels
-from repro.core.protocol import Interaction, active_label_tap
+from repro.core.network import path_graph
+from repro.core.protocol import Interaction
 from repro.runtime import BatchRunner, get_task
 from repro.runtime.registry import task_names
 
@@ -107,7 +108,6 @@ def test_failed_fuzz_run_detaches_its_tap(monkeypatch):
         failure_policy="degrade", max_retries=0,
     ).run(1, 64, seed=3)
     assert raised and [f.index for f in fuzzed.failures] == [0]
-    assert active_label_tap() is None
+    assert Interaction(path_graph(2))._tap is None  # the run context unwound
     honest = BatchRunner(spec.protocol(c=2), spec.yes_factory).run(4, 64, seed=1)
     assert [r.accepted for r in honest.records] == [True] * 4
-    assert active_label_tap() is None

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.adversaries import FuzzingLRProver
+from repro.core.protocol import run_context
 from repro.protocols.lr_sorting import LRSortingProtocol
 
 from conftest import make_lr_instance
@@ -27,7 +28,8 @@ def test_single_field_corruption_rejected(target_round):
         prover = FuzzingLRProver(
             inst, random.Random(5000 + t), target_round=target_round
         )
-        res = proto.execute(inst, prover=prover, rng=random.Random(t))
+        with run_context(tap=prover.tap):
+            res = proto.execute(inst, prover=prover, rng=random.Random(t))
         if prover.corrupted is None:
             rejected += 1  # nothing to corrupt: vacuous
             continue
@@ -39,7 +41,8 @@ def test_corruption_record_is_kept():
     rng = random.Random(9)
     inst = make_lr_instance(80, rng)
     prover = FuzzingLRProver(inst, random.Random(0), target_round=3)
-    LRSortingProtocol(c=2).execute(inst, prover=prover, rng=random.Random(0))
+    with run_context(tap=prover.tap):
+        LRSortingProtocol(c=2).execute(inst, prover=prover, rng=random.Random(0))
     assert prover.corrupted is not None
     kind, owner, key, old, new = prover.corrupted
     assert kind in ("node", "edge")

@@ -23,7 +23,8 @@ from repro.analysis.trace_report import (
     summaries_from_report,
     trace_task,
 )
-from repro.core.protocol import active_tracer, install_tracer
+from repro.core.network import path_graph
+from repro.core.protocol import Interaction, run_context
 from repro.obs import (
     DECIDE,
     EVENT_TYPES,
@@ -108,23 +109,19 @@ class TestTracer:
 
     def test_hooks_without_open_run_are_ignored(self):
         spec = get_task("path_outerplanarity")
-        tracer = install_tracer(Tracer())
-        try:
+        tracer = Tracer()
+        with run_context(tracer=tracer):
             spec.protocol(c=2).execute(
                 spec.yes_factory(N, random.Random(0)), rng=random.Random(1)
             )
-            assert tracer.traces == []  # no begin_run -> nothing recorded
-            with pytest.raises(RuntimeError, match="no run open"):
-                tracer.end_run()
-        finally:
-            from repro.core.protocol import clear_tracer
-
-            clear_tracer(tracer)
+        assert tracer.traces == []  # no begin_run -> nothing recorded
+        with pytest.raises(RuntimeError, match="no run open"):
+            tracer.end_run()
 
     def test_trace_run_uninstalls_on_exit(self):
         with trace_run("path_outerplanarity", n=8) as tracer:
-            assert active_tracer() is tracer
-        assert active_tracer() is None
+            assert Interaction(path_graph(2))._tracer is tracer
+        assert Interaction(path_graph(2))._tracer is None
         assert len(tracer.traces) == 1  # finalized even though nothing ran
 
 

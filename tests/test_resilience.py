@@ -27,11 +27,6 @@ from repro.runtime import (
     backoff_delay,
     get_task,
 )
-from repro.runtime.faults import (
-    active_fault_plan,
-    clear_fault_plan,
-    install_fault_plan,
-)
 from repro.runtime.registry import exiting_worker_factory, path_outerplanarity_yes
 from repro.runtime.resilience import FailureRecord, run_deadline
 
@@ -130,16 +125,6 @@ class TestFaultPlan:
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             FaultPlan.from_spec(spec)
-
-    def test_global_slot_mirrors_label_tap(self):
-        plan = FaultPlan(0)
-        assert active_fault_plan() is None
-        install_fault_plan(plan)
-        assert active_fault_plan() is plan
-        clear_fault_plan(FaultPlan(1))  # someone else's plan: no-op
-        assert active_fault_plan() is plan
-        clear_fault_plan(plan)
-        assert active_fault_plan() is None
 
 
 class TestBackoff:

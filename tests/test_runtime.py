@@ -213,19 +213,10 @@ class TestExtraValidation:
             n_rejecting=0, wall_time=0.0, extra=extra,
         )
 
-    def test_probe_rejects_non_serializable_extra_at_record_time(self, monkeypatch):
-        from repro.runtime import runner as runner_mod
-
-        monkeypatch.setattr(runner_mod, "VALIDATE_EXTRA", True)
+    def test_non_json_extra_raises_naming_the_run(self):
         self._record({"ok": [1, "two"]})  # JSON-safe passes
-        with pytest.raises(TypeError, match="not JSON-safe"):
+        with pytest.raises(TypeError, match="run 0 is not JSON-safe"):
             self._record({"bad": object()})
-
-    def test_probe_is_off_by_default(self, monkeypatch):
-        from repro.runtime import runner as runner_mod
-
-        monkeypatch.setattr(runner_mod, "VALIDATE_EXTRA", False)
-        self._record({"bad": object()})  # deferred to report-dump time
 
 
 class TestRegistry:
