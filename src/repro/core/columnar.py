@@ -21,12 +21,20 @@ ordinary per-view Python path, so a kernel can always punt on a rare
 case without ever changing a verdict).  ``Interaction.decide`` merges
 the two; canonical reports are byte-identical with kernels on or off.
 
+Kernels run per *parameter class*, not per execution: a
+:class:`~repro.core.protocol.DecideBatch` groups the pending decides of
+many executions (the per-block and per-ear sub-runs of a composite
+protocol) by their kernel parameters, and :func:`run_kernel` decides
+each class in one call over the disjoint union of its members' graphs.
+Each member then gets its own slice of the ``(ok, fallback)`` arrays.
+
 Numpy is an **optional** dependency (the ``[vector]`` extra): when it is
-missing, :func:`run_kernel` returns None and the per-view path runs
+missing, :func:`run_kernel` decides nothing and the per-view path runs
 unchanged.  ``REPRO_DISABLE_VECTOR_DECIDE=1`` is the escape hatch,
 mirroring the decode-cache and packed-label hatches, and
-``REPRO_VECTOR_MIN_NODES`` tunes the size gate (vectorization has fixed
-setup cost; tiny sub-runs of the composite protocols stay per-view).
+``REPRO_VECTOR_MIN_NODES`` tunes the size gate, which applies to the
+node count of the whole class union (vectorization has a fixed setup
+cost per kernel call, which a class of many tiny sub-runs shares).
 """
 
 from __future__ import annotations
@@ -67,8 +75,9 @@ def vector_decide_disabled() -> bool:
     return os.environ.get("REPRO_DISABLE_VECTOR_DECIDE", "") not in ("", "0")
 
 
-#: below this node count the fixed cost of building columns outweighs the
-#: win (the composite protocols spawn many tiny block sub-runs)
+#: below this node count (summed over a parameter class: the tiny block
+#: and ear sub-runs of a composite are batched into one union first) the
+#: fixed cost of building columns outweighs the win
 DEFAULT_MIN_NODES = 32
 
 
@@ -107,9 +116,9 @@ BIG = 1 << 60
 
 
 class Uncoverable(Exception):
-    """A label shape the columnar path cannot represent (BitString-valued
-    leaves, oversized widths).  Raised during extraction; ``run_kernel``
-    turns it into a whole-run per-view fallback."""
+    """A coin shape the columnar path cannot represent (a width beyond
+    int64).  Raised during extraction; ``run_kernel`` turns it into a
+    per-view fallback for the whole class."""
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +446,14 @@ def extract_columns(np, rows: Sequence[Optional[Label]], specs: Sequence[ColumnS
 
 
 class ColumnarContext:
-    """Columns and index arrays of one finished execution.
+    """Columns and index arrays of one or more finished executions.
+
+    ``members`` are ``(graph, transcript)`` pairs decided together: their
+    nodes are laid out back to back (member ``i`` owns rows
+    ``offsets[i]:offsets[i + 1]``), so the context is the disjoint union
+    of the member graphs.  Every kernel check is a per-node predicate of
+    the node's coins and its own, neighbor and incident-edge labels, so a
+    node's verdict over the union is its verdict over its own member.
 
     ``indptr/nbr/slot_node`` form the CSR view of the adjacency: the
     slots of node ``v`` are ``indptr[v]:indptr[v+1]``, slot ``s`` leads
@@ -450,12 +466,15 @@ class ColumnarContext:
     re-checks exactly those through the per-view path.
     """
 
-    def __init__(self, np, graph, transcript):
+    def __init__(self, np, members):
         self.np = np
-        self.graph = graph
-        self.n = graph.n
-        self._prover_rounds = transcript.prover_rounds()
-        self._verifier_rounds = transcript.verifier_rounds()
+        self.members = members
+        self.offsets = [0]
+        for graph, _ in members:
+            self.offsets.append(self.offsets[-1] + graph.n)
+        self.n = self.offsets[-1]
+        self._prover_rounds = [t.prover_rounds() for _, t in members]
+        self._verifier_rounds = [t.verifier_rounds() for _, t in members]
         self.fallback = np.zeros(self.n, dtype=bool)
         self._csr = None
         self._edge_rows: Dict[int, list] = {}
@@ -466,15 +485,17 @@ class ColumnarContext:
         csr = self._csr
         if csr is None:
             np = self.np
-            g = self.graph
-            n = self.n
-            neighbors = g.neighbors
-            degs = np.array([g.degree(v) for v in range(n)], dtype=np.int64)
-            indptr = np.zeros(n + 1, dtype=np.int64)
+            degs_l: List[int] = []
+            flat: List[int] = []
+            for (g, _), off in zip(self.members, self.offsets):
+                neighbors = g.neighbors
+                degs_l += [g.degree(v) for v in range(g.n)]
+                flat += [u + off for v in range(g.n) for u in neighbors(v)]
+            degs = np.array(degs_l, dtype=np.int64)
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(degs, out=indptr[1:])
-            flat = [u for v in range(n) for u in neighbors(v)]
             nbr = np.array(flat, dtype=np.int64)
-            slot_node = np.repeat(np.arange(n, dtype=np.int64), degs)
+            slot_node = np.repeat(np.arange(self.n, dtype=np.int64), degs)
             csr = self._csr = (indptr, nbr, slot_node)
         return csr
 
@@ -482,12 +503,13 @@ class ColumnarContext:
 
     def node_cols(self, ridx: int, specs: Sequence[ColumnSpec]):
         """Per-node columns for prover round ``ridx`` (one array per spec)."""
-        rounds = self._prover_rounds
-        if ridx < len(rounds):
-            labels = rounds[ridx].labels
-            rows = [labels.get(v) for v in range(self.n)]
-        else:
-            rows = [None] * self.n
+        rows: List[Optional[Label]] = []
+        for (g, _), rounds in zip(self.members, self._prover_rounds):
+            if ridx < len(rounds):
+                labels = rounds[ridx].labels
+                rows += [labels.get(v) for v in range(g.n)]
+            else:
+                rows += [None] * g.n
         cols, uncover = extract_columns(self.np, rows, specs)
         if uncover.any():
             # an undecodable label is read by its owner and all neighbors
@@ -500,15 +522,15 @@ class ColumnarContext:
         return cols
 
     def edge_rows(self, ridx: int) -> list:
+        """Per-slot edge labels of prover round ``ridx`` (member keys)."""
         rows = self._edge_rows.get(ridx)
         if rows is None:
-            rounds = self._prover_rounds
-            store = rounds[ridx].edge_labels if ridx < len(rounds) else {}
-            g = self.graph
             rows = []
-            for v in range(self.n):
-                for u in g.neighbors(v):
-                    rows.append(store.get((v, u) if v <= u else (u, v)))
+            for (g, _), rounds in zip(self.members, self._prover_rounds):
+                store = rounds[ridx].edge_labels if ridx < len(rounds) else {}
+                for v in range(g.n):
+                    for u in g.neighbors(v):
+                        rows.append(store.get((v, u) if v <= u else (u, v)))
             self._edge_rows[ridx] = rows
         return rows
 
@@ -527,17 +549,15 @@ class ColumnarContext:
 
     def coin_cols(self, vidx: int):
         """Per-node coin values of verifier round ``vidx`` as int64."""
-        np = self.np
-        rounds = self._verifier_rounds
-        if vidx >= len(rounds):
-            return np.zeros(self.n, dtype=np.int64)
-        coins = rounds[vidx].coins
         vals = [0] * self.n
-        for v, bits in coins.items():
-            if bits.width > _MAX_LEAF_BITS:
-                raise Uncoverable(f"coin width {bits.width} beyond int64")
-            vals[v] = bits.value
-        return np.array(vals, dtype=np.int64)
+        for rounds, off in zip(self._verifier_rounds, self.offsets):
+            if vidx >= len(rounds):
+                continue
+            for v, bits in rounds[vidx].coins.items():
+                if bits.width > _MAX_LEAF_BITS:
+                    raise Uncoverable(f"coin width {bits.width} beyond int64")
+                vals[v + off] = bits.value
+        return self.np.array(vals, dtype=self.np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -743,26 +763,36 @@ def make_stv_kernel(reps: int, p: int, elem_bits: int, tree_ports):
     return kernel
 
 
-def run_kernel(kernel, graph, transcript):
-    """Run a columnar kernel over a finished transcript.
+def run_kernel(kernel, members):
+    """Run one columnar kernel over the disjoint union of ``members``.
 
-    Returns ``(ok, fallback)`` numpy bool arrays, or None when the
-    vectorized path does not apply (hatch set, numpy absent, graph below
-    the size gate or degenerate, or an uncoverable coin/label shape) --
-    the caller then uses the per-view path for every node.
+    ``members`` are the ``(graph, transcript)`` pairs of finished
+    executions that share the kernel's parameters.  Returns one entry per
+    member: its ``(ok, fallback)`` numpy bool slices, or None where the
+    vectorized path does not apply -- the caller then uses the per-view
+    path for every node of that member.  Degenerate members (fewer than
+    two nodes, or no edges) are always None; the others are all None when
+    the hatch is set, numpy is absent, their union is below the size
+    floor, or a coin shape is uncoverable.  A single member is decided on
+    its own graph and transcript.
     """
+    out: List[Optional[tuple]] = [None] * len(members)
     if vector_decide_disabled():
-        return None
+        return out
     np = _numpy()
     if np is None:
-        return None
-    if graph.n < vector_min_nodes() or graph.n < 2 or graph.m == 0:
-        return None
+        return out
+    live = [i for i, (g, _) in enumerate(members) if g.n >= 2 and g.m > 0]
+    if sum(members[i][0].n for i in live) < vector_min_nodes():
+        return out
+    ctx = ColumnarContext(np, [members[i] for i in live])
     try:
-        ctx = ColumnarContext(np, graph, transcript)
-        return kernel(ctx)
+        ok, fallback = kernel(ctx)
     except Uncoverable:
-        return None
+        return out
+    for i, lo, hi in zip(live, ctx.offsets, ctx.offsets[1:]):
+        out[i] = (ok[lo:hi], fallback[lo:hi])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -302,26 +302,24 @@ class Interaction:
         shared_inputs: Optional[Dict[int, Dict[str, Any]]] = None,
         protocol_name: str = "dip",
         meta: Optional[dict] = None,
-        columnar=None,
+        kernel_out=None,
     ) -> RunResult:
         """Evaluate the local decision at every node and aggregate.
 
-        The verifier accepts iff *all* nodes output yes.  ``columnar`` is
-        an optional vectorized kernel (see :mod:`repro.core.columnar`)
-        computing the same per-node verdicts over packed-label columns;
-        nodes the kernel marks as fallback -- and every node when the
-        kernel does not apply at all -- go through ``check`` unchanged,
-        so verdicts (and canonical reports) are identical either way.
+        The verifier accepts iff *all* nodes output yes.  ``kernel_out``
+        is this interaction's ``(ok, fallback)`` slice of a vectorized
+        kernel run (see :class:`DecideBatch` and
+        :mod:`repro.core.columnar`) computing the same per-node verdicts
+        over packed-label columns; nodes the kernel marks as fallback --
+        and every node when no kernel ran -- go through ``check``
+        unchanged, so verdicts (and canonical reports) are identical
+        either way.
         """
         if not self.transcript.ends_with_prover():
             raise ProtocolError("interaction must end with a prover round")
         kernel_ok = kernel_fb = None
-        if columnar is not None:
-            kernel_out = run_columnar_kernel(
-                columnar, self.graph, self.transcript
-            )
-            if kernel_out is not None:
-                kernel_ok, kernel_fb = kernel_out
+        if kernel_out is not None:
+            kernel_ok, kernel_fb = kernel_out
         cache = None
         if kernel_ok is not None and not kernel_fb.any():
             # fully covered: skip view construction entirely
@@ -374,6 +372,74 @@ class Interaction:
         if self._tracer is not None:
             self._tracer.on_decide(self, result)
         return result
+
+
+class PendingDecide:
+    """A decide sweep queued on a :class:`DecideBatch`; ``result`` is set
+    by :meth:`DecideBatch.run`."""
+
+    __slots__ = ("interaction", "check", "key", "make_kernel", "kwargs", "result")
+
+    def __init__(self, interaction, check, key, make_kernel, kwargs):
+        self.interaction = interaction
+        self.check = check
+        self.key = key
+        self.make_kernel = make_kernel
+        self.kwargs = kwargs
+        self.result: Optional[RunResult] = None
+
+
+class DecideBatch:
+    """The deferred decide sweeps of many interactions.
+
+    Every sub-run keeps its own :class:`Interaction`, rounds and
+    transcript; only the final local-decision sweep waits here.
+    :meth:`run` groups the queued sweeps by kernel ``key`` (equal keys
+    mean equal kernel parameters), runs each class's kernel once over the
+    disjoint union of its members (:func:`repro.core.columnar.run_kernel`),
+    then finishes every sweep, in queue order, through its own
+    :meth:`Interaction.decide` with its slice of the kernel output.  The
+    verifier is a conjunction of per-node local predicates, so every
+    node's verdict is the one a lone decide gives it.
+    """
+
+    def __init__(self):
+        self._pending: list = []
+
+    def add(
+        self,
+        interaction: Interaction,
+        check: Callable[[NodeView], bool],
+        key,
+        make_kernel: Callable[[], Callable],
+        **decide_kwargs,
+    ) -> PendingDecide:
+        """Queue ``interaction``'s decide sweep.
+
+        ``make_kernel()`` builds the columnar kernel of the sweep's class;
+        it is called once per class, on its first member.
+        """
+        pending = PendingDecide(interaction, check, key, make_kernel, decide_kwargs)
+        self._pending.append(pending)
+        return pending
+
+    def run(self) -> None:
+        pending, self._pending = self._pending, []
+        classes: Dict[Any, list] = {}
+        for p in pending:
+            classes.setdefault(p.key, []).append(p)
+        outs: Dict[int, Any] = {}
+        for members in classes.values():
+            slices = run_columnar_kernel(
+                members[0].make_kernel(),
+                [(p.interaction.graph, p.interaction.transcript) for p in members],
+            )
+            for p, out in zip(members, slices):
+                outs[id(p)] = out
+        for p in pending:
+            p.result = p.interaction.decide(
+                p.check, kernel_out=outs[id(p)], **p.kwargs
+            )
 
 
 class DIPProtocol(ABC):

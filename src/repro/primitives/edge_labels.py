@@ -36,6 +36,37 @@ class EdgeLabelSimulation:
         self.forests = arboricity_forest_partition(graph, N_FORESTS)
         self.assignment = forest_partition_assignment(graph, self.forests)
 
+    @classmethod
+    def disjoint(cls, graphs: Sequence[Graph]) -> List["EdgeLabelSimulation"]:
+        """One simulation per graph, computed once over their disjoint union.
+
+        The forest partition, the edge assignment and the setup labels of
+        the union restrict to exactly those of each graph alone: the
+        spanning-forest peeling and the degeneracy coloring never look
+        across components, and relabelling a graph's nodes by a constant
+        offset keeps every order they depend on.  Raises ``ValueError``
+        like the constructor when any graph needs more than three forests.
+        """
+        offsets: List[int] = []
+        edges: List[Edge] = []
+        total = 0
+        for g in graphs:
+            offsets.append(total)
+            edges += [(u + total, v + total) for u, v in g.edges()]
+            total += g.n
+        union = cls(Graph.from_edge_list(total, edges))
+        setup = union.setup_labels()
+        member = [k for k, g in enumerate(graphs) for _ in range(g.n)]
+        assignments: List[Dict[Edge, Tuple[int, int]]] = [{} for _ in graphs]
+        for (u, v), (fi, child) in union.assignment.items():
+            k = member[u]
+            off = offsets[k]
+            assignments[k][(u - off, v - off)] = (fi, child - off)
+        return [
+            _SimulationSlice(g, assignments[k], {v: setup[v + off] for v in range(g.n)})
+            for k, (g, off) in enumerate(zip(graphs, offsets))
+        ]
+
     # -- prover side -------------------------------------------------------
 
     def setup_labels(self) -> Dict[int, Label]:
@@ -112,3 +143,16 @@ class EdgeLabelSimulation:
                 if edge_key in child_label:
                     out[port] = child_label[edge_key]
         return out
+
+
+class _SimulationSlice(EdgeLabelSimulation):
+    """One graph's share of a :meth:`EdgeLabelSimulation.disjoint` run:
+    the assignment and setup labels, already restricted to the graph."""
+
+    def __init__(self, graph: Graph, assignment, setup: Dict[int, Label]):
+        self.graph = graph
+        self.assignment = assignment
+        self._setup = setup
+
+    def setup_labels(self) -> Dict[int, Label]:
+        return self._setup

@@ -12,6 +12,21 @@ host-level stage labels).
 verdict is the AND of all sub-runs plus host-level checks, the round count
 is the maximum, and the proof size is, per round, the maximum over host
 nodes of the total bits mapped to them.
+
+Execution shares work across sub-runs only where no sub-run can tell.  Each
+sub-run keeps its own :class:`~repro.core.protocol.Interaction`, coin stream and
+transcript, and runs its rounds in the host's sub-run order (so label
+taps and traces see each sub-run exactly as a lone execution).  What the
+sub-runs of one host execution share is the work that does not depend on
+any one of them: the prover-independent Lemma-2.4 precomputation runs
+once over the disjoint union of all block / ear graphs
+(:func:`~repro.protocols.path_outerplanarity.batch_simulations`), and the
+decide sweeps wait on one :class:`~repro.core.protocol.DecideBatch`,
+which runs one vectorized kernel per parameter class over the union of
+its members before every sub-run decides through its own interaction.
+The series-parallel protocol splits into ``plan`` / ``start`` /
+``finish`` so that treewidth-2 can put the ears of all its blocks into
+one batch.
 """
 
 from __future__ import annotations
@@ -39,7 +54,7 @@ class SubRun:
     #: canonical (u < v) keys; falls back to an endpoint's host
     edge_map: Optional[Dict[Tuple[int, int], Sequence[int]]] = None
 
-    def mapped_bits_per_round(self, host_n: int) -> List[Dict[int, int]]:
+    def mapped_bits_per_round(self) -> List[Dict[int, int]]:
         """For every prover round: host node -> bits carried."""
         out: List[Dict[int, int]] = []
         transcript = self.result.transcript
@@ -91,7 +106,7 @@ class CompositeRunResult:
             dict() for _ in range(n_prover_rounds)
         ]
         for sub in self.sub_runs:
-            for i, per_host in enumerate(sub.mapped_bits_per_round(self.host_n)):
+            for i, per_host in enumerate(sub.mapped_bits_per_round()):
                 for host, bits in per_host.items():
                     per_round_maps[i][host] = per_round_maps[i].get(host, 0) + bits
         for i, per_host in enumerate(self.extra_bits):

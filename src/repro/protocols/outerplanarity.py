@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.labels import uint_width
 from ..core.network import Graph
-from ..core.protocol import DIPProtocol
+from ..core.protocol import DecideBatch, DIPProtocol, PendingDecide
 from ..graphs.biconnectivity import block_cut_tree
 from ..graphs.outerplanar import hamiltonian_cycle_of_biconnected_outerplanar
 from ..graphs.spanning import RootedForest
@@ -40,6 +40,7 @@ from .instances import (
 from .path_outerplanarity import (
     HonestPathOuterplanarityProver,
     PathOuterplanarityProtocol,
+    batch_simulations,
 )
 from .spanning_tree import STVProver, SpanningTreeVerificationProtocol
 
@@ -92,7 +93,6 @@ class OuterplanarityProtocol(DIPProtocol):
         prover = prover or self.honest_prover(instance)
         host_ok = True
         rejecting: List[int] = []
-        sub_runs: List[SubRun] = []
 
         if g.n <= 2 or g.m == 0:
             return combine(self.name, g.n, [], host_ok=True)
@@ -103,13 +103,19 @@ class OuterplanarityProtocol(DIPProtocol):
             )
 
         bct = block_cut_tree(g)
+        blocks = {
+            bi: g.subgraph(nodes)
+            for bi, nodes in enumerate(bct.block_nodes)
+            if len(nodes) > 2
+        }
+        sims = dict(zip(blocks, batch_simulations([sub for sub, _ in blocks.values()])))
+        batch = DecideBatch()
+        pending: List[Tuple[str, PendingDecide, Dict[int, Tuple[int, ...]]]] = []
         forest_parent: Dict[int, int] = {}
         f_root: Optional[int] = None
 
         for bi, block_nodes in enumerate(bct.block_nodes):
             sep = bct.separating_node[bi]
-            sub, index = g.subgraph(block_nodes)
-            inverse = {i: v for v, i in index.items()}
             if len(block_nodes) == 2:
                 # a bridge: trivially outerplanar; just extend F
                 a, b = sorted(block_nodes)
@@ -124,21 +130,23 @@ class OuterplanarityProtocol(DIPProtocol):
                     forest_parent.pop(leader, None)
                     forest_parent[b] = a
                 continue
+            sub, index = blocks[bi]
+            inverse = {i: v for v, i in index.items()}
             sep_local = index[sep] if sep is not None else None
+            # a prover that cannot exhibit the block structure (None)
+            # commits a rejected fallback sub-run on this block
             path_local = prover.block_path(sub, sep_local)
-            if path_local is None:
-                # prover cannot exhibit the block structure: commit a
-                # rejected fallback sub-run on this block
-                path_local = None
             sub_instance = PathOuterplanarInstance(
                 sub,
                 witness_path=list(path_local) if path_local else None,
             )
             sub_prover = prover.sub_prover(sub_instance)
-            run = self.sub_protocol.execute(
+            run = self.sub_protocol.start(
                 sub_instance,
-                prover=sub_prover,
-                rng=random.Random(rng.getrandbits(64)),
+                sub_prover,
+                random.Random(rng.getrandbits(64)),
+                batch,
+                sims[bi],
             )
             # Theorem 6.1 closing-edge condition + the path must start at
             # the separating node (both checked from the committed path)
@@ -162,7 +170,7 @@ class OuterplanarityProtocol(DIPProtocol):
                     )
                 else:
                     node_map[local] = (host,)
-            sub_runs.append(SubRun(f"block-{bi}", run, node_map))
+            pending.append((f"block-{bi}", run, node_map))
             # extend the spanning forest F along the committed path
             if committed:
                 hosts = [inverse[i] for i in committed]
@@ -182,14 +190,19 @@ class OuterplanarityProtocol(DIPProtocol):
             self.stv_repetitions, enforce_instance_edges=False
         )
         f_edges = frozenset((min(u, v), max(u, v)) for u, v in forest.edges())
-        stv_run = stv.execute(
+        stv_run = stv.start(
             SpanningSubgraphInstance(g, f_edges),
-            prover=STVProver(g, forest),
-            rng=random.Random(rng.getrandbits(64)),
+            STVProver(g, forest),
+            random.Random(rng.getrandbits(64)),
+            batch,
         )
-        sub_runs.append(SubRun("stv-F", stv_run, {v: (v,) for v in g.nodes()}))
+        pending.append(("stv-F", stv_run, {v: (v,) for v in g.nodes()}))
         if not spanning_ok:
             host_ok = False
+        batch.run()
+        sub_runs = [
+            SubRun(name, run.result, node_map) for name, run, node_map in pending
+        ]
 
         # -- stage 1: decomposition nonces (accounting + structural check) --
         w = max(4, self.c * uint_width(max(2, g.n.bit_length())))

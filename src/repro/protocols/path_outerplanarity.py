@@ -33,11 +33,19 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.labels import EMPTY_LABEL, BitString, Label, uint_width
 from ..core.network import Edge, Graph, norm_edge
-from ..core.protocol import DecodeCache, DIPProtocol, Interaction, ProtocolError
+from ..core.protocol import (
+    DecideBatch,
+    DecodeCache,
+    DIPProtocol,
+    Interaction,
+    PendingDecide,
+    ProtocolError,
+)
 from ..core.transcript import RunResult
 from ..core.views import NodeView
 from ..graphs.outerplanar import find_path_outerplanar_witness
@@ -495,9 +503,28 @@ class PathOuterplanarityProtocol(DIPProtocol):
     # -- execution -------------------------------------------------------------
 
     def execute(self, instance, prover=None, rng=None) -> RunResult:
+        batch = DecideBatch()
+        (sim,) = batch_simulations([instance.graph])
+        pending = self.start(instance, prover, rng, batch, sim)
+        batch.run()
+        return pending.result
+
+    def start(
+        self,
+        instance,
+        prover,
+        rng: Optional[random.Random],
+        batch: DecideBatch,
+        sim: Optional[EdgeLabelSimulation],
+    ) -> PendingDecide:
+        """Run the five rounds and queue the decide sweep on ``batch``.
+
+        ``sim`` is the graph's Lemma-2.4 simulation (from
+        :func:`batch_simulations`).  The returned handle carries the
+        :class:`RunResult` once ``batch.run()`` has decided it.
+        """
         g = instance.graph
         pm = PathOuterplanarityParams(g.n, self.c)
-        sim = _safe_simulation(g)
         prover = (prover or self.honest_prover(instance)).bind(pm, sim)
         interaction = Interaction(g, rng)
 
@@ -580,14 +607,33 @@ class PathOuterplanarityProtocol(DIPProtocol):
             raise ProtocolError(f"malformed round-5 message: {exc}") from exc
         emit(labels5, {})
 
-        checker = _make_checker(pm)
-        return interaction.decide(
-            checker,
+        return batch.add(
+            interaction,
+            _make_checker(pm),
+            key=("po", pm.n, pm.c),
+            make_kernel=partial(
+                make_po_kernel, pm, STV_FIELD.p, STV_ELEM_BITS, N_FORESTS
+            ),
             inputs={},
             protocol_name=self.name,
             meta={"params": pm},
-            columnar=make_po_kernel(pm, STV_FIELD.p, STV_ELEM_BITS, N_FORESTS),
         )
+
+
+def batch_simulations(graphs: Sequence[Graph]) -> List[EdgeLabelSimulation]:
+    """The Lemma-2.4 simulations of ``graphs``, one union pass for all.
+
+    The precomputation is prover-independent, so the sub-runs of one
+    host execution share a single :meth:`EdgeLabelSimulation.disjoint`
+    pass.  When that raises (some graph has arboricity > 3, which only
+    no-instances do), every graph gets its own :func:`_safe_simulation`.
+    """
+    if len(graphs) > 1:
+        try:
+            return EdgeLabelSimulation.disjoint(graphs)
+        except ValueError:
+            pass
+    return [_safe_simulation(g) for g in graphs]
 
 
 def _safe_simulation(graph: Graph) -> Optional[EdgeLabelSimulation]:

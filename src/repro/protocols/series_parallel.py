@@ -19,13 +19,15 @@ Section 8's protocol over Eppstein's nested ear decompositions:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.labels import uint_width
 from ..core.network import Graph, norm_edge
-from ..core.protocol import DIPProtocol
+from ..core.protocol import DecideBatch, DIPProtocol
 from ..graphs.series_parallel import Ear, nested_ear_decomposition
 from ..graphs.spanning import RootedForest
+from ..primitives.edge_labels import EdgeLabelSimulation
 from .composition import CompositeRunResult, SubRun, combine
 from .instances import (
     PathOuterplanarInstance,
@@ -35,6 +37,7 @@ from .instances import (
 from .path_outerplanarity import (
     HonestPathOuterplanarityProver,
     PathOuterplanarityProtocol,
+    batch_simulations,
 )
 from .spanning_tree import STVProver, SpanningTreeVerificationProtocol
 
@@ -73,75 +76,51 @@ class SeriesParallelProtocol(DIPProtocol):
         rng: Optional[random.Random] = None,
     ) -> CompositeRunResult:
         rng = rng or random.Random()
+        plan = self.plan(instance, prover)
+        batch = DecideBatch()
+        self.start(plan, rng, batch, batch_simulations(plan.nesting_graphs()))
+        batch.run()
+        return self.finish(plan)
+
+    def plan(
+        self,
+        instance: SeriesParallelInstance,
+        prover: Optional[SeriesParallelProver] = None,
+    ) -> "EarPlan":
+        """Everything that needs no coins: the committed decomposition
+        and the per-ear nesting instances (stage 3), whose graphs a
+        caller may simulate in one batch with other hosts' graphs."""
         g = instance.graph
         prover = prover or self.honest_prover(instance)
+        plan = EarPlan(g, prover)
         if g.n <= 2:
-            return combine(self.name, g.n, [], host_ok=True)
+            plan.early = combine(self.name, g.n, [], host_ok=True)
+            return plan
         if not g.is_connected():
-            return combine(
+            plan.early = combine(
                 self.name, g.n, [], host_ok=False,
                 host_rejecting=list(g.nodes()),
             )
-
-        ears = prover.decomposition()
+            return plan
+        ears = plan.ears = prover.decomposition()
         if ears is None:
             # the prover cannot exhibit a nested ear decomposition; in the
             # real protocol every commitment fails some structural check
-            return combine(
+            plan.early = combine(
                 self.name, g.n, [], host_ok=False,
                 host_rejecting=list(g.nodes()),
             )
-
-        host_ok = True
-        rejecting: List[int] = []
-        sub_runs: List[SubRun] = []
-
-        # -- stage 1: sub-ears are simple paths -----------------------------
-        sub_ears: List[List[int]] = []
-        for j, ear in enumerate(ears):
-            sub_ears.append(list(ear.path) if j == 0 else list(ear.interior))
-        covered = [v for q in sub_ears for v in q]
-        if sorted(covered) != list(g.nodes()):
-            host_ok = False
-        for j, q in enumerate(sub_ears):
-            if len(q) <= 1:
-                continue
-            nodes = set(q)
-            sub, index = g.subgraph(nodes)
-            marked = frozenset(
-                norm_edge(index[q[i]], index[q[i + 1]]) for i in range(len(q) - 1)
-            )
-            forest = RootedForest(
-                sub.n,
-                {index[q[i + 1]]: index[q[i]] for i in range(len(q) - 1)},
-            )
-            stv = SpanningTreeVerificationProtocol(
-                self.stv_repetitions, enforce_instance_edges=False
-            )
-            run = stv.execute(
-                SpanningSubgraphInstance(sub, marked),
-                prover=STVProver(sub, forest),
-                rng=random.Random(rng.getrandbits(64)),
-            )
-            inverse = {i: v for v, i in index.items()}
-            sub_runs.append(
-                SubRun(
-                    f"subear-{j}-stv", run,
-                    {i: (inverse[i],) for i in range(sub.n)},
-                )
-            )
-
-        # -- stage 2: condition (1) via ear nonces ---------------------------
-        if not _ear_nonce_stage(g, ears, sub_ears, rng):
-            host_ok = False
-
-        # -- stage 3: condition (3) via per-ear nesting ----------------------
+            return plan
+        plan.sub_ears = [
+            list(ear.path) if j == 0 else list(ear.interior)
+            for j, ear in enumerate(ears)
+        ]
         # owner sub-ear of every node: labels of an ear's endpoint nodes
         # (which live on the parent's path) are deferred to the adjacent
         # interior nodes, exactly like the paper's cut-node deferral, so
         # that high-multiplicity attachment points stay O(log log n)
         owner: Dict[int, int] = {}
-        for j, q in enumerate(sub_ears):
+        for j, q in enumerate(plan.sub_ears):
             for v in q:
                 owner.setdefault(v, j)
         attached_to: Dict[int, List[Tuple[int, Ear]]] = {}
@@ -172,22 +151,6 @@ class SeriesParallelProtocol(DIPProtocol):
                 if (a, b) not in chord_carriers:
                     # the virtual chord's labels ride on the ear's interior
                     chord_carriers[(a, b)] = tuple(e.interior) or (u,)
-            if not ok_attach:
-                host_ok = False
-                rejecting.extend(path)
-            sub_instance = PathOuterplanarInstance(
-                aux, witness_path=list(range(len(path)))
-            )
-            sub_prover = prover.sub_prover(sub_instance)
-            run = self.sub_protocol.execute(
-                sub_instance,
-                prover=sub_prover,
-                rng=random.Random(rng.getrandbits(64)),
-            )
-            committed = getattr(sub_prover, "path", None)
-            if committed != list(range(len(path))):
-                host_ok = False
-                rejecting.extend(path)
             node_map: Dict[int, Tuple[int, ...]] = {}
             for k, v in enumerate(path):
                 if owner.get(v) == i or i == 0:
@@ -200,24 +163,145 @@ class SeriesParallelProtocol(DIPProtocol):
                         if 0 <= kk < len(path) and owner.get(path[kk]) == i:
                             targets.append(path[kk])
                     node_map[k] = tuple(targets) or (v,)
-            sub_runs.append(
-                SubRun(
-                    f"ear-{i}-nesting", run, node_map,
-                    edge_map=chord_carriers,
+            plan.nesting.append(
+                _EarNesting(i, path, aux, chord_carriers, ok_attach, node_map)
+            )
+        return plan
+
+    def start(
+        self,
+        plan: "EarPlan",
+        rng: random.Random,
+        batch: DecideBatch,
+        sims: Sequence[Optional[EdgeLabelSimulation]],
+    ) -> None:
+        """Run every sub-run's rounds in protocol order, queueing their
+        decides on ``batch``; ``sims`` align with ``plan.nesting_graphs()``."""
+        if plan.early is not None:
+            return
+        g = plan.graph
+        prover = plan.prover
+        sub_ears = plan.sub_ears
+
+        # -- stage 1: sub-ears are simple paths -----------------------------
+        covered = [v for q in sub_ears for v in q]
+        if sorted(covered) != list(g.nodes()):
+            plan.host_ok = False
+        for j, q in enumerate(sub_ears):
+            if len(q) <= 1:
+                continue
+            nodes = set(q)
+            sub, index = g.subgraph(nodes)
+            marked = frozenset(
+                norm_edge(index[q[i]], index[q[i + 1]]) for i in range(len(q) - 1)
+            )
+            forest = RootedForest(
+                sub.n,
+                {index[q[i + 1]]: index[q[i]] for i in range(len(q) - 1)},
+            )
+            stv = SpanningTreeVerificationProtocol(
+                self.stv_repetitions, enforce_instance_edges=False
+            )
+            run = stv.start(
+                SpanningSubgraphInstance(sub, marked),
+                STVProver(sub, forest),
+                random.Random(rng.getrandbits(64)),
+                batch,
+            )
+            inverse = {i: v for v, i in index.items()}
+            plan.pending.append(
+                (
+                    f"subear-{j}-stv", run,
+                    {i: (inverse[i],) for i in range(sub.n)}, None,
                 )
             )
 
+        # -- stage 2: condition (1) via ear nonces ---------------------------
+        if not _ear_nonce_stage(g, plan.ears, sub_ears, rng):
+            plan.host_ok = False
+
+        # -- stage 3: condition (3) via per-ear nesting ----------------------
+        for nest, sim in zip(plan.nesting, sims):
+            path = nest.path
+            if not nest.ok_attach:
+                plan.host_ok = False
+                plan.rejecting.extend(path)
+            sub_instance = PathOuterplanarInstance(
+                nest.aux, witness_path=list(range(len(path)))
+            )
+            sub_prover = prover.sub_prover(sub_instance)
+            run = self.sub_protocol.start(
+                sub_instance,
+                sub_prover,
+                random.Random(rng.getrandbits(64)),
+                batch,
+                sim,
+            )
+            committed = getattr(sub_prover, "path", None)
+            if committed != list(range(len(path))):
+                plan.host_ok = False
+                plan.rejecting.extend(path)
+            plan.pending.append(
+                (
+                    f"ear-{nest.ear}-nesting", run, nest.node_map,
+                    nest.chord_carriers,
+                )
+            )
+
+    def finish(self, plan: "EarPlan") -> CompositeRunResult:
+        """The composite verdict, once the batch of ``start`` has run."""
+        if plan.early is not None:
+            return plan.early
+        g = plan.graph
+        sub_runs = [
+            SubRun(name, run.result, node_map, edge_map=edge_map)
+            for name, run, node_map, edge_map in plan.pending
+        ]
         w = max(4, self.c * uint_width(max(2, g.n.bit_length())))
         stage_bits = {v: 2 * w + 3 for v in g.nodes()}
         return combine(
             self.name,
             g.n,
             sub_runs,
-            host_ok=host_ok,
-            host_rejecting=rejecting,
+            host_ok=plan.host_ok,
+            host_rejecting=plan.rejecting,
             extra_bits=[stage_bits],
-            meta={"n_ears": len(ears)},
+            meta={"n_ears": len(plan.ears)},
         )
+
+
+@dataclass
+class _EarNesting:
+    """Stage 3 for one parent ear: the auxiliary path graph A_i whose
+    virtual chords are the ears attached to it."""
+
+    ear: int
+    path: List[int]
+    aux: Graph
+    chord_carriers: Dict[Tuple[int, int], Tuple[int, ...]]
+    ok_attach: bool
+    node_map: Dict[int, Tuple[int, ...]]
+
+
+@dataclass
+class EarPlan:
+    """One series-parallel execution between ``plan``, ``start`` and
+    ``finish``: the coin-free structure, then the queued sub-runs."""
+
+    graph: Graph
+    prover: SeriesParallelProver
+    #: the verdict of a run that ends before any sub-run
+    early: Optional[CompositeRunResult] = None
+    ears: Optional[List[Ear]] = None
+    sub_ears: List[List[int]] = field(default_factory=list)
+    nesting: List[_EarNesting] = field(default_factory=list)
+    #: (name, pending decide, node_map, edge_map) per sub-run, in order
+    pending: list = field(default_factory=list)
+    host_ok: bool = True
+    rejecting: List[int] = field(default_factory=list)
+
+    def nesting_graphs(self) -> List[Graph]:
+        return [nest.aux for nest in self.nesting]
 
 
 def _ear_nonce_stage(

@@ -9,11 +9,18 @@ the substrate experiment.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, Optional
 
 from ..core.labels import BitString, Label
 from ..core.network import Graph
-from ..core.protocol import DecodeCache, DIPProtocol, Interaction
+from ..core.protocol import (
+    DecideBatch,
+    DecodeCache,
+    DIPProtocol,
+    Interaction,
+    PendingDecide,
+)
 from ..core.transcript import RunResult
 from ..core.views import NodeView
 from ..graphs.spanning import RootedForest
@@ -79,6 +86,19 @@ class SpanningTreeVerificationProtocol(DIPProtocol):
         prover: Optional[STVProver] = None,
         rng: Optional[random.Random] = None,
     ) -> RunResult:
+        batch = DecideBatch()
+        pending = self.start(instance, prover, rng, batch)
+        batch.run()
+        return pending.result
+
+    def start(
+        self,
+        instance: SpanningSubgraphInstance,
+        prover: Optional[STVProver],
+        rng: Optional[random.Random],
+        batch: DecideBatch,
+    ) -> PendingDecide:
+        """Run the three rounds and queue the decide sweep on ``batch``."""
         g = instance.graph
         prover = prover or self.honest_prover(instance)
         interaction = Interaction(g, rng)
@@ -136,11 +156,15 @@ class SpanningTreeVerificationProtocol(DIPProtocol):
                 expected_tree_ports=view.input["tree_ports"] if enforce else None,
             )
 
-        return interaction.decide(
+        return batch.add(
+            interaction,
             check,
+            # an enforcing run pins its own instance's ports: a class alone
+            key=("stv", reps) + ((id(interaction),) if enforce else ()),
+            make_kernel=partial(
+                make_stv_kernel,
+                reps, STV_FIELD.p, STV_ELEM_BITS, tree_ports if enforce else None,
+            ),
             inputs={v: {"tree_ports": tree_ports[v]} for v in g.nodes()},
             protocol_name=self.name,
-            columnar=make_stv_kernel(
-                reps, STV_FIELD.p, STV_ELEM_BITS, tree_ports if enforce else None
-            ),
         )

@@ -14,10 +14,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.labels import uint_width
 from ..core.network import Graph
-from ..core.protocol import DIPProtocol
+from ..core.protocol import DecideBatch, DIPProtocol
 from ..graphs.biconnectivity import block_cut_tree
 from .composition import CompositeRunResult, SubRun, combine
 from .instances import SeriesParallelInstance, Treewidth2Instance
+from .path_outerplanarity import batch_simulations
 from .series_parallel import SeriesParallelProtocol, SeriesParallelProver
 
 
@@ -62,21 +63,34 @@ class Treewidth2Protocol(DIPProtocol):
             )
 
         bct = block_cut_tree(g)
-        host_ok = True
-        rejecting: List[int] = []
-        sub_runs: List[SubRun] = []
+        sp = self.sub_protocol
+        blocks = []
         for bi, block_nodes in enumerate(bct.block_nodes):
             if len(block_nodes) <= 2:
                 continue  # a bridge: tw 1
             sub, index = g.subgraph(block_nodes)
+            sub_instance = SeriesParallelInstance(sub)
+            plan = sp.plan(sub_instance, prover.block_prover(sub_instance))
+            blocks.append((bi, sub, index, plan))
+        # every block's ears share one simulation pass and one decide batch
+        sims = iter(
+            batch_simulations(
+                [aux for *_, plan in blocks for aux in plan.nesting_graphs()]
+            )
+        )
+        batch = DecideBatch()
+        for *_, plan in blocks:
+            sims_of_block = [next(sims) for _ in plan.nesting]
+            sp.start(plan, random.Random(rng.getrandbits(64)), batch, sims_of_block)
+        batch.run()
+
+        host_ok = True
+        rejecting: List[int] = []
+        sub_runs: List[SubRun] = []
+        for bi, sub, index, plan in blocks:
+            run = sp.finish(plan)
             inverse = {i: v for v, i in index.items()}
             sep = bct.separating_node[bi]
-            sub_instance = SeriesParallelInstance(sub)
-            run = self.sub_protocol.execute(
-                sub_instance,
-                prover=prover.block_prover(sub_instance),
-                rng=random.Random(rng.getrandbits(64)),
-            )
             node_map: Dict[int, Tuple[int, ...]] = {}
             for local, host in inverse.items():
                 if sep is not None and host == sep:

@@ -181,12 +181,14 @@ class TestGates:
 
         g = path_graph(4)
         monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
-        assert run_kernel(kernel, g, None) is None
+        assert run_kernel(kernel, [(g, None)]) == [None]
         monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
         monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
-        # below the size floor, and the degenerate edgeless case
-        assert run_kernel(kernel, g, None) is None
-        assert run_kernel(kernel, Graph(64), None) is None
+        # below the size floor, and the degenerate edgeless case (an
+        # edgeless member adds nothing to its class union either)
+        assert run_kernel(kernel, [(g, None)]) == [None]
+        assert run_kernel(kernel, [(Graph(64), None)]) == [None]
+        assert run_kernel(kernel, [(g, None), (Graph(64), None)]) == [None, None]
         assert calls == []
 
     def test_run_kernel_without_numpy(self, monkeypatch):
@@ -195,7 +197,7 @@ class TestGates:
         monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
         assert not numpy_available()
         g = path_graph(64)
-        assert run_kernel(lambda ctx: None, g, None) is None
+        assert run_kernel(lambda ctx: None, [(g, None)]) == [None]
 
 
 # -- fallback equivalence ---------------------------------------------------

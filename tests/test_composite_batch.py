@@ -1,0 +1,332 @@
+"""Batched composite sub-runs decide exactly like sub-runs run alone.
+
+``outerplanarity``, ``series_parallel`` and ``treewidth2`` hand all their
+path-outerplanarity and spanning-tree sub-runs to one batch per host
+execution: one Lemma-2.4 simulation pass over the disjoint union of the
+block / ear graphs, and one kernel call per parameter class.  This module
+pins that batch against running every sub-run alone -- its own
+simulation (``_safe_simulation``) and its own kernel call, the
+per-sub-run execution the batch replaces:
+
+- for every sub-run: the packed wire form of every node and edge label,
+  every coin, and the rejecting nodes; plus the host verdict;
+- honest runs, ``fuzz_r1/r3/r5``, and hand-written liars / no-instances
+  (those of ``test_composite_protocols.py`` and
+  ``test_decomposition_stages.py``, and a block of arboricity 4 that
+  sends the union simulation to its per-graph fallback);
+- with kernels on, with ``REPRO_DISABLE_VECTOR_DECIDE=1`` and with
+  ``REPRO_VECTOR_MIN_NODES=2``; ``planar_embedding`` (batches of one) is
+  the control.
+
+Two more pins: a class in which one member carries an uncoverable label
+sends only that member's nodes to the per-view checker, and honest
+``outerplanarity`` / ``treewidth2`` runs decide every node of every
+class at or above the floor by kernel.
+"""
+
+import random
+from collections import defaultdict
+
+import pytest
+
+from repro.core import columnar, protocol
+from repro.core.columnar import run_kernel, vector_min_nodes
+from repro.core.labels import Label
+from repro.core.network import Graph, complete_graph, cycle_graph
+from repro.core.protocol import DecideBatch, LabelTap, run_context
+from repro.core.transcript import VerifierRound
+from repro.graphs.generators import (
+    corrupt_rotation,
+    random_nonplanar,
+    random_planar_embedding_instance,
+    wheel_graph,
+)
+from repro.obs import metrics
+from repro.protocols import outerplanarity, path_outerplanarity, series_parallel, treewidth2
+from repro.protocols.instances import (
+    OuterplanarInstance,
+    PlanarEmbeddingInstance,
+    SeriesParallelInstance,
+    Treewidth2Instance,
+)
+from repro.runtime import get_task
+
+from test_decomposition_stages import _K4ParentLiar
+
+TASKS = ("outerplanarity", "series_parallel", "treewidth2", "planar_embedding")
+#: n=256 runs in the slow tier; 16 and 64 already hold many-block hosts
+NS = (16, 64, pytest.param(256, marks=pytest.mark.slow))
+ADVERSARIES = (None, "fuzz_r1", "fuzz_r3", "fuzz_r5")
+MODES = {
+    "kernels": {},
+    "per_view": {"REPRO_DISABLE_VECTOR_DECIDE": "1"},
+    "floor2": {"REPRO_VECTOR_MIN_NODES": "2"},
+}
+
+needs_numpy = pytest.mark.skipif(
+    not columnar.numpy_available(), reason="numpy not installed"
+)
+
+
+@pytest.fixture(params=sorted(MODES))
+def mode(request, monkeypatch):
+    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
+    monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
+    for key, value in MODES[request.param].items():
+        monkeypatch.setenv(key, value)
+    return request.param
+
+
+def _run_alone(mp: pytest.MonkeyPatch) -> None:
+    """Patch the batch away: every sub-run simulates and decides alone."""
+
+    def simulations(graphs):
+        return [path_outerplanarity._safe_simulation(g) for g in graphs]
+
+    for module in (path_outerplanarity, outerplanarity, series_parallel, treewidth2):
+        mp.setattr(module, "batch_simulations", simulations)
+
+    def run(self):
+        pending, self._pending = self._pending, []
+        for p in pending:
+            ia = p.interaction
+            (out,) = run_kernel(p.make_kernel(), [(ia.graph, ia.transcript)])
+            p.result = ia.decide(p.check, kernel_out=out, **p.kwargs)
+
+    mp.setattr(DecideBatch, "run", run)
+
+
+def _wire(label):
+    schema, payload = label.pack()
+    return schema.desc, payload
+
+
+def _fingerprint(result) -> list:
+    """Host verdict, then per sub-run: transcript wire form + rejecting."""
+    out = [("host", result.accepted, tuple(result.rejecting_nodes))]
+    for sub in result.sub_runs:
+        rounds = []
+        for rnd in sub.result.transcript.rounds:
+            if isinstance(rnd, VerifierRound):
+                rounds.append(
+                    sorted((v, c.width, c.value) for v, c in rnd.coins.items())
+                )
+            else:
+                rounds.append(
+                    (
+                        sorted((v, _wire(l)) for v, l in rnd.labels.items()),
+                        sorted((e, _wire(l)) for e, l in rnd.edge_labels.items()),
+                    )
+                )
+        out.append((sub.name, rounds, tuple(sub.result.rejecting_nodes)))
+    return out
+
+
+def _host_run(task, instance, make_prover, seed):
+    prover = make_prover(instance) if make_prover is not None else None
+    with run_context(tap=getattr(prover, "tap", None)):
+        return get_task(task).protocol(c=2).execute(
+            instance, prover=prover, rng=random.Random(seed)
+        )
+
+
+def _assert_batch_matches_alone(task, make_instance, make_prover, seed=7):
+    batched = _host_run(task, make_instance(), make_prover, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        _run_alone(mp)
+        alone = _host_run(task, make_instance(), make_prover, seed)
+    assert len(batched.sub_runs) == len(alone.sub_runs)
+    assert _fingerprint(batched) == _fingerprint(alone)
+    return batched
+
+
+@pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a or "honest")
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("task", TASKS)
+def test_batch_matches_sub_runs_alone(task, n, adversary, mode):
+    spec = get_task(task)
+    make_prover = None
+    if adversary is not None:
+        factory = spec.adversaries[adversary]
+
+        def make_prover(instance):
+            return factory(instance, random.Random(n))
+
+    result = _assert_batch_matches_alone(
+        task, lambda: spec.yes_factory(n, random.Random(n + 1)), make_prover
+    )
+    if adversary is None:
+        assert result.accepted
+
+
+def _glued(*graphs: Graph) -> Graph:
+    """Glue graphs into a chain of blocks: each shares one node with the
+    previous (its node 0 is the previous graph's last node)."""
+    edges, base = [], 0
+    for g in graphs:
+        edges += [(u + base, v + base) for u, v in g.edges()]
+        base += g.n - 1
+    return Graph(base + 1, edges)
+
+
+def _planar_embedding_liar(n):
+    rng = random.Random(n)
+    while True:
+        g, rot = random_planar_embedding_instance(n, rng)
+        bad = corrupt_rotation(g, rot, rng)
+        if bad is not None:
+            return PlanarEmbeddingInstance(g, bad)
+
+
+class _LyingTreewidth2Prover:
+    """Every block commits the K4 parent liar's decomposition."""
+
+    def __init__(self, instance):
+        self.instance = instance
+
+    def block_prover(self, sub_instance):
+        return _K4ParentLiar(sub_instance)
+
+
+def _no_instance(task):
+    return lambda n: get_task(task).no_factory(n, random.Random(n))
+
+
+def _with_arboricity4_block(n):
+    """A 5-cycle, then K8 (4 forests: no Lemma-2.4 simulation), then
+    ``n // 4`` 4-cycles."""
+    return _glued(cycle_graph(5), complete_graph(8), *[cycle_graph(4)] * (n // 4))
+
+
+#: (task, instance factory of n, prover factory or None)
+LIARS = {
+    "op-no-instance": ("outerplanarity", _no_instance("outerplanarity"), None),
+    "op-wheel": ("outerplanarity", lambda n: OuterplanarInstance(wheel_graph(n)), None),
+    "op-nonplanar": (
+        "outerplanarity",
+        lambda n: OuterplanarInstance(random_nonplanar(n, random.Random(n))),
+        None,
+    ),
+    "op-arboricity4-block": (
+        "outerplanarity",
+        lambda n: OuterplanarInstance(_with_arboricity4_block(n)),
+        None,
+    ),
+    "sp-no-instance": ("series_parallel", _no_instance("series_parallel"), None),
+    "sp-k4-parent-liar": (
+        "series_parallel",
+        lambda n: SeriesParallelInstance(complete_graph(4)),
+        _K4ParentLiar,
+    ),
+    "tw2-no-instance": ("treewidth2", _no_instance("treewidth2"), None),
+    "tw2-arboricity4-block": (
+        "treewidth2",
+        lambda n: Treewidth2Instance(_with_arboricity4_block(n)),
+        None,
+    ),
+    "tw2-lying-block-prover": (
+        "treewidth2",
+        lambda n: Treewidth2Instance(complete_graph(4)),
+        _LyingTreewidth2Prover,
+    ),
+    "pe-corrupted-rotation": ("planar_embedding", _planar_embedding_liar, None),
+}
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("liar", sorted(LIARS))
+def test_liars_batch_matches_sub_runs_alone(liar, n, mode):
+    task, make_instance, make_prover = LIARS[liar]
+    result = _assert_batch_matches_alone(task, lambda: make_instance(n), make_prover)
+    assert not result.accepted
+
+
+# -- an uncoverable label stays inside its member ---------------------------
+
+
+class _UncoverableOnce(LabelTap):
+    """Replace node 0's round-1 label in the third 5-node sub-run with a
+    label whose ``lr.idx`` is 70 bits wide: a shape no column holds."""
+
+    def __init__(self):
+        self.seen = 0
+        self.graph = None
+
+    def on_prover_round(self, interaction, msg_index, labels, edge_labels):
+        if msg_index != 0 or interaction.graph.n != 5:
+            return
+        self.seen += 1
+        if self.seen == 3:
+            self.graph = interaction.graph
+            lr = Label().uint("idx", 1, 70)  # wider than an int64 column
+            labels[0] = Label().sub("node", Label().sub("lr", lr))
+
+
+@needs_numpy
+def test_uncoverable_member_alone_reaches_the_per_view_checker(monkeypatch):
+    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
+    monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
+    host = _glued(*[cycle_graph(5)] * 8)  # eight 5-node blocks: one class
+    assert 8 * 5 >= vector_min_nodes()
+    built, checked = [], []
+    real_build = protocol.build_views
+    real_check = path_outerplanarity.check_path_outerplanarity_node
+
+    def build(graph, *args, **kwargs):
+        built.append(graph)
+        return real_build(graph, *args, **kwargs)
+
+    def check(pm, view):
+        checked.append(view)
+        return real_check(pm, view)
+
+    monkeypatch.setattr(protocol, "build_views", build)
+    monkeypatch.setattr(path_outerplanarity, "check_path_outerplanarity_node", check)
+    tap = _UncoverableOnce()
+    with metrics.enabled_metrics() as reg:
+        with run_context(tap=tap):
+            result = outerplanarity.OuterplanarityProtocol(c=2).execute(
+                OuterplanarInstance(host), rng=random.Random(3)
+            )
+        fallback = reg.counter("repro_vector_fallback_nodes_total").value()
+        decided = reg.counter("repro_vector_decide_nodes_total").value()
+    assert tap.graph is not None and not result.accepted
+    # the tampered member alone builds views; the row's reader set is the
+    # owner and its two cycle neighbors
+    assert built == [tap.graph]
+    assert len(checked) == fallback == 3
+    # every other node of the class, and the host STV, decided by kernel
+    assert decided == 8 * 5 - 3 + host.n
+
+
+# -- coverage: honest composites decide every batched class by kernel --------
+
+
+def _classes(result):
+    """Member node counts per kernel class, recomputed from the results."""
+    classes = defaultdict(list)
+    for sub in result.sub_runs:
+        params = (sub.result.meta or {}).get("params")
+        key = (sub.result.protocol_name, params.n if params is not None else None)
+        classes[key].append(len(sub.node_map))
+    return list(classes.values())
+
+
+@needs_numpy
+@pytest.mark.parametrize("task", ["outerplanarity", "treewidth2"])
+def test_honest_composites_decide_batched_classes_by_kernel(task, monkeypatch):
+    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
+    monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
+    spec = get_task(task)
+    instance = spec.yes_factory(256, random.Random(5))
+    with metrics.enabled_metrics() as reg:
+        result = spec.protocol(c=2).execute(instance, rng=random.Random(6))
+        fallback = reg.counter("repro_vector_fallback_nodes_total").value()
+        decided = reg.counter("repro_vector_decide_nodes_total").value()
+    assert result.accepted
+    floor = vector_min_nodes()
+    classes = _classes(result)
+    assert fallback == 0
+    assert decided == sum(sum(c) for c in classes if sum(c) >= floor)
+    # the batch is what lifts classes of sub-floor sub-runs over the floor
+    assert any(sum(c) >= floor and max(c) < floor for c in classes)

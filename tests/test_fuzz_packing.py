@@ -9,6 +9,11 @@ Three pins around the fuzzing path through ``Interaction.prover_round``:
   report and the per-run mutation records (owner, path, old/new values,
   wire offset/width) of every task x {fuzz_r1, fuzz_r3, fuzz_r5} at
   n=16, seed 21, two serial runs, byte for byte;
+- the multi-block composite golden
+  (``tests/data/fuzz_golden_composite.json``): the same records for the
+  fan-out tasks (outerplanarity, series_parallel, treewidth2) at n=64,
+  where every run has many block / ear sub-runs, seed 21, four serial
+  runs;
 - a fuzzed run that raises before its tap fired must not leave the tap
   behind to corrupt the next honest batch in the same process.
 """
@@ -28,17 +33,19 @@ FUZZ = ("fuzz_r1", "fuzz_r3", "fuzz_r5")
 GOLDEN_PATH = Path(__file__).parent / "data" / "fuzz_golden.json"
 GOLDEN_N = 16
 GOLDEN_SEED = 21
+COMPOSITE_GOLDEN_PATH = Path(__file__).parent / "data" / "fuzz_golden_composite.json"
+COMPOSITE_TASKS = ("outerplanarity", "series_parallel", "treewidth2")
 #: one label subtree: the mutated label plus its nested sub-labels
 MAX_FUZZ_PACKS = 50
 
 
-def fuzz_records(task: str, adversary: str) -> dict:
+def fuzz_records(task: str, adversary: str, n: int = GOLDEN_N, runs: int = 2) -> dict:
     """The golden-fixture entry for one (task, adversary) serial batch."""
     spec = get_task(task)
     report = BatchRunner(
         spec.protocol(c=2), spec.yes_factory,
         prover_factory=spec.adversaries[adversary], workers=0,
-    ).run(2, GOLDEN_N, seed=GOLDEN_SEED)
+    ).run(runs, n, seed=GOLDEN_SEED)
     return {
         "canonical": report.canonical_json(),
         "extra": json.dumps(
@@ -87,6 +94,14 @@ def test_golden_fuzz_records():
     for key, want in sorted(golden.items()):
         task, adversary = key.split("/")
         assert fuzz_records(task, adversary) == want, key
+
+
+def test_golden_composite_fuzz_records():
+    golden = json.loads(COMPOSITE_GOLDEN_PATH.read_text())
+    assert sorted(golden) == sorted(f"{t}/{a}" for t in COMPOSITE_TASKS for a in FUZZ)
+    for key, want in sorted(golden.items()):
+        task, adversary = key.split("/")
+        assert fuzz_records(task, adversary, n=64, runs=4) == want, key
 
 
 def test_failed_fuzz_run_detaches_its_tap(monkeypatch):

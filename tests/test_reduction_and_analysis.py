@@ -119,7 +119,7 @@ class TestComposition:
         combined = combine("host", 6, [sub])
         # the edge label lands on host 5 (the carrier), not an endpoint
         assert combined.proof_size_bits == 9
-        bits = sub.mapped_bits_per_round(6)[0]
+        bits = sub.mapped_bits_per_round()[0]
         assert bits == {5: 9}
 
 
