@@ -260,22 +260,23 @@ def _compile_trie(specs: Sequence[ColumnSpec]) -> tuple:
     additionally memoizes whole sub-walks by sub-label identity, which
     collapses the heavily interned advice labels across nodes.
     """
-
-    def build(items):
-        val_ops = []
-        sub_flag_ops = []
-        groups: Dict[str, list] = {}
-        for path, want_sub, idx in items:
-            if len(path) == 1:
-                (sub_flag_ops if want_sub else val_ops).append((idx, path[0]))
-            elif len(path) > 1:
-                groups.setdefault(path[0], []).append((path[1:], want_sub, idx))
-        subs = tuple((name, build(sub)) for name, sub in groups.items())
-        return (tuple(val_ops), tuple(sub_flag_ops), subs)
-
     raw = [(p, ws, i) for i, (p, ws, uw) in enumerate(specs) if not uw]
     unw = [(p, ws, i) for i, (p, ws, uw) in enumerate(specs) if uw]
-    return (build(raw) if raw else None, build(unw) if unw else None)
+    return (_build_trie(raw) if raw else None, _build_trie(unw) if unw else None)
+
+
+def _build_trie(items) -> tuple:
+    """The trie node for ``(path, want_sub, out_idx)`` items, recursively."""
+    val_ops = []
+    sub_flag_ops = []
+    groups: Dict[str, list] = {}
+    for path, want_sub, idx in items:
+        if len(path) == 1:
+            (sub_flag_ops if want_sub else val_ops).append((idx, path[0]))
+        elif len(path) > 1:
+            groups.setdefault(path[0], []).append((path[1:], want_sub, idx))
+    subs = tuple((name, _build_trie(sub)) for name, sub in groups.items())
+    return (tuple(val_ops), tuple(sub_flag_ops), subs)
 
 
 def _walk_trie(fields, trie, out: List[int], memo) -> bool:
@@ -857,48 +858,55 @@ _PO_E3_SPECS = (
 )
 
 
-def _chain_ok(entries, start_above: int, own_above: int, longest_flag_index: int):
-    """Sentinel-int port of ``_check_nesting.chain_ok``.
+def chain_search(entries, start, own_above, longest_flag_index: int, none) -> bool:
+    """Is there an ordering e1..ek of the ``(name, succ, ltail, lhead)``
+    ``entries`` with name(e1) = ``start``, succ(e_i) = name(e_{i+1}), only
+    e_k longest-marked (ltail for ``longest_flag_index`` 0, else lhead),
+    no earlier succ equal to ``none``, and succ(e_k) = ``own_above``?
 
-    ``entries`` are ``(name, succ, ltail, lhead)`` tuples in ascending
-    port order (the scalar iteration order -- the search budget depends
-    on it); NONE stands for the scalar None, MISSING ``start_above`` for
-    the scalar "missing" marker.  Names and legal succ values are
-    non-negative, so the sentinels compare exactly like their scalar
-    counterparts.
+    A depth-first search trying entries in list order (ascending port
+    order -- the search budget depends on it), cut off after 4096 steps.
+    The scalar checker passes ``none=None``; the columnar kernel passes
+    its NONE sentinel and tests for MISSING itself.  Names and legal succ
+    values are non-negative, so the sentinels compare exactly like their
+    scalar counterparts and both paths decide by the very same search.
     """
-    if start_above == MISSING:
-        return False
-    k = len(entries)
-    used = [False] * k
     budget = [4096]
+    used = [False] * len(entries)
+    flag = 2 if longest_flag_index == 0 else 3
+    return _chain_step(entries, used, budget, own_above, flag, none, start, 0)
 
-    def rec(expected, count) -> bool:
-        if budget[0] <= 0:
-            return False
-        budget[0] -= 1
-        if count == k:
-            return True
-        for i in range(k):
-            if used[i] or entries[i][0] != expected:
-                continue
-            is_last = count + 1 == k
-            marked = entries[i][2] if longest_flag_index == 0 else entries[i][3]
-            if is_last:
-                if not marked or entries[i][1] != own_above:
-                    continue
-            else:
-                if marked or entries[i][1] == NONE:
-                    continue
-            used[i] = True
-            nxt = entries[i][1] if not is_last else None
-            if rec(nxt, count + 1):
-                used[i] = False
-                return True
-            used[i] = False
+
+def _chain_step(entries, used, budget, own_above, flag, none, expected, count) -> bool:
+    """One node of :func:`chain_search`: place an entry at ``count``.
+
+    A module-level recursion, not a closure over itself, so a search
+    leaves no reference cycle for the cyclic garbage collector.
+    """
+    if budget[0] <= 0:
         return False
-
-    return rec(start_above, 0)
+    budget[0] -= 1
+    k = len(entries)
+    if count == k:
+        return True
+    for i in range(k):
+        entry = entries[i]
+        if used[i] or entry[0] != expected:
+            continue
+        is_last = count + 1 == k
+        if is_last:
+            if not entry[flag] or entry[1] != own_above:
+                continue
+        else:
+            if entry[flag] or entry[1] == none:
+                continue
+        used[i] = True
+        nxt = entry[1] if not is_last else None
+        if _chain_step(entries, used, budget, own_above, flag, none, nxt, count + 1):
+            used[i] = False
+            return True
+        used[i] = False
+    return False
 
 
 def make_po_kernel(pm, stv_p: int, stv_elem_bits: int, n_forests: int = 3):
@@ -1249,7 +1257,9 @@ def make_po_kernel(pm, stv_p: int, stv_elem_bits: int, n_forests: int = 3):
                     reject[v] = True
                 elif any(not e[marks] and not e[other] for e in entries):
                     reject[v] = True
-                elif not _chain_ok(entries, start, own_ab, flag_idx):
+                elif start == MISSING or not chain_search(
+                    entries, start, own_ab, flag_idx, NONE
+                ):
                     reject[v] = True
 
         return ~reject, fallback

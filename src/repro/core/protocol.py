@@ -14,8 +14,11 @@ named sub-labels via :func:`merge_labels`.
 
 from __future__ import annotations
 
+import functools
+import gc
 import os
 import random
+import threading
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -163,6 +166,98 @@ def run_context(
         yield
     finally:
         _RUN_CONTEXT.reset(token)
+
+
+# ---------------------------------------------------------------------------
+# the GC pause: no cyclic collection while a run's heap is alive
+# ---------------------------------------------------------------------------
+#
+# A run builds O(n) label trees per prover round and its transcript keeps
+# them alive until decide, so CPython's cyclic collector would promote that
+# heap and rescan it, in full, over and over while it grows -- work that
+# finds nothing, because a run makes no cyclic garbage (no recursive
+# closures, no back-pointing objects): reference counting frees the whole
+# heap the moment the run's last reference goes.  So every top-level run
+# entry point is a :func:`gc_paused` *call*: the callee's locals -- the
+# instance, transcript and result -- are released when it returns, inside
+# the pause, and automatic collection resumes over a heap without them.
+#
+# The pause is process-wide (``gc.disable`` is), so it is a depth counter
+# under a lock: concurrent runs on several threads nest, collection resumes
+# only when the last of them leaves (by return or by raise), and a caller
+# that had disabled collection itself finds it still disabled afterwards.
+#
+# A forked child (a process-pool worker) keeps only the forking thread, so
+# the pauses other threads were inside never end there.  The fork holds the
+# lock, so the child's copy is consistent and never stuck locked, and the
+# child keeps only the forking thread's own share of the depth: a worker
+# forked while another thread runs starts with collection on, as it was
+# before that run.
+
+
+class _GCPause:
+    """Reentrant, thread-safe pause of automatic cyclic garbage collection."""
+
+    __slots__ = ("_lock", "_depth", "_resume", "_own")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+        self._own = threading.local()  # this thread's share of ``_depth``
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+        self._own.depth = getattr(self._own, "depth", 0) + 1
+
+    def __exit__(self, *exc) -> None:
+        self._own.depth -= 1
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+
+    def before_fork(self) -> None:
+        self._lock.acquire()
+
+    def after_fork_in_parent(self) -> None:
+        self._lock.release()
+
+    def after_fork_in_child(self) -> None:
+        own = getattr(self._own, "depth", 0)
+        if self._depth and not own and self._resume:
+            gc.enable()
+        self._depth = own
+        self._lock = threading.Lock()
+
+
+_GC_PAUSE = _GCPause()
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(
+        before=_GC_PAUSE.before_fork,
+        after_in_parent=_GC_PAUSE.after_fork_in_parent,
+        after_in_child=_GC_PAUSE.after_fork_in_child,
+    )
+
+
+def gc_paused(fn: Callable) -> Callable:
+    """Run every call of ``fn`` with automatic cyclic collection paused.
+
+    The pause ends after ``fn`` has returned, so whatever ``fn`` held only
+    in its own frame is already freed when collection resumes; return only
+    what the caller keeps.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        with _GC_PAUSE:
+            return fn(*args, **kwargs)
+
+    return paused
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +564,12 @@ class DIPProtocol(ABC):
         """The honest prover strategy for a yes-instance."""
 
 
+@gc_paused
+def _accepts(protocol: DIPProtocol, instance, prover, rng: random.Random) -> bool:
+    """One trial of :func:`acceptance_rate`: its verdict, run heap freed."""
+    return protocol.execute(instance, prover=prover, rng=rng).accepted
+
+
 def acceptance_rate(
     protocol: DIPProtocol,
     instances: Iterable,
@@ -486,11 +587,10 @@ def acceptance_rate(
     for instance in instances:
         prover = prover_factory(instance) if prover_factory else None
         for _ in range(trials_per_instance):
-            result = protocol.execute(
-                instance, prover=prover, rng=random.Random(rng.getrandbits(64))
+            accepted += _accepts(
+                protocol, instance, prover, random.Random(rng.getrandbits(64))
             )
             runs += 1
-            accepted += result.accepted
     if runs == 0:
         raise ValueError("no instances supplied")
     return accepted / runs

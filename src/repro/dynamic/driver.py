@@ -46,6 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.labels import LabelSchema
 from ..core.network import Graph
+from ..core.protocol import gc_paused
 from ..obs import metrics as obs_metrics
 from ..runtime.cache import CachedFactory
 from ..runtime.seeds import SeedSequence
@@ -337,10 +338,20 @@ class ChurnReport:
 # -- epoch execution --------------------------------------------------------
 
 
-def _certify_epoch(task_spec, protocol, graph: Graph, seed: int, epoch: int):
-    """One full proof of the current graph under the epoch's own rng."""
+@gc_paused
+def certify_epoch(
+    task_spec, protocol, graph: Graph, seed: int, epoch: int
+) -> Tuple[bool, int, Dict[int, NodeSignature]]:
+    """One full proof of the current graph under the epoch's own rng.
+
+    Returns ``(accepted, proof_size_bits, signatures)`` -- all an epoch
+    keeps of its run -- so the run's transcript is freed inside the GC
+    pause.  The driver (serial and pool) and the service UPDATE path all
+    certify through here.
+    """
     instance = task_spec.instance_cls(graph.copy())
-    return protocol.execute(instance, rng=epoch_rng(seed, epoch))
+    result = protocol.execute(instance, rng=epoch_rng(seed, epoch))
+    return result.accepted, result.proof_size_bits, node_signatures(result)
 
 
 def _epoch_records(
@@ -365,8 +376,7 @@ def _epoch_records(
     g = apply_stream(g0, [u for u, _ in stream[: max(0, lo - 1)]])
     prev: Optional[Dict[int, NodeSignature]] = None
     if lo > 0:
-        baseline = _certify_epoch(task_spec, protocol, g, spec.seed, lo - 1)
-        prev = node_signatures(baseline)
+        prev = certify_epoch(task_spec, protocol, g, spec.seed, lo - 1)[2]
     records: List[EpochRecord] = []
     for epoch in range(lo, hi):
         if epoch == 0:
@@ -375,12 +385,13 @@ def _epoch_records(
             update, expected = stream[epoch - 1]
             update.apply(g)
             op, uu, vv = update.op, update.u, update.v
-        result = _certify_epoch(task_spec, protocol, g, spec.seed, epoch)
-        sigs = node_signatures(result)
+        accepted, proof_bits, sigs = certify_epoch(task_spec, protocol, g, spec.seed, epoch)
         if verify_full:
             fresh = apply_stream(g0, [u for u, _ in stream[:epoch]])
-            scratch = _certify_epoch(task_spec, protocol, fresh, spec.seed, epoch)
-            if scratch.accepted != result.accepted or node_signatures(scratch) != sigs:
+            fresh_accepted, _, fresh_sigs = certify_epoch(
+                task_spec, protocol, fresh, spec.seed, epoch
+            )
+            if fresh_accepted != accepted or fresh_sigs != sigs:
                 raise RuntimeError(
                     f"epoch {epoch}: incremental certification diverged from "
                     f"a from-scratch re-proof of the same graph"
@@ -394,10 +405,10 @@ def _epoch_records(
                 v=vv,
                 m=g.m,
                 expected=expected,
-                accepted=result.accepted,
+                accepted=accepted,
                 labels_changed=changed,
                 wire_bits_changed=bits,
-                proof_size_bits=result.proof_size_bits,
+                proof_size_bits=proof_bits,
             )
         )
         prev = sigs

@@ -189,47 +189,52 @@ def nested_ear_decomposition(graph: Graph) -> Optional[List[Ear]]:
         return None
 
     all_ears: List[Ear] = [Ear([], -1)]  # slot 0: the global spine P_1
-
-    def child_with_terminals(node: _SPNode, x: int, y: int, exclude=None) -> int:
-        want = (min(x, y), max(x, y))
-        for i, child in enumerate(node.children):
-            if i == exclude:
-                continue
-            if (min(child.terminals), max(child.terminals)) == want:
-                return i
-        raise AssertionError("series child terminals mismatch")
-
-    def build(node: _SPNode, start: int, owner: int) -> List[int]:
-        """Emit the ears of this subtree; return its spine path from ``start``.
-
-        ``owner`` is the index of the ear that this subtree's spine is part
-        of (ears created for parallel branches get their parent from it).
-        """
-        a, b = node.terminals
-        end = b if start == a else a
-        if node.kind == "edge":
-            return [start, end]
-        if node.kind == "series":
-            mid = node.middle
-            first = child_with_terminals(node, start, mid)
-            second = child_with_terminals(node, mid, end, exclude=first)
-            s1 = build(node.children[first], start, owner)
-            s2 = build(node.children[second], mid, owner)
-            return s1 + s2[1:]
-        # parallel: child 0's spine stays in the owner ear; child 1's spine
-        # becomes a new ear attached to the owner
-        spine = build(node.children[0], start, owner)
-        j = len(all_ears)
-        all_ears.append(Ear([], owner))
-        branch = build(node.children[1], start, j)
-        all_ears[j] = Ear(branch, owner)
-        return spine
-
-    spine = build(tree, tree.terminals[0], 0)
+    spine = _build_ears(tree, tree.terminals[0], 0, all_ears)
     all_ears[0] = Ear(spine, -1)
     if not is_nested_ear_decomposition(graph, all_ears):
         return None
     return all_ears
+
+
+def _child_with_terminals(node: _SPNode, x: int, y: int, exclude=None) -> int:
+    want = (min(x, y), max(x, y))
+    for i, child in enumerate(node.children):
+        if i == exclude:
+            continue
+        if (min(child.terminals), max(child.terminals)) == want:
+            return i
+    raise AssertionError("series child terminals mismatch")
+
+
+def _build_ears(node: _SPNode, start: int, owner: int, all_ears: List[Ear]) -> List[int]:
+    """Emit the ears of this subtree into ``all_ears``; return its spine path
+    from ``start``.
+
+    ``owner`` is the index of the ear that this subtree's spine is part
+    of (ears created for parallel branches get their parent from it).
+    A module-level recursion, not a closure over itself, so building a
+    decomposition leaves no reference cycle (and no stranded ``Ear``)
+    for the cyclic garbage collector.
+    """
+    a, b = node.terminals
+    end = b if start == a else a
+    if node.kind == "edge":
+        return [start, end]
+    if node.kind == "series":
+        mid = node.middle
+        first = _child_with_terminals(node, start, mid)
+        second = _child_with_terminals(node, mid, end, exclude=first)
+        s1 = _build_ears(node.children[first], start, owner, all_ears)
+        s2 = _build_ears(node.children[second], mid, owner, all_ears)
+        return s1 + s2[1:]
+    # parallel: child 0's spine stays in the owner ear; child 1's spine
+    # becomes a new ear attached to the owner
+    spine = _build_ears(node.children[0], start, owner, all_ears)
+    j = len(all_ears)
+    all_ears.append(Ear([], owner))
+    branch = _build_ears(node.children[1], start, j, all_ears)
+    all_ears[j] = Ear(branch, owner)
+    return spine
 
 
 def is_nested_ear_decomposition(graph: Graph, ears: Sequence[Ear]) -> bool:

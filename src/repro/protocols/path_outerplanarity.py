@@ -57,7 +57,7 @@ from ..primitives.forest_encoding import (
     forest_encoding_labels,
     forest_label_fields,
 )
-from ..core.columnar import make_po_kernel
+from ..core.columnar import chain_search, make_po_kernel
 from ..primitives.spanning_tree_verification import (
     STV_ELEM_BITS,
     STV_FIELD,
@@ -1042,42 +1042,13 @@ def _check_nesting(  # noqa: C901
         if any(not e[3] and not e[2] for e in lefts):
             return False
 
-    # chain conditions (2)-(5)
+    # chain conditions (2)-(5): is there an ordering e1..ek with
+    # name(e1)=start_above, succ(e_i)=name(e_{i+1}), e_k longest-marked,
+    # succ(e_k)=own_above?
     def chain_ok(entries, start_above, longest_flag_index) -> bool:
-        """Is there an ordering e1..ek with name(e1)=start_above,
-        succ(e_i)=name(e_{i+1}), e_k longest-marked, succ(e_k)=own_above?"""
         if start_above == "missing":
             return False
-        k = len(entries)
-        used = [False] * k
-        budget = [4096]
-
-        def rec(expected, count) -> bool:
-            if budget[0] <= 0:
-                return False
-            budget[0] -= 1
-            if count == k:
-                return True
-            for i in range(k):
-                if used[i] or entries[i][0] != expected:
-                    continue
-                is_last = count + 1 == k
-                marked = entries[i][2] if longest_flag_index == 0 else entries[i][3]
-                if is_last:
-                    if not marked or entries[i][1] != own_above:
-                        continue
-                else:
-                    if marked or entries[i][1] is None:
-                        continue
-                used[i] = True
-                nxt = entries[i][1] if not is_last else None
-                if rec(nxt, count + 1):
-                    used[i] = False
-                    return True
-                used[i] = False
-            return False
-
-        return rec(start_above, 0)
+        return chain_search(entries, start_above, own_above, longest_flag_index, None)
 
     # right-side consistency toward the right path neighbor (condition 4):
     # with right edges, the chain starts at above(u); without, the above

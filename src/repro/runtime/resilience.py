@@ -260,10 +260,15 @@ def _shard(indices: Sequence[int], chunk: int) -> List[List[int]]:
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut a pool down hard: cancel queued work and kill its processes."""
+    """Shut a pool down hard: cancel queued work and kill its processes.
+
+    The processes are taken before ``shutdown``, which drops the pool's
+    reference to them; a hung worker left alive would hold the
+    interpreter's exit until its hang ended.
+    """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):  # pragma: no branch
+    for proc in processes:  # pragma: no branch
         try:
             proc.terminate()
         except Exception:  # pragma: no cover - already dead

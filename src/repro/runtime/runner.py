@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.protocol import run_context
+from ..core.protocol import gc_paused, run_context
 from ..obs import metrics as obs_metrics
 from .backends import ExecutionBackend, ProcessPoolBackend, resolve_backend
 from .cache import CachedFactory
@@ -255,13 +255,16 @@ def _build_instance(spec: _BatchSpec, instance_seed: int):
     return factory(spec.n, random.Random(instance_seed))
 
 
+@gc_paused
 def execute_one_run(spec: _BatchSpec, i: int) -> RunRecord:
     """Execute run ``i`` of a batch, from its own positional seed streams.
 
     The atom both execution paths (legacy strict and resilient) share:
     every call rebuilds the instance, prover, and protocol RNG from
     ``SeedSequence(master_seed).child(i)``, so re-executing a run — e.g.
-    a retry after a transient fault — reproduces it exactly.
+    a retry after a transient fault — reproduces it exactly.  The whole
+    call runs under the GC pause, so the run's heap is freed before
+    cyclic collection resumes and only the small record survives it.
     """
     run_ss = SeedSequence(spec.master_seed).child(i)
     t0 = time.perf_counter()

@@ -84,7 +84,8 @@ Frame = Tuple[bytes, Dict[str, Any]]
 
 def _epoch_payload(
     epoch: int, op: str, u: int, v: int, m: int, expected: bool,
-    result, labels_changed: int, wire_bits_changed: int,
+    accepted: bool, proof_size_bits: int, labels_changed: int,
+    wire_bits_changed: int,
 ) -> Dict[str, Any]:
     """One epoch as JSON — field-for-field the driver's canonical record."""
     return {
@@ -94,11 +95,11 @@ def _epoch_payload(
         "v": v,
         "m": m,
         "expected": expected,
-        "accepted": result.accepted,
-        "sound": result.accepted == expected,
+        "accepted": accepted,
+        "sound": accepted == expected,
         "labels_changed": labels_changed,
         "wire_bits_changed": wire_bits_changed,
-        "proof_size_bits": result.proof_size_bits,
+        "proof_size_bits": proof_size_bits,
     }
 
 
@@ -473,10 +474,9 @@ class ProofServer:
         """
         from ..dynamic.driver import (
             ChurnCampaignSpec,
+            certify_epoch,
             diff_signatures,
-            epoch_rng,
             initial_graph,
-            node_signatures,
         )
         from ..dynamic.updates import DYNAMIC_TASKS, update_from_tuple
         from ..runtime import registry
@@ -521,15 +521,13 @@ class ProofServer:
             )
             factory = self._cached_factory(task, "yes", task_spec.yes_factory)
             graph = initial_graph(spec, factory=factory)
-            result = protocol.execute(
-                task_spec.instance_cls(graph.copy()),
-                rng=epoch_rng(spec.seed, 0),
+            accepted, proof_bits, sigs = certify_epoch(
+                task_spec, protocol, graph, spec.seed, 0
             )
-            sigs = node_signatures(result)
             changed, bits = diff_signatures(None, sigs)
             records.append(
-                _epoch_payload(0, "init", -1, -1, graph.m, True, result,
-                               changed, bits)
+                _epoch_payload(0, "init", -1, -1, graph.m, True, accepted,
+                               proof_bits, changed, bits)
             )
             state = _DynamicState(spec, graph, 0, sigs)
         # validate the whole batch on a scratch copy before committing
@@ -552,15 +550,13 @@ class ProofServer:
             update.apply(graph)
             epoch += 1
             expected = predicate(graph)
-            result = protocol.execute(
-                task_spec.instance_cls(graph.copy()),
-                rng=epoch_rng(spec.seed, epoch),
+            accepted, proof_bits, sigs = certify_epoch(
+                task_spec, protocol, graph, spec.seed, epoch
             )
-            sigs = node_signatures(result)
             changed, bits = diff_signatures(prev, sigs)
             records.append(
                 _epoch_payload(epoch, update.op, update.u, update.v, graph.m,
-                               expected, result, changed, bits)
+                               expected, accepted, proof_bits, changed, bits)
             )
             prev = sigs
         state.epoch, state.prev_sigs = epoch, prev

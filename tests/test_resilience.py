@@ -28,7 +28,7 @@ from repro.runtime import (
     get_task,
 )
 from repro.runtime.registry import exiting_worker_factory, path_outerplanarity_yes
-from repro.runtime.resilience import FailureRecord, run_deadline
+from repro.runtime.resilience import FailureRecord, _terminate_pool, run_deadline
 
 TASKS = ("path_outerplanarity", "lr_sorting")
 RUNS = 6
@@ -289,6 +289,27 @@ class TestPoolRecovery:
         assert report.records == []
         assert {f.fault for f in report.failures} <= {"timeout", "worker-lost"}
         assert len(report.failures) == 2
+
+    def test_terminated_pool_kills_its_hung_workers(self):
+        # shutdown() drops the pool's process table; a worker it missed
+        # would sleep on and hold the interpreter's exit for 30s
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing.connection import wait as wait_for_sentinels
+
+        pool = ProcessPoolExecutor(max_workers=2)
+        for _ in range(2):
+            pool.submit(time.sleep, 30)
+        workers = list(pool._processes.values())
+        assert len(workers) == 2
+        _terminate_pool(pool)
+        # a sentinel turns ready when its process dies, whichever thread
+        # reaps it (the pool's manager thread joins them concurrently)
+        pending = [proc.sentinel for proc in workers]
+        deadline = time.monotonic() + 10.0
+        while pending and time.monotonic() < deadline:
+            ready = wait_for_sentinels(pending, timeout=deadline - time.monotonic())
+            pending = [s for s in pending if s not in ready]
+        assert pending == []
 
     def test_broken_pool_message_names_the_batch_legacy_path(self):
         # the PR-1 strict path (no resilience knobs): a worker that dies
