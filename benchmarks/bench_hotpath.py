@@ -16,8 +16,8 @@ planar_embedding / treewidth2 at n=256 >= 2x over its pre-columnar
 recording.
 
 A serialization section records the pickled size of one honest
-transcript per representative task, packed vs. the
-``REPRO_DISABLE_PACKED_LABELS=1`` object-tree hatch — the measured
+transcript per representative task, packed vs. the same labels pickled
+as plain nested field dicts (the object-tree shape) — the measured
 shard-transport byte drop of the packed representation.
 
 Methodology: each (task, n) cell is measured as the *minimum* over
@@ -128,8 +128,16 @@ def _measure(
     return best
 
 
+def _tree_of(label):
+    """The label as plain nested field dicts (the object-tree shape)."""
+    return {
+        name: (kind, _tree_of(value) if kind == "label" else value, width)
+        for name, kind, value, width in label.fields()
+    }
+
+
 def _serialization_section(n: int):
-    """Pickled transcript bytes, packed vs. the object-tree hatch."""
+    """Pickled transcript bytes, packed vs. nested field dicts."""
     out = {}
     for task in ("lr_sorting", "path_outerplanarity"):
         spec = get_task(task)
@@ -143,16 +151,18 @@ def _serialization_section(n: int):
             inst, rng=run_ss.child("protocol").rng()
         )
         transcript = result.transcript
-        saved = os.environ.pop("REPRO_DISABLE_PACKED_LABELS", None)
-        try:
-            packed = len(pickle.dumps(transcript))
-            os.environ["REPRO_DISABLE_PACKED_LABELS"] = "1"
-            tree = len(pickle.dumps(transcript))
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_DISABLE_PACKED_LABELS", None)
-            else:
-                os.environ["REPRO_DISABLE_PACKED_LABELS"] = saved
+        packed = len(pickle.dumps(transcript))
+        tree = len(
+            pickle.dumps(
+                [
+                    (
+                        {v: _tree_of(l) for v, l in rnd.labels.items()},
+                        {e: _tree_of(l) for e, l in rnd.edge_labels.items()},
+                    )
+                    for rnd in transcript.prover_rounds()
+                ]
+            )
+        )
         assert packed < tree, (task, packed, tree)
         out[task] = {
             "n": n,

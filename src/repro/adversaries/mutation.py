@@ -79,8 +79,8 @@ class MutationRecord:
     #: where the mutated leaf sits on the wire: absolute bit offset (from
     #: the most significant bit of the owner's packed label), the leaf's
     #: wire width, and the owner label's total wire bits.  Derived from
-    #: the packed schema in both representations, so reports match across
-    #: the ``REPRO_DISABLE_PACKED_LABELS`` escape hatch.
+    #: the packed schema, so born-packed and generic-builder labels of
+    #: one layout report the same coordinates.
     wire_offset: Optional[int] = None
     wire_width: Optional[int] = None
     wire_label_bits: Optional[int] = None

@@ -8,8 +8,8 @@ payload)``; this module turns one finished transcript into *columns*:
 
 - per prover round, one int64 array per requested field, extracted from
   the payload integers by the same shift/mask arithmetic that
-  ``wire_leaf_span`` / ``PackedLabel._materialize`` use (pinned equal by
-  the property suite), over all n nodes at once;
+  ``wire_leaf_span`` / ``PackedLabel.get`` use (pinned equal by the
+  property suite), over all n nodes at once;
 - CSR neighbor/port index arrays derived from the :class:`Graph`
   adjacency, so "read the label behind port q" becomes a numpy gather.
 
@@ -31,7 +31,7 @@ Each member then gets its own slice of the ``(ok, fallback)`` arrays.
 Numpy is an **optional** dependency (the ``[vector]`` extra): when it is
 missing, :func:`run_kernel` decides nothing and the per-view path runs
 unchanged.  ``REPRO_DISABLE_VECTOR_DECIDE=1`` is the escape hatch,
-mirroring the decode-cache and packed-label hatches, and
+mirroring the decode-cache hatch, and
 ``REPRO_VECTOR_MIN_NODES`` tunes the size gate, which applies to the
 node count of the whole class union (vectorization has a fixed setup
 cost per kernel call, which a class of many tiny sub-runs shares).
@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .labels import BitString, Label
+from .labels import Label, LabelSchema, PackedLabel
 
 # ---------------------------------------------------------------------------
 # optional numpy + escape hatches
@@ -129,17 +129,12 @@ class Uncoverable(Exception):
 #
 #   ("leaf", shift, mask)   uint/felem/flag value = (payload >> shift) & mask
 #   ("maybe", shift, width) presence bit + value bits, decoded like
-#                           PackedLabel._materialize
+#                           PackedLabel.get
 #   ("sub",)                the path names a present sub-label (presence
 #                           queries: the _sub/isinstance-Label idiom)
 #   ("missing",)            absent field, or a non-label on the descend path
 #   ("uncover",)            bits / maybe_b leaves (BitString values) or
 #                           widths beyond int64 -- per-row fallback
-#
-# Schemas are interned process-wide and never freed, so ``id(schema)`` is
-# a safe cache key; resolution runs once per (schema, path) per process.
-
-_SPEC_CACHE: Dict[tuple, tuple] = {}
 
 _MISSING_SPEC = ("missing",)
 _SUB_SPEC = ("sub",)
@@ -150,21 +145,11 @@ _MAX_LEAF_BITS = 62
 
 
 def _schema_entry(schema, name: str):
-    for entry in schema.fields:
-        if entry[0] == name:
-            return entry
-    return None
+    entry = schema.index.get(name)
+    return None if entry is None else schema.fields[entry[0]]
 
 
 def _resolve_spec(schema, path: tuple, unwrap: bool, want_sub: bool) -> tuple:
-    key = (id(schema), path, unwrap, want_sub)
-    spec = _SPEC_CACHE.get(key)
-    if spec is None:
-        spec = _SPEC_CACHE[key] = _resolve_uncached(schema, path, unwrap, want_sub)
-    return spec
-
-
-def _resolve_uncached(schema, path: tuple, unwrap: bool, want_sub: bool) -> tuple:
     shift = 0
     cur = schema
     if unwrap:
@@ -208,164 +193,10 @@ def _resolve_uncached(schema, path: tuple, unwrap: bool, want_sub: bool) -> tupl
 #: unwrap applies the wrapped-label "node" descend before walking the path
 ColumnSpec = Tuple[tuple, bool, bool]
 
-
-def _compile_plan(schema, specs: Sequence[ColumnSpec]) -> list:
-    """Per-schema extraction plan: one dispatch tuple per spec.
-
-    The plan turns the resolved specs into the tightest possible per-row
-    loop (the extraction loop runs once per label *row*, so every dict
-    lookup saved here is multiplied by n):
-      (0, shift, mask)               leaf value
-      (1,)                           missing
-      (2, presence_shift, vmask, value_shift)   maybe
-      (3,)                           present sub
-      (4,)                           uncoverable
-    """
-    plan = []
-    for path, want_sub, unwrap in specs:
-        spec = _resolve_spec(schema, path, unwrap, want_sub)
-        tag = spec[0]
-        if tag == "leaf":
-            plan.append((0, spec[1], spec[2]))
-        elif tag == "missing":
-            plan.append((1,))
-        elif tag == "maybe":
-            shift, width = spec[1], spec[2]
-            plan.append((2, shift + width - 1, (1 << (width - 1)) - 1, shift))
-        elif tag == "sub":
-            plan.append((3,))
-        else:
-            plan.append((4,))
-    return plan
-
-
-class _WireBacked(Exception):
-    """A nested sub-label has no field tree (wire-backed): the row must
-    be extracted through the packed payload path instead."""
-
-
-#: compiled tree-walk tries per specs tuple: (raw_trie, unwrap_trie),
-#: each ``(leaf_ops, subs)`` -- see :func:`_compile_trie`
-_TRIE_CACHE: Dict[tuple, tuple] = {}
-
-
-def _compile_trie(specs: Sequence[ColumnSpec]) -> tuple:
-    """Group specs by shared path prefixes into walk tries.
-
-    A trie node is ``(leaf_ops, subs)``: ``leaf_ops`` are ``(out_idx,
-    field_name, want_sub)`` reads at this level, ``subs`` are
-    ``(field_name, child_trie)`` descents.  Grouping means a shared
-    sub-label (e.g. the three forest encodings of every setup label) is
-    located once per row instead of once per spec -- and the walker
-    additionally memoizes whole sub-walks by sub-label identity, which
-    collapses the heavily interned advice labels across nodes.
-    """
-    raw = [(p, ws, i) for i, (p, ws, uw) in enumerate(specs) if not uw]
-    unw = [(p, ws, i) for i, (p, ws, uw) in enumerate(specs) if uw]
-    return (_build_trie(raw) if raw else None, _build_trie(unw) if unw else None)
-
-
-def _build_trie(items) -> tuple:
-    """The trie node for ``(path, want_sub, out_idx)`` items, recursively."""
-    val_ops = []
-    sub_flag_ops = []
-    groups: Dict[str, list] = {}
-    for path, want_sub, idx in items:
-        if len(path) == 1:
-            (sub_flag_ops if want_sub else val_ops).append((idx, path[0]))
-        elif len(path) > 1:
-            groups.setdefault(path[0], []).append((path[1:], want_sub, idx))
-    subs = tuple((name, _build_trie(sub)) for name, sub in groups.items())
-    return (tuple(val_ops), tuple(sub_flag_ops), subs)
-
-
-def _walk_trie(fields, trie, out: List[int], memo) -> bool:
-    """Walk one trie over a field dict, writing values into ``out``.
-
-    ``out`` is indexed by spec position (a per-row list or, for memoized
-    sub-walks, a scratch dict).  Returns the row's uncoverable flag.
-    Sub-label walks are memoized by ``(id(sub_label), id(sub_trie))`` in
-    ``memo`` (shared across the rows of one extraction), so interned
-    advice labels are read once no matter how many nodes share them.
-    """
-    bad = False
-    val_ops, sub_flag_ops, subs = trie
-    fget = fields.get
-    for idx, name in val_ops:
-        f = fget(name)
-        if f is None:
-            continue
-        kind = f[0]
-        if kind == "uint" or kind == "felem":
-            if f[2] > _MAX_LEAF_BITS:
-                bad = True
-            else:
-                out[idx] = f[1]
-        elif kind == "flag":
-            out[idx] = 1 if f[1] else 0
-        elif kind == "maybe":
-            v = f[1]
-            if v is None:
-                out[idx] = NONE
-            elif isinstance(v, BitString) or f[2] - 1 > _MAX_LEAF_BITS:
-                bad = True
-            else:
-                out[idx] = v
-        else:  # bits, or a sub-label read as a value leaf
-            bad = True
-    for idx, name in sub_flag_ops:
-        f = fget(name)
-        if f is not None and f[0] == "label":
-            out[idx] = 1
-    for name, sub in subs:
-        f = fget(name)
-        if f is None or f[0] != "label":
-            continue
-        child = f[1]
-        key = (id(child), id(sub))
-        hit = memo.get(key)
-        if hit is None:
-            # first occurrence: walk straight into ``out`` -- unique
-            # sub-labels (the common case for per-node fields) never pay
-            # the tabulate-and-replay overhead
-            cf = child._fields
-            if cf is None:
-                raise _WireBacked
-            memo[key] = False
-            bad |= _walk_trie(cf, sub, out, memo)
-        elif hit is False:
-            # second occurrence: this sub-label is shared -- tabulate its
-            # values once so every further row is a cheap replay
-            tmp: Dict[int, int] = {}
-            b = _walk_trie(child._fields, sub, tmp, memo)
-            hit = memo[key] = (tuple(tmp.items()), b)
-            for idx, val in hit[0]:
-                out[idx] = val
-            bad |= b
-        else:
-            for idx, val in hit[0]:
-                out[idx] = val
-            bad |= hit[1]
-    return bad
-
-
-def _trie_row(fields, tries, k: int, memo):
-    """One row via the tree walker; ``(vals, bad)`` like the packed path."""
-    raw, unw = tries
-    vals = [MISSING] * k
-    bad = False
-    if raw is not None:
-        bad |= _walk_trie(fields, raw, vals, memo)
-    if unw is not None:
-        f = fields.get("node")
-        if f is not None and f[0] == "label":
-            base = f[1]._fields
-            if base is None:
-                raise _WireBacked
-        else:
-            base = fields
-        bad |= _walk_trie(base, unw, vals, memo)
-    return vals, bad
+#: resolved plans: specs tuple -> {schema: one resolved spec per column}.
+#: Schemas are interned process-wide and never freed, so a plan is
+#: resolved once per process.
+_PLANS: Dict[tuple, dict] = {}
 
 
 def extract_columns(np, rows: Sequence[Optional[Label]], specs: Sequence[ColumnSpec]):
@@ -377,67 +208,56 @@ def extract_columns(np, rows: Sequence[Optional[Label]], specs: Sequence[ColumnS
     (their column values are MISSING placeholders; the caller must route
     every reader of such a row to the per-view fallback).
 
-    Rows are memoized by label identity: transcript labels are routinely
-    shared (interned forest labels, neighbor reads), so each distinct
-    object is read once.  Wire-backed labels (worker transport, pickles)
-    extract by shift/mask over the payload integer with a plan compiled
-    once per distinct schema; tree-backed labels read their field dicts
-    directly -- same values, no packing cost on the serial path.
+    Rows are grouped by schema, and each (schema, column) pair is read by
+    one shift/mask comprehension over the group's payloads.  Born-packed
+    and wire-decoded labels hand over their payload as is; a
+    generic-builder tree (a mutated label, an adversary's) is packed on
+    first read.
     """
     k = len(specs)
-    missing_row = [MISSING] * k
-    row_vals: List[List[int]] = [missing_row] * len(rows)
-    uncover = np.zeros(len(rows), dtype=bool)
-    memo: Dict[int, Tuple[List[int], bool]] = {}
-    sub_memo: Dict[tuple, tuple] = {}
-    tries = _TRIE_CACHE.get(specs)
-    if tries is None:
-        tries = _TRIE_CACHE[specs] = _compile_trie(specs)
-    plans: Dict[int, list] = {}
+    groups: Dict[LabelSchema, Tuple[List[int], List[int]]] = {}
     for ridx, lbl in enumerate(rows):
         if lbl is None:
             continue
-        cached = memo.get(id(lbl))
-        if cached is None:
-            fields = lbl._fields
-            if lbl._wire is None and fields is not None:
-                try:
-                    cached = _trie_row(fields, tries, k, sub_memo)
-                except _WireBacked:
-                    cached = None
-            if cached is None:
-                schema, payload = lbl.pack()
-                plan = plans.get(id(schema))
-                if plan is None:
-                    plan = plans[id(schema)] = _compile_plan(schema, specs)
-                vals: List[int] = []
-                bad = False
-                for entry in plan:
-                    tag = entry[0]
-                    if tag == 0:
-                        vals.append((payload >> entry[1]) & entry[2])
-                    elif tag == 1:
-                        vals.append(MISSING)
-                    elif tag == 2:
-                        if (payload >> entry[1]) & 1:
-                            vals.append((payload >> entry[3]) & entry[2])
-                        else:
-                            vals.append(NONE)
-                    elif tag == 3:
-                        vals.append(1)
-                    else:
-                        vals.append(MISSING)
-                        bad = True
-                cached = (vals, bad)
-            memo[id(lbl)] = cached
-        vals, bad = cached
-        if bad:
-            uncover[ridx] = True
-        row_vals[ridx] = vals
-    if not row_vals:
-        return [np.empty(0, dtype=np.int64) for _ in range(k)], uncover
-    # one C-level parse + transpose copy instead of k * n_rows Python writes
-    mat = np.ascontiguousarray(np.array(row_vals, dtype=np.int64).T)
+        if lbl.__class__ is PackedLabel:
+            schema, payload = lbl._schema, lbl._pv
+        else:
+            schema, payload = lbl.pack()
+        group = groups.get(schema)
+        if group is None:
+            groups[schema] = ([ridx], [payload])
+        else:
+            group[0].append(ridx)
+            group[1].append(payload)
+    mat = np.full((k, len(rows)), MISSING, dtype=np.int64)
+    uncover = np.zeros(len(rows), dtype=bool)
+    plans = _PLANS.get(specs)
+    if plans is None:
+        plans = _PLANS.setdefault(specs, {})
+    for schema, (idx, pays) in groups.items():
+        plan = plans.get(schema)
+        if plan is None:
+            plan = plans[schema] = [
+                _resolve_spec(schema, path, unwrap, want_sub)
+                for path, want_sub, unwrap in specs
+            ]
+        sel = np.array(idx, dtype=np.intp)
+        for j, spec in enumerate(plan):
+            tag = spec[0]
+            if tag == "leaf":
+                _, shift, mask = spec
+                mat[j, sel] = [(p >> shift) & mask for p in pays]
+            elif tag == "maybe":
+                _, shift, width = spec
+                present = shift + width - 1
+                mask = (1 << (width - 1)) - 1
+                mat[j, sel] = [
+                    (p >> shift) & mask if (p >> present) & 1 else NONE for p in pays
+                ]
+            elif tag == "sub":
+                mat[j, sel] = 1
+            elif tag == "uncover":
+                uncover[sel] = True
     return list(mat), uncover
 
 

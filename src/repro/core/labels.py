@@ -28,8 +28,7 @@ Absent labels cost zero bits.
 from __future__ import annotations
 
 import math
-import os
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 FieldValue = Union[int, bool, "Label", "BitString", None]
 
@@ -261,10 +260,6 @@ class Label:
             # canonical packing: interned schema identity + payload equality
             # coincides with structural equality (pinned by the wire tests)
             return mine[0] is theirs[0] and mine[1] == theirs[1]
-        if self._fields is None:
-            self._materialize()
-        if other._fields is None:
-            other._materialize()
         if list(self._fields) != list(other._fields):
             return False
         return self._fields == other._fields
@@ -280,9 +275,10 @@ class Label:
         ``schema`` is the interned :class:`LabelSchema` describing the
         (names, kinds, widths) layout; ``payload`` is the label's bits as
         one big-endian integer, first field in the most significant bits.
-        Packing is lazy and cached: an in-process run packs only the label
-        a fuzzer mutates, while pickling, churn signatures, hex dumps, and
-        byte-equality reuse one pass.
+        A generic-builder label packs lazily, on first call, and caches
+        the result: pickling, churn signatures, column extraction, hex
+        dumps and byte-equality reuse one pass.  (Born-packed labels are
+        :class:`PackedLabel`, which returns its form as is.)
         """
         wire = self._wire
         if wire is None:
@@ -303,9 +299,6 @@ class Label:
         return self.pack()
 
     def __reduce__(self):
-        if packed_labels_disabled():
-            # object-tree escape hatch: ship the field dict as-is
-            return (_label_from_tree, (self._fields, self._size))
         schema, payload = self.pack()
         return (
             _label_from_wire,
@@ -377,17 +370,22 @@ def _replaced_field(name: str, old: tuple, value: FieldValue) -> tuple:
 # equality (``maybe`` fields holding a BitString get the distinct schema
 # kind ``maybe_b`` so the value type survives the round-trip).  Decoding is
 # pure offset arithmetic: a field's bits sit at a shift known from the
-# schema alone, which is what makes the zero-copy :class:`PackedLabel`
-# views below cheap.
+# schema alone.
 #
-# ``REPRO_DISABLE_PACKED_LABELS=1`` keeps labels crossing process
-# boundaries as plain object trees (the pre-wire-format behavior); the
-# differential suite pins canonical reports byte-identical either way.
+# Labels reach the packed form two ways.  The fixed formats the protocols
+# and the columnar kernels share are *born packed*: a :class:`LabelFormat`
+# checks each value against its field and shifts it into the payload, and
+# :func:`nest_labels` concatenates packed sub-labels under an interned
+# wrapper schema.  Labels from the generic builder (``Label()``: per-view
+# protocols, adversaries, fuzz mutations) stay field trees and pack
+# lazily, on first :meth:`Label.pack`.
 
-
-def packed_labels_disabled() -> bool:
-    """True when the ``REPRO_DISABLE_PACKED_LABELS`` escape hatch is set."""
-    return os.environ.get("REPRO_DISABLE_PACKED_LABELS", "") not in ("", "0")
+#: reader codes of a schema field (see ``LabelSchema.index``)
+_INT, _FLAG, _BITS, _MAYBE, _MAYBE_B, _SUB = range(6)
+_CODES = {
+    "uint": _INT, "felem": _INT, "flag": _FLAG, "bits": _BITS,
+    "maybe": _MAYBE, "maybe_b": _MAYBE_B, "label": _SUB,
+}
 
 
 class LabelSchema:
@@ -397,10 +395,12 @@ class LabelSchema:
     ``(name, kind, width, child_desc_or_None)`` entries, nested sub-labels
     carrying their own desc.  ``fields`` resolves each entry to
     ``(name, kind, width, child_schema_or_None, shift)`` where ``shift``
-    is the number of payload bits to the right of the field.
+    is the number of payload bits to the right of the field.  ``index``
+    maps a name to its reader ``(position, code, shift, mask, arg)``
+    (``arg``: the width, or the child schema of a sub-label).
     """
 
-    __slots__ = ("desc", "fields", "total_width")
+    __slots__ = ("desc", "fields", "total_width", "index")
 
     def __init__(self, desc: tuple):
         self.desc = desc
@@ -409,12 +409,16 @@ class LabelSchema:
             total += width
         self.total_width = total
         fields = []
+        index = {}
         shift = total
-        for name, kind, width, child_desc in desc:
+        for pos, (name, kind, width, child_desc) in enumerate(desc):
             shift -= width
-            child = schema_from_desc(child_desc) if kind == "label" else None
+            code = _CODES[kind]
+            child = schema_from_desc(child_desc) if code == _SUB else None
             fields.append((name, kind, width, child, shift))
+            index[name] = (pos, code, shift, (1 << width) - 1, child or width)
         self.fields = tuple(fields)
+        self.index = index
 
     def __repr__(self) -> str:
         names = ",".join(e[0] for e in self.desc)
@@ -433,6 +437,31 @@ def schema_from_desc(desc: tuple) -> LabelSchema:
         # first schema, so schema identity stays one object per layout
         schema = _SCHEMAS.setdefault(desc, LabelSchema(desc))
     return schema
+
+
+def _leaf_value(code: int, raw: int, width: int) -> FieldValue:
+    """The field value of a non-label leaf's raw wire bits."""
+    if code == _INT:
+        return raw
+    if code == _FLAG:
+        return raw == 1
+    if code == _BITS:
+        return BitString(raw, width)
+    vwidth = width - 1
+    if code == _MAYBE:
+        return raw & ((1 << vwidth) - 1) if raw >> vwidth else None
+    return BitString(raw & ((1 << vwidth) - 1), vwidth)  # maybe_b
+
+
+def _walk_payload(schema: LabelSchema, payload: int, prefix: FieldPath) -> Iterator:
+    """:meth:`Label.walk` over a packed payload, sub-labels decoded in place."""
+    for name, kind, width, child, shift in schema.fields:
+        raw = (payload >> shift) & ((1 << width) - 1)
+        if child is not None:
+            yield from _walk_payload(child, raw, prefix + (name,))
+        else:
+            value = _leaf_value(_CODES[kind], raw, width)
+            yield (prefix + (name,), "maybe" if kind == "maybe_b" else kind, value, width)
 
 
 def _pack_fields(fields: Dict[str, tuple]) -> Tuple[LabelSchema, int]:
@@ -469,160 +498,273 @@ def _pack_fields(fields: Dict[str, tuple]) -> Tuple[LabelSchema, int]:
     return schema_from_desc(tuple(desc)), acc
 
 
-def _label_from_tree(fields: Dict[str, tuple], size: int) -> Label:
-    """Unpickle hook for the object-tree escape hatch."""
-    return Label._trusted(fields, size)
-
-
 def _label_from_wire(desc: tuple, data: bytes) -> "PackedLabel":
     """Unpickle hook for the packed wire form."""
     return PackedLabel._from_payload(schema_from_desc(desc), int.from_bytes(data, "big"))
 
 
-class PackedLabel(Label):
-    """A zero-copy decoded view over a packed label.
+# -- born-packed builders -----------------------------------------------------
 
-    Holds the interned schema plus either the payload integer or a
-    ``(buffer, offset)`` slice of a shared round blob; the object-tree
-    field dict is materialized lazily, by offset slicing, only when a
-    reader actually descends into the structure.  Views are frozen: the
-    builder API raises (mutating a view would desync schema and payload);
-    :meth:`Label.with_value` still works and returns a plain label.
+#: a :class:`LabelFormat` value that leaves its (optional) field out
+OMIT = object()
+
+
+class LabelFormat:
+    """A fixed leaf layout whose labels are packed at birth.
+
+    ``fields`` are ``(name, kind, param)`` triples: ``("uint", width)``,
+    ``("flag", None)``, ``("felem", p)`` and ``("maybe", value_width)``
+    (a ``None`` value is the 1-bit absent form).  :meth:`pack` range-checks
+    every value like the generic builders (same ``ValueError``) and shifts
+    it into the payload, so a label costs one integer and no field tree.
+    The uint/felem fields named in ``optional`` may be given :data:`OMIT`
+    to leave them out; each combination of omitted fields and absent
+    ``maybe`` values has its own interned schema, resolved once per format.
     """
 
-    __slots__ = ("_schema", "_pv", "_buf", "_off")
+    __slots__ = ("_fields", "_schemas")
 
-    @classmethod
-    def _from_payload(cls, schema: LabelSchema, payload: int) -> "PackedLabel":
-        self = cls.__new__(cls)
-        self._fields = None
-        self._size = schema.total_width
-        self._wire = (schema, payload)
-        self._schema = schema
-        self._pv = payload
-        self._buf = None
-        self._off = 0
-        return self
+    def __init__(
+        self,
+        fields: Sequence[Tuple[str, str, Optional[int]]],
+        optional: Sequence[str] = (),
+    ):
+        compiled = []
+        for i, (name, kind, param) in enumerate(fields):
+            # (name, code, width, limit, variant bit, kind): a checked
+            # value v must satisfy 0 <= v < limit
+            bit = 1 << i
+            if kind == "uint":
+                entry = (name, _F_RANGE, param, 1 << param, bit, kind)
+            elif kind == "felem":
+                entry = (name, _F_RANGE, field_elem_width(param), param, bit, kind)
+            elif kind == "flag":
+                entry = (name, _F_FLAG, 1, 2, bit, kind)
+            elif kind == "maybe":
+                # the limit doubles as the presence bit above the value
+                entry = (name, _F_MAYBE, 1 + param, 1 << param, bit, kind)
+            else:
+                raise ValueError(f"unknown format field kind {kind!r}")
+            if name in optional:
+                if entry[1] != _F_RANGE:
+                    raise ValueError(f"only uint/felem fields can be optional: {name!r}")
+                entry = (name, _F_OPTIONAL) + entry[2:]
+            compiled.append(entry)
+        self._fields = tuple(compiled)
+        self._schemas: Dict[int, LabelSchema] = {}
 
-    @classmethod
-    def from_buffer(cls, schema: LabelSchema, buf: bytes, offset: int) -> "PackedLabel":
-        """View into ``buf`` at byte ``offset`` (no bytes copied up front)."""
-        self = cls.__new__(cls)
+    def pack(self, values: Sequence) -> "PackedLabel":
+        """The born-packed label of ``values`` (one per format field)."""
+        acc = 0
+        variant = 0  # bit i: field i omitted, or its maybe value is None
+        for (name, code, width, limit, bit, kind), value in zip(self._fields, values):
+            if code == _F_RANGE:
+                if not 0 <= value < limit:
+                    raise _range_error(name, kind, width, limit, value)
+                acc = (acc << width) | value
+            elif code == _F_FLAG:
+                acc = (acc << 1) | (1 if value else 0)
+            elif code == _F_MAYBE:
+                if value is None:
+                    variant |= bit
+                    acc <<= 1
+                else:
+                    value = int(value)
+                    if not 0 <= value < limit:
+                        raise _range_error(name, kind, width - 1, limit, value)
+                    acc = (acc << width) | limit | value
+            elif value is OMIT:
+                variant |= bit
+            else:
+                if not 0 <= value < limit:
+                    raise _range_error(name, kind, width, limit, value)
+                acc = (acc << width) | value
+        schema = self._schemas.get(variant)
+        if schema is None:
+            schema = self._schemas.setdefault(variant, self._schema(variant))
+        return PackedLabel._from_payload(schema, acc)
+
+    def _schema(self, variant: int) -> LabelSchema:
+        desc = []
+        for name, code, width, _, bit, kind in self._fields:
+            if not variant & bit:
+                desc.append((name, kind, width, None))
+            elif code == _F_MAYBE:
+                desc.append((name, "maybe", 1, None))
+        return schema_from_desc(tuple(desc))
+
+
+#: LabelFormat field codes
+_F_RANGE, _F_FLAG, _F_MAYBE, _F_OPTIONAL = range(4)
+
+
+def _range_error(name: str, kind: str, width: int, limit: int, value) -> ValueError:
+    """The generic builders' error for an out-of-range field value."""
+    if kind == "felem":
+        return ValueError(f"{name}={value} is not an element of F_{limit}")
+    return ValueError(f"{name}={value} does not fit in {width} bits")
+
+
+#: wrapper schemas by (names, child schemas...): child-schema identity
+#: keys the lookup, so nesting never rebuilds a desc tuple
+_WRAPPERS: Dict[tuple, LabelSchema] = {}
+
+
+def nest_labels(names: Tuple[str, ...], subs: Sequence[Label]) -> Label:
+    """A label holding each of ``subs`` as a sub-label under ``names``.
+
+    Born packed when every sub-label is (the payload is the subs'
+    payloads, concatenated); when any is a generic-builder tree the
+    wrapper is a tree too, packed lazily like its subs.
+    """
+    key = [names]
+    acc = 0
+    for sub in subs:
+        if sub.__class__ is not PackedLabel:
+            fields = {name: ("label", s, s._size) for name, s in zip(names, subs)}
+            return Label._trusted(fields, sum(s._size for s in subs))
+        key.append(sub._schema)
+        acc = (acc << sub._size) | sub._pv
+    key = tuple(key)
+    schema = _WRAPPERS.get(key)
+    if schema is None:
+        desc = tuple(
+            (name, "label", child.total_width, child.desc)
+            for name, child in zip(names, key[1:])
+        )
+        schema = _WRAPPERS.setdefault(key, schema_from_desc(desc))
+    return PackedLabel._from_payload(schema, acc)
+
+
+class PackedLabel(Label):
+    """A label held as its packed form: interned schema plus payload.
+
+    Born-packed labels (:class:`LabelFormat`, :func:`nest_labels`) and
+    labels decoded from the wire are both of this class.  It keeps no
+    field tree: :meth:`get`, ``[]`` and ``in`` read one field through the
+    schema's name index by shift/mask, and a sub-label read is decoded
+    once into a cached child view, so every sub-label has one identity
+    (which the per-view decode caches key on).  Labels are frozen: the
+    builder API raises; :meth:`Label.with_value` still works and returns
+    a generic-builder label.
+    """
+
+    __slots__ = ("_schema", "_pv", "_kids")
+
+    @staticmethod
+    def _from_payload(
+        schema: LabelSchema, payload: int, _new=object.__new__
+    ) -> "PackedLabel":
+        self = _new(PackedLabel)
         self._fields = None
         self._size = schema.total_width
         self._wire = None
         self._schema = schema
-        self._pv = None
-        self._buf = buf
-        self._off = offset
+        self._pv = payload
+        self._kids = None
         return self
+
+    @staticmethod
+    def from_buffer(schema: LabelSchema, buf: bytes, offset: int) -> "PackedLabel":
+        """The label whose payload sits in ``buf`` at byte ``offset``."""
+        end = offset + (schema.total_width + 7) // 8
+        return PackedLabel._from_payload(schema, int.from_bytes(buf[offset:end], "big"))
 
     # -- wire form ---------------------------------------------------------
 
     def payload_int(self) -> int:
-        pv = self._pv
-        if pv is None:
-            end = self._off + (self._schema.total_width + 7) // 8
-            pv = self._pv = int.from_bytes(self._buf[self._off:end], "big")
-            self._wire = (self._schema, pv)
-        return pv
+        return self._pv
 
     def pack(self) -> Tuple[LabelSchema, int]:
-        wire = self._wire
-        if wire is None:
-            wire = (self._schema, self.payload_int())
-        return wire
+        return (self._schema, self._pv)
 
     def __reduce__(self):
-        if packed_labels_disabled():
-            self._ensure()
-            return (_label_from_tree, (self._fields, self._size))
         schema = self._schema
         return (
             _label_from_wire,
-            (schema.desc, self.payload_int().to_bytes((schema.total_width + 7) // 8, "big")),
+            (schema.desc, self._pv.to_bytes((schema.total_width + 7) // 8, "big")),
         )
 
-    # -- lazy decode -------------------------------------------------------
+    # -- indexed reads -----------------------------------------------------
 
-    def _ensure(self) -> None:
-        if self._fields is None:
-            self._materialize()
-
-    def _materialize(self) -> None:
-        pv = self.payload_int()
-        fields: Dict[str, tuple] = {}
-        for name, kind, width, child, shift in self._schema.fields:
-            raw = (pv >> shift) & ((1 << width) - 1)
-            if kind == "uint" or kind == "felem":
-                fields[name] = (kind, raw, width)
-            elif kind == "label":
-                fields[name] = ("label", PackedLabel._from_payload(child, raw), width)
-            elif kind == "flag":
-                fields[name] = ("flag", raw == 1, 1)
-            elif kind == "bits":
-                fields[name] = ("bits", BitString(raw, width), width)
-            elif kind == "maybe":
-                if raw >> (width - 1):
-                    fields[name] = ("maybe", raw & ((1 << (width - 1)) - 1), width)
-                else:
-                    fields[name] = ("maybe", None, width)
-            else:  # maybe_b: an optional BitString value
-                fields[name] = ("maybe", BitString(raw & ((1 << (width - 1)) - 1), width - 1), width)
-        self._fields = fields
-
-    # -- frozen builders ---------------------------------------------------
-
-    def _put(self, name: str, field: tuple) -> None:
-        raise TypeError("packed label views are frozen; build a new Label instead")
-
-    # -- readers (materialize on demand) -----------------------------------
+    def _read(self, entry: tuple) -> FieldValue:
+        pos, code, shift, mask, arg = entry
+        if code != _SUB:
+            return _leaf_value(code, (self._pv >> shift) & mask, arg)
+        kids = self._kids
+        if kids is None:
+            kids = self._kids = [None] * len(self._schema.fields)
+        child = kids[pos]
+        if child is None:
+            child = kids[pos] = PackedLabel._from_payload(arg, (self._pv >> shift) & mask)
+        return child
 
     def __contains__(self, name: str) -> bool:
-        self._ensure()
-        return name in self._fields
+        return name in self._schema.index
 
     def __getitem__(self, name: str) -> FieldValue:
-        self._ensure()
-        return Label.__getitem__(self, name)
+        entry = self._schema.index.get(name)
+        if entry is None:
+            raise KeyError(f"label has no field {name!r}")
+        return self._read(entry)
 
     def get(self, name: str, default: FieldValue = None) -> FieldValue:
-        self._ensure()
-        return Label.get(self, name, default)
+        entry = self._schema.index.get(name)
+        if entry is None:
+            return default
+        pos, code, shift, mask, arg = entry
+        if code == _INT:  # the common reads, inline: ints, flags, known subs
+            return (self._pv >> shift) & mask
+        if code == _FLAG:
+            return (self._pv >> shift) & 1 == 1
+        if code == _SUB and self._kids is not None and self._kids[pos] is not None:
+            return self._kids[pos]
+        return self._read(entry)
 
     def names(self) -> Iterator[str]:
         return iter(e[0] for e in self._schema.desc)
 
+    def _tree(self) -> Label:
+        """This label as a fresh generic-builder tree (never stored)."""
+        fields = {}
+        index = self._schema.index
+        for name, kind, width, _, _ in self._schema.fields:
+            if kind == "maybe_b":
+                kind = "maybe"
+            fields[name] = (kind, self._read(index[name]), width)
+        return Label._trusted(fields, self._size)
+
     def fields(self) -> Iterator[Tuple[str, str, FieldValue, int]]:
-        self._ensure()
-        return Label.fields(self)
+        return self._tree().fields()
 
     def walk(self, prefix: FieldPath = ()) -> Iterator[Tuple[FieldPath, str, FieldValue, int]]:
-        self._ensure()
-        return Label.walk(self, prefix)
+        return _walk_payload(self._schema, self._pv, prefix)
 
     def with_value(self, path: FieldPath, value: FieldValue) -> Label:
-        self._ensure()
-        return Label.with_value(self, path, value)
+        return self._tree().with_value(path, value)
+
+    # -- frozen builders ---------------------------------------------------
+
+    def _put(self, name: str, field: tuple) -> None:
+        raise TypeError("packed labels are frozen; build a new Label instead")
+
+    # -- identity ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PackedLabel):
-            return self._schema is other._schema and self.payload_int() == other.payload_int()
+            return self._schema is other._schema and self._pv == other._pv
         if isinstance(other, Label):
             wire = other._wire
             if wire is not None:
-                return wire[0] is self._schema and wire[1] == self.payload_int()
-            self._ensure()
-            return Label.__eq__(self, other)
+                return wire[0] is self._schema and wire[1] == self._pv
+            return self._tree() == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        self._ensure()
-        return Label.__hash__(self)
+        return hash(self._tree())
 
     def __repr__(self) -> str:
-        self._ensure()
-        return Label.__repr__(self)
+        return repr(self._tree())
 
 
 def wire_leaf_span(label: Label, path: FieldPath) -> Tuple[int, int]:
@@ -652,7 +794,8 @@ def wire_leaf_span(label: Label, path: FieldPath) -> Tuple[int, int]:
     raise ValueError("empty field path")
 
 
-EMPTY_LABEL = Label()
+#: the shared 0-bit label (packed, so reading it never packs a tree)
+EMPTY_LABEL = PackedLabel._from_payload(schema_from_desc(()), 0)
 
 
 def field_elem_width(p: int) -> int:

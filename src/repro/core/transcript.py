@@ -17,7 +17,6 @@ from .labels import (
     BitString,
     Label,
     PackedLabel,
-    packed_labels_disabled,
     schema_from_desc,
 )
 
@@ -91,16 +90,9 @@ class ProverRound:
     def __getstate__(self):
         # Ship labels as packed buffers: one schema table, one contiguous
         # payload blob, and per-label (owner, schema index, byte offset)
-        # entries.  Unpickling rebuilds lazy zero-copy PackedLabel views,
-        # so a label crossing a process boundary costs bytes, not a
-        # pickled object graph.  The escape hatch preserves the
-        # object-tree pickle path.
-        if packed_labels_disabled():
-            return {
-                "labels": self.labels,
-                "edge_labels": self.edge_labels,
-                "kind": self.kind,
-            }
+        # entries.  Unpickling rebuilds PackedLabels from the blob, so a
+        # label crossing a process boundary costs bytes, not a pickled
+        # object graph.
         descs: list = []
         index: Dict[int, int] = {}
         blob = bytearray()
@@ -122,13 +114,7 @@ class ProverRound:
         return {"kind": self.kind, "wire": (tuple(descs), nodes, edges, bytes(blob))}
 
     def __setstate__(self, state):
-        wire = state.get("wire")
-        if wire is None:
-            self.labels = state["labels"]
-            self.edge_labels = state["edge_labels"]
-            self.kind = state["kind"]
-            return
-        descs, nodes, edges, blob = wire
+        descs, nodes, edges, blob = state["wire"]
         schemas = [schema_from_desc(d) for d in descs]
         self.labels = {
             v: PackedLabel.from_buffer(schemas[i], blob, off) for v, i, off in nodes

@@ -20,12 +20,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.labels import Label
+from ..core.labels import EMPTY_LABEL, Label, nest_labels
 from ..core.network import Edge, Graph, norm_edge
 from ..graphs.spanning import arboricity_forest_partition, forest_partition_assignment
 from .forest_encoding import decode_forest_view, forest_encoding_labels
 
 N_FORESTS = 3
+
+#: sub-label names of the round-1 setup (one forest encoding each) and of
+#: a folded edge label (the edge whose child endpoint is this node in F_i)
+FOREST_KEYS = tuple(f"forest{i}" for i in range(N_FORESTS))
+EDGE_KEYS = tuple(f"edge{i}" for i in range(N_FORESTS))
 
 
 class EdgeLabelSimulation:
@@ -83,13 +88,7 @@ class EdgeLabelSimulation:
             key = tuple(map(id, subs))
             lbl = interned.get(key)
             if lbl is None:
-                fields = {
-                    f"forest{i}": ("label", sub, sub.bit_size())
-                    for i, sub in enumerate(subs)
-                }
-                lbl = interned[key] = Label._trusted(
-                    fields, sum(f[2] for f in fields.values())
-                )
+                lbl = interned[key] = nest_labels(FOREST_KEYS, subs)
             out[v] = lbl
         return out
 
@@ -97,10 +96,18 @@ class EdgeLabelSimulation:
         self, edge_labels: Dict[Edge, Label]
     ) -> Dict[int, Label]:
         """Fold one round's edge labels onto their child endpoints."""
-        out: Dict[int, Label] = {v: Label() for v in self.graph.nodes()}
+        folded: Dict[int, List[Tuple[str, Label]]] = {}
         for e, lbl in edge_labels.items():
             fi, child = self.assignment[norm_edge(*e)]
-            out[child]._put(f"edge{fi}", ("label", lbl, lbl.bit_size()))
+            folded.setdefault(child, []).append((EDGE_KEYS[fi], lbl))
+        out: Dict[int, Label] = {}
+        for v in self.graph.nodes():
+            items = folded.get(v)
+            if items is None:
+                out[v] = EMPTY_LABEL
+            else:
+                names, subs = zip(*items)
+                out[v] = nest_labels(names, subs)
         return out
 
     # -- verifier side -----------------------------------------------------
@@ -120,8 +127,7 @@ class EdgeLabelSimulation:
         """
         degree = len(setup_neighbors)
         out = [Label() for _ in range(degree)]
-        for i in range(N_FORESTS):
-            key = f"forest{i}"
+        for i, key in enumerate(FOREST_KEYS):
             if key not in setup_own:
                 return None
             own_enc = setup_own[key]
@@ -133,7 +139,7 @@ class EdgeLabelSimulation:
             decoded = decode_forest_view(own_enc, nbr_encs)
             if decoded is None:
                 return None
-            edge_key = f"edge{i}"
+            edge_key = EDGE_KEYS[i]
             if decoded.parent_port is not None:
                 # v is the child: the edge to its parent is in v's own label
                 if edge_key in folded_own:

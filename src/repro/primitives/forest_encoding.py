@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.labels import Label
+from ..core.labels import Label, LabelFormat
 from ..core.network import Graph
 from ..graphs.coloring import greedy_coloring
 from ..graphs.spanning import RootedForest
@@ -32,6 +32,16 @@ MAX_COLORS = 1 << COLOR_BITS
 
 #: total bits of a forest-encoding label
 FOREST_LABEL_BITS = 2 * COLOR_BITS + 2
+
+#: the Lemma-2.3 label layout (labels are born packed)
+FOREST_FORMAT = LabelFormat(
+    (
+        ("c1", "uint", COLOR_BITS),
+        ("c2", "uint", COLOR_BITS),
+        ("parity", "uint", 1),
+        ("is_root", "flag", None),
+    )
+)
 
 
 def _contracted_graphs(
@@ -110,14 +120,7 @@ def forest_encoding_labels(graph: Graph, forest: RootedForest) -> Dict[int, Labe
         key = (col_odd[map_odd[v]], col_even[map_even[v]], depth(v) % 2, v in roots)
         lbl = interned.get(key)
         if lbl is None:
-            c1, c2, parity, is_root = key
-            lbl = interned[key] = (
-                Label()
-                .uint("c1", c1, COLOR_BITS)
-                .uint("c2", c2, COLOR_BITS)
-                .uint("parity", parity, 1)
-                .flag("is_root", is_root)
-            )
+            lbl = interned[key] = FOREST_FORMAT.pack(key)
         labels[v] = lbl
     return labels
 

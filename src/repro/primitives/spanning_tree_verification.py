@@ -34,7 +34,7 @@ import functools
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.labels import BitString, Label, field_elem_width
+from ..core.labels import BitString, Label, LabelFormat, field_elem_width
 from ..core.network import Graph
 from ..graphs.spanning import RootedForest
 from .fields import PrimeField
@@ -57,6 +57,18 @@ _ELEM_MASK = (1 << STV_ELEM_BITS) - 1
 def _round3_keys(repetitions: int) -> Tuple[Tuple[str, str], ...]:
     """The ``(s{j}, Z{j})`` field-name pairs, built once per t."""
     return tuple((f"s{j}", f"Z{j}") for j in range(repetitions))
+
+
+@functools.lru_cache(maxsize=64)
+def round3_format(repetitions: int) -> LabelFormat:
+    """The round-3 label layout: interleaved ``s0, Z0, s1, Z1, ...``."""
+    return LabelFormat(
+        tuple(
+            (key, "felem", STV_FIELD.p)
+            for pair in _round3_keys(repetitions)
+            for key in pair
+        )
+    )
 
 
 def split_coins(coins, repetitions: int) -> List[int]:
@@ -111,21 +123,10 @@ def honest_round3_labels(
                     t += s[c][j]
                 sums[j] = t % p
         s[v] = sums
-    keys = _round3_keys(repetitions)
-    # trusted construction: every value above is reduced mod p already
-    ew = field_elem_width(p)
-    size = 2 * repetitions * ew
-    # the Z fields are identical across nodes: share one tuple per j
-    # (insertion order stays interleaved s0, Z0, s1, Z1, ... -- wire layout)
-    z_fields = [("felem", z_totals[j], ew) for j in range(repetitions)]
+    fmt = round3_format(repetitions)
     labels: Dict[int, Label] = {}
     for v in graph.nodes():
-        s_v = s[v]
-        fields = {}
-        for j, (key_s, key_z) in enumerate(keys):
-            fields[key_s] = ("felem", s_v[j], ew)
-            fields[key_z] = z_fields[j]
-        labels[v] = Label._trusted(fields, size)
+        labels[v] = fmt.pack([x for pair in zip(s[v], z_totals) for x in pair])
     return labels
 
 

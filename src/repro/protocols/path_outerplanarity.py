@@ -33,10 +33,18 @@ from __future__ import annotations
 
 import math
 import random
-from functools import partial
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.labels import EMPTY_LABEL, BitString, Label, uint_width
+from ..core.labels import (
+    EMPTY_LABEL,
+    OMIT,
+    BitString,
+    Label,
+    LabelFormat,
+    nest_labels,
+    uint_width,
+)
 from ..core.network import Edge, Graph, norm_edge
 from ..core.protocol import (
     DecideBatch,
@@ -50,7 +58,7 @@ from ..core.transcript import RunResult
 from ..core.views import NodeView
 from ..graphs.outerplanar import find_path_outerplanar_witness
 from ..graphs.spanning import bfs_spanning_tree, hamiltonian_path_forest, RootedForest
-from ..primitives.edge_labels import EdgeLabelSimulation, N_FORESTS
+from ..primitives.edge_labels import FOREST_KEYS, EdgeLabelSimulation, N_FORESTS
 from ..primitives.forest_encoding import (
     DecodedForestView,
     decode_forest_fields,
@@ -331,7 +339,86 @@ def _safe_forest_encoding(graph: Graph, forest: RootedForest) -> Dict[int, Label
     try:
         return forest_encoding_labels(graph, forest)
     except ValueError:
-        return {v: Label() for v in graph.nodes()}
+        return {v: _EMPTY_SUB for v in graph.nodes()}
+
+
+# ---------------------------------------------------------------------------
+# label formats
+# ---------------------------------------------------------------------------
+
+_R1_KEYS = ("commit", "lr")
+_R3_KEYS = ("stv", "lr", "nest")
+_R5_KEYS = ("lr",)
+_R5_LR_KEYS = ("rq0", "rq1", "A0", "A1", "B0", "B1")
+_EMIT_KEYS = ("node", "edges")
+_EMIT_SETUP_KEYS = ("node", "edges", "forests")
+
+#: the 0-bit sub-label of a stage with no fields (a distinct object from
+#: EMPTY_LABEL, which the checker uses as its "no sub-label" marker)
+_EMPTY_SUB = nest_labels((), ())
+
+
+class _POFormats:
+    """The born-packed label layouts of one parameter set."""
+
+    def __init__(self, iw: int, multi_block: bool, p: int, p2: int, w: int):
+        self.multi_block = multi_block
+        lr1 = [("idx", "uint", iw)]
+        keys3: Tuple[str, ...] = ("rb",)
+        if multi_block:
+            lr1 += [
+                ("x1bit", "uint", 1),
+                ("x2bit", "uint", 1),
+                ("side", "uint", 2),
+                ("M", "uint", iw),
+            ]
+            keys3 += PathOuterplanarityProtocol._R3_MULTI_KEYS
+        self.lr1 = LabelFormat(lr1, optional=("M",))
+        self.e1 = LabelFormat(
+            (
+                ("inner", "flag", None),
+                ("I", "uint", iw),
+                ("fwd", "flag", None),
+                ("ltail", "flag", None),
+                ("lhead", "flag", None),
+            ),
+            optional=("I",),
+        )
+        self.lr3_keys = keys3
+        self.lr3 = LabelFormat(tuple((key, "felem", p) for key in keys3))
+        self.nest = LabelFormat(
+            (
+                ("above", "maybe", 2 * w),
+                ("has_left", "flag", None),
+                ("has_right", "flag", None),
+            )
+        )
+        self.e3 = LabelFormat(
+            (
+                ("jval", "felem", p),
+                ("name_t", "uint", w),
+                ("name_h", "uint", w),
+                ("succ", "maybe", 2 * w),
+            ),
+            optional=("jval",),
+        )
+        #: round 5 exists only with several blocks (p2 is 0 otherwise)
+        self.lr5 = (
+            LabelFormat(tuple((key, "felem", p2) for key in _R5_LR_KEYS))
+            if multi_block
+            else None
+        )
+
+
+@lru_cache(maxsize=256)
+def _formats(iw: int, multi_block: bool, p: int, p2: int, w: int) -> _POFormats:
+    return _POFormats(iw, multi_block, p, p2, w)
+
+
+def _po_formats(pm: "PathOuterplanarityParams") -> _POFormats:
+    plr = pm.lr
+    multi = plr.n_blocks > 1
+    return _formats(plr.index_width, multi, plr.p, plr.p2 if multi else 0, pm.w)
 
 
 # ---------------------------------------------------------------------------
@@ -352,153 +439,76 @@ class PathOuterplanarityProtocol(DIPProtocol):
         return HonestPathOuterplanarityProver(instance)
 
     # -- label formats -------------------------------------------------------
+    #
+    # Every format below is born packed (see ``_po_formats``); a sub-label
+    # the prover supplies as a generic-builder tree (adversaries) keeps
+    # its wrapper a tree, packed lazily.
 
-    def _r1_node(self, pm, fields) -> Label:
+    def _r1_node(self, fmts, fields) -> Label:
         commit = fields.get("commit")
         if not isinstance(commit, Label):
-            commit = Label()
-        lr = self._lr_r1_node(pm, fields.get("lr") or {})
-        if lr is None:
-            lr = Label()
-        return Label._trusted(
-            {
-                "commit": ("label", commit, commit._size),
-                "lr": ("label", lr, lr._size),
-            },
-            commit._size + lr._size,
-        )
+            commit = _EMPTY_SUB
+        lr = fields.get("lr")
+        lr_lbl = self._lr_r1_node(fmts, lr) if lr else _EMPTY_SUB
+        return nest_labels(_R1_KEYS, (commit, lr_lbl))
 
-    def _lr_r1_node(self, pm, f) -> Optional[Label]:
-        if not f:
-            return None
-        iw = pm.lr.index_width
-        idx = f["idx"]
-        if idx < 0 or idx.bit_length() > iw:
-            raise ValueError(f"idx={idx} does not fit in {iw} bits")
-        fields = {"idx": ("uint", idx, iw)}
-        size = iw
-        if pm.lr.n_blocks > 1:
-            for key, width in (("x1bit", 1), ("x2bit", 1), ("side", 2)):
-                value = f.get(key, 0)
-                if value < 0 or value.bit_length() > width:
-                    raise ValueError(f"{key}={value} does not fit in {width} bits")
-                fields[key] = ("uint", value, width)
-                size += width
-            if "M" in f:
-                m = f["M"]
-                if m < 0 or m.bit_length() > iw:
-                    raise ValueError(f"M={m} does not fit in {iw} bits")
-                fields["M"] = ("uint", m, iw)
-                size += iw
-        return Label._trusted(fields, size)
+    def _lr_r1_node(self, fmts, f) -> Label:
+        if fmts.multi_block:
+            return fmts.lr1.pack(
+                (
+                    f["idx"],
+                    f.get("x1bit", 0),
+                    f.get("x2bit", 0),
+                    f.get("side", 0),
+                    f["M"] if "M" in f else OMIT,
+                )
+            )
+        return fmts.lr1.pack((f["idx"],))
 
-    def _r1_edge(self, pm, f) -> Label:
+    def _r1_edge(self, fmts, f) -> Label:
         inner = bool(f.get("inner", True))
-        fields = {"inner": ("flag", inner, 1)}
-        size = 1
-        if not inner:
-            iw = pm.lr.index_width
-            i_val = f["I"]
-            if i_val < 0 or i_val.bit_length() > iw:
-                raise ValueError(f"I={i_val} does not fit in {iw} bits")
-            fields["I"] = ("uint", i_val, iw)
-            size += iw
-        fields["fwd"] = ("flag", bool(f.get("fwd", False)), 1)
-        fields["ltail"] = ("flag", bool(f.get("ltail", False)), 1)
-        fields["lhead"] = ("flag", bool(f.get("lhead", False)), 1)
-        return Label._trusted(fields, size + 3)
+        return fmts.e1.pack(
+            (
+                inner,
+                OMIT if inner else f["I"],
+                f.get("fwd", False),
+                f.get("ltail", False),
+                f.get("lhead", False),
+            )
+        )
 
     _R3_MULTI_KEYS = ("r", "rp", "pfx2_r", "sfx1_r", "pfx1_rp")
 
-    def _r3_node(self, pm, f) -> Label:
-        plr = pm.lr
+    def _r3_node(self, fmts, f) -> Label:
         stv = f.get("stv")
         if not isinstance(stv, Label):
-            stv = Label()
+            stv = _EMPTY_SUB
         lr = f.get("lr") or {}
-        if lr:
-            p, ew = plr.p, plr.fw
-            keys = ("rb",) + self._R3_MULTI_KEYS if plr.n_blocks > 1 else ("rb",)
-            lf = {}
-            for key in keys:
-                value = lr[key]
-                if not 0 <= value < p:
-                    raise ValueError(f"{key}={value} is not an element of F_{p}")
-                lf[key] = ("felem", value, ew)
-            lr_lbl = Label._trusted(lf, ew * len(lf))
-        else:
-            lr_lbl = Label()
+        lr_lbl = fmts.lr3.pack(lr[key] for key in fmts.lr3_keys) if lr else _EMPTY_SUB
         nest = f.get("nest") or {}
-        above = nest.get("above")
-        if above is None:
-            af = ("maybe", None, 1)
-        else:
-            above = int(above)
-            w2 = 2 * pm.w
-            if above < 0 or above.bit_length() > w2:
-                raise ValueError(f"above={above} does not fit in {w2} bits")
-            af = ("maybe", above, 1 + w2)
-        nest_lbl = Label._trusted(
-            {
-                "above": af,
-                "has_left": ("flag", bool(nest.get("has_left", False)), 1),
-                "has_right": ("flag", bool(nest.get("has_right", False)), 1),
-            },
-            af[2] + 2,
+        nest_lbl = fmts.nest.pack(
+            (
+                nest.get("above"),
+                nest.get("has_left", False),
+                nest.get("has_right", False),
+            )
         )
-        return Label._trusted(
-            {
-                "stv": ("label", stv, stv._size),
-                "lr": ("label", lr_lbl, lr_lbl._size),
-                "nest": ("label", nest_lbl, nest_lbl._size),
-            },
-            stv._size + lr_lbl._size + nest_lbl._size,
+        return nest_labels(_R3_KEYS, (stv, lr_lbl, nest_lbl))
+
+    def _r3_edge(self, fmts, f) -> Label:
+        return fmts.e3.pack(
+            (
+                f["jval"] if "jval" in f else OMIT,
+                f["name_t"],
+                f["name_h"],
+                f.get("succ"),
+            )
         )
 
-    def _r3_edge(self, pm, f) -> Label:
-        plr = pm.lr
-        w = pm.w
-        fields = {}
-        size = 0
-        if "jval" in f:
-            jval = f["jval"]
-            if not 0 <= jval < plr.p:
-                raise ValueError(f"jval={jval} is not an element of F_{plr.p}")
-            fields["jval"] = ("felem", jval, plr.fw)
-            size += plr.fw
-        for key in ("name_t", "name_h"):
-            value = f[key]
-            if value < 0 or value.bit_length() > w:
-                raise ValueError(f"{key}={value} does not fit in {w} bits")
-            fields[key] = ("uint", value, w)
-            size += w
-        succ = f.get("succ")
-        if succ is None:
-            fields["succ"] = ("maybe", None, 1)
-            size += 1
-        else:
-            succ = int(succ)
-            w2 = 2 * w
-            if succ < 0 or succ.bit_length() > w2:
-                raise ValueError(f"succ={succ} does not fit in {w2} bits")
-            fields["succ"] = ("maybe", succ, 1 + w2)
-            size += 1 + w2
-        return Label._trusted(fields, size)
-
-    def _r5_node(self, pm, f) -> Label:
+    def _r5_node(self, fmts, f) -> Label:
         lr = f.get("lr") or {}
-        if lr:
-            p2, ew2 = pm.lr.p2, pm.lr.fw2
-            lf = {}
-            for key in ("rq0", "rq1", "A0", "A1", "B0", "B1"):
-                value = lr[key]
-                if not 0 <= value < p2:
-                    raise ValueError(f"{key}={value} is not an element of F_{p2}")
-                lf[key] = ("felem", value, ew2)
-            lr_lbl = Label._trusted(lf, 6 * ew2)
-        else:
-            lr_lbl = Label()
-        return Label._trusted({"lr": ("label", lr_lbl, lr_lbl._size)}, lr_lbl._size)
+        lr_lbl = fmts.lr5.pack(lr[key] for key in _R5_LR_KEYS) if lr else _EMPTY_SUB
+        return nest_labels(_R5_KEYS, (lr_lbl,))
 
     # -- execution -------------------------------------------------------------
 
@@ -525,6 +535,7 @@ class PathOuterplanarityProtocol(DIPProtocol):
         """
         g = instance.graph
         pm = PathOuterplanarityParams(g.n, self.c)
+        fmts = _po_formats(pm)
         prover = (prover or self.honest_prover(instance)).bind(pm, sim)
         interaction = Interaction(g, rng)
 
@@ -545,25 +556,20 @@ class PathOuterplanarityProtocol(DIPProtocol):
                     node = node_labels.get(v)
                     if node is None:
                         node = EMPTY_LABEL
-                    edges = folded[v]
-                    fields = {
-                        "node": ("label", node, node._size),
-                        "edges": ("label", edges, edges._size),
-                    }
-                    size = node._size + edges._size
-                    if setup is not None:
-                        forests = setup[v]
-                        fields["forests"] = ("label", forests, forests._size)
-                        size += forests._size
-                    merged[v] = Label._trusted(fields, size)
+                    if setup is None:
+                        merged[v] = nest_labels(_EMIT_KEYS, (node, folded[v]))
+                    else:
+                        merged[v] = nest_labels(
+                            _EMIT_SETUP_KEYS, (node, folded[v], setup[v])
+                        )
                 node_labels = merged
             interaction.prover_round(node_labels, edge_labels)
 
         # round 1
         n1, e1 = prover.round1()
         try:
-            labels1 = {v: self._r1_node(pm, f) for v, f in n1.items()}
-            elabels1 = {e: self._r1_edge(pm, f) for e, f in e1.items()}
+            labels1 = {v: self._r1_node(fmts, f) for v, f in n1.items()}
+            elabels1 = {e: self._r1_edge(fmts, f) for e, f in e1.items()}
         except (ValueError, KeyError) as exc:
             raise ProtocolError(f"malformed round-1 message: {exc}") from exc
         emit(labels1, elabels1)
@@ -584,8 +590,8 @@ class PathOuterplanarityProtocol(DIPProtocol):
         # round 3
         n3, e3 = prover.round3(coins2)
         try:
-            labels3 = {v: self._r3_node(pm, f) for v, f in n3.items()}
-            elabels3 = {e: self._r3_edge(pm, f) for e, f in e3.items()}
+            labels3 = {v: self._r3_node(fmts, f) for v, f in n3.items()}
+            elabels3 = {e: self._r3_edge(fmts, f) for e, f in e3.items()}
         except (ValueError, KeyError) as exc:
             raise ProtocolError(f"malformed round-3 message: {exc}") from exc
         emit(labels3, elabels3)
@@ -602,7 +608,7 @@ class PathOuterplanarityProtocol(DIPProtocol):
         # round 5
         n5 = prover.round5(coins4) if pm.lr.n_blocks > 1 else {}
         try:
-            labels5 = {v: self._r5_node(pm, f) for v, f in n5.items()}
+            labels5 = {v: self._r5_node(fmts, f) for v, f in n5.items()}
         except (ValueError, KeyError) as exc:
             raise ProtocolError(f"malformed round-5 message: {exc}") from exc
         emit(labels5, {})
@@ -697,8 +703,6 @@ def _unwrap(label: Label) -> Label:
 #: sentinel for an absent field / absent sub-label where None is a legal value
 _MISSING = object()
 
-_FOREST_KEYS = tuple(f"forest{i}" for i in range(N_FORESTS))
-
 
 def _commit_fields(wrapped: Label):
     """Lemma-2.3 fields of the round-1 ``commit`` sub; None when the sub is
@@ -721,7 +725,7 @@ def _forest_enc_fields(wrapped: Label):
     if setup is None:
         return None
     out = []
-    for key in _FOREST_KEYS:
+    for key in FOREST_KEYS:
         enc = _sub(setup, key)
         out.append(_MISSING if enc is None else forest_label_fields(enc))
     return tuple(out)

@@ -16,9 +16,7 @@ Design lineage, deliberately:
   that took the local pool from 0.865x to parity.
 * **Packed blob transport (PR 6).**  Frames are pickled payloads, so
   every label inside a spec (witness paths, pinned adversary state)
-  ships in the packed byte form automatically; the
-  ``REPRO_DISABLE_PACKED_LABELS=1`` hatch applies per process, and the
-  differential suite runs both legs over this backend.
+  ships in the packed byte form automatically.
 * **Fault handling (PR 3).**  A dropped connection is a lost shard: the
   runs consume one attempt each, route through the shared
   ``_ResilientExecution`` bookkeeping, and are resubmitted to surviving

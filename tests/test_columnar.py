@@ -6,9 +6,8 @@ path performs:
 
 1. for every label the builders can produce, the shift/mask extraction
    plan yields the same field values as ``PackedLabel``/tree decode,
-   field by field, on both wire-backed and tree-backed rows (Hypothesis
-   drives this over random nested labels, with the object-tree hatch leg
-   included);
+   field by field, on both packed and generic-builder (tree) rows
+   (Hypothesis drives this over random nested labels);
 2. the leaf shifts agree with :func:`wire_leaf_span` -- the columns read
    exactly the bits the mutation engine reports as the field's wire span;
 3. every gate (escape hatch, missing numpy, size floor) degrades to the
@@ -17,8 +16,6 @@ path performs:
 Byte-identity of full batch reports across vector on/off is pinned by
 ``test_wire_differential.py``; this module covers the layer below.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -118,21 +115,6 @@ class TestExtractionProperty:
     @settings(max_examples=150, deadline=None)
     def test_columnar_matches_decode_field_by_field(self, lbl):
         _check_extraction(lbl)
-
-    @given(labels())
-    @settings(max_examples=75, deadline=None)
-    def test_columnar_matches_decode_object_tree_leg(self, lbl):
-        # hypothesis forbids function-scoped fixtures, so save/restore the
-        # hatch by hand (mirrors test_wire_format's pickle property)
-        saved = os.environ.get("REPRO_DISABLE_PACKED_LABELS")
-        os.environ["REPRO_DISABLE_PACKED_LABELS"] = "1"
-        try:
-            _check_extraction(lbl)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_DISABLE_PACKED_LABELS", None)
-            else:
-                os.environ["REPRO_DISABLE_PACKED_LABELS"] = saved
 
     @given(labels())
     @settings(max_examples=100, deadline=None)

@@ -177,9 +177,7 @@ def test_stream_then_inverse_restores_certification(seed, n):
     assert after == before
 
 
-def test_reversibility_object_tree_leg(monkeypatch):
-    # the packed-labels escape hatch must preserve the same invariant
-    monkeypatch.setenv("REPRO_DISABLE_PACKED_LABELS", "1")
+def test_reversibility_planarity():
     spec = ChurnCampaignSpec(task="planarity", n=14, seed=11, n_updates=8)
     g0 = initial_graph(spec)
     before = node_signatures(_certify("planarity", g0, 11))
@@ -333,13 +331,10 @@ def test_repeated_row_is_counted_as_a_multiset():
         assert oracle_diff_signatures(prev and ref[prev], ref[cur]) == expected
 
 
-@pytest.mark.parametrize("label_repr", ["packed", "object-tree"])
-def test_signatures_survive_a_pickle_round_trip(monkeypatch, label_repr):
-    # wire-backed labels decode through schema_from_desc, so their rows
-    # must key on the very schema objects the in-process labels use
-    monkeypatch.setenv(
-        "REPRO_DISABLE_PACKED_LABELS", "1" if label_repr == "object-tree" else "0"
-    )
+def test_signatures_survive_a_pickle_round_trip():
+    # wire-decoded labels resolve their schema through schema_from_desc,
+    # so their rows must key on the very schema objects the in-process
+    # labels use
     for task in sorted(DYNAMIC_TASKS):
         spec = ChurnCampaignSpec(task=task, n=16, seed=4)
         local = _certify(task, initial_graph(spec), spec.seed)
@@ -350,7 +345,7 @@ def test_signatures_survive_a_pickle_round_trip(monkeypatch, label_repr):
             for rnd in sub.result.transcript.prover_rounds()
             for label in rnd.labels.values()
         }
-        assert kinds == ({PackedLabel} if label_repr == "packed" else {Label})
+        assert kinds == {PackedLabel}
         assert node_signatures(wired) == node_signatures(local)
 
 

@@ -1,31 +1,33 @@
-"""Differential harness: packed wire labels vs. the object-tree path.
+"""Differential harness: one canonical report however a run is decided.
 
-``REPRO_DISABLE_PACKED_LABELS=1`` is the tentpole's escape hatch — it
-reverts pickling and shard transport to the pre-packing object-tree
-representation.  These tests pin the two representations *observationally
+Labels cross process boundaries in their packed form only (the shard
+transport ships each prover round as one schema table plus one payload
+blob).  These tests pin the paths that remain *observationally
 identical* for every registered task: canonical batch reports (which
 cover acceptance, proof-size bits, and rejection counts per run) must be
-byte-identical, fuzz adversaries must mutate the same fields with the
-same outcomes and the same reported wire offsets, and the cross of
-{packed, tree} x {decode cache on, off} x {serial, 2 workers} must
-collapse to a single canonical report.
+byte-identical between serial runs and 2-worker runs, fuzz adversaries
+must mutate the same fields with the same outcomes and the same reported
+wire offsets, and the cross of {decode cache on, off} x {serial, 2
+workers} x {vector decide on, off} must collapse to a single canonical
+report.
 
 The worker legs matter most: shard results cross a process boundary, so
 they exercise the packed ``ProverRound`` blob transport end to end.
+That born-packed labels equal the generic builder's trees field by field
+is pinned one layer down, in ``test_born_packed.py``.
 """
 
 import pickle
 
 import pytest
 
-from repro.core.labels import packed_labels_disabled
 from repro.runtime.registry import FUZZ_ROUNDS, get_task, task_names
 from repro.runtime.runner import BatchRunner
 
 ALL_TASKS = sorted(task_names())
 FUZZ_ADVERSARIES = [f"fuzz_r{r}" for r in FUZZ_ROUNDS]
 
-#: the extra keys a mutation report must agree on across representations
+#: the extra keys a mutation report must agree on across decide paths
 #: (the rest of ``extra`` is timing/bookkeeping outside the invariant)
 MUTATION_KEYS = (
     "mutated", "round", "path", "stage", "site", "applied_op", "caught_by",
@@ -33,13 +35,7 @@ MUTATION_KEYS = (
 )
 
 
-def _set_mode(monkeypatch, *, packed, cache=True, vector=None):
-    if packed:
-        monkeypatch.delenv("REPRO_DISABLE_PACKED_LABELS", raising=False)
-    else:
-        # worker processes inherit the environment, so the hatch reaches
-        # the shard side of the pickle boundary too
-        monkeypatch.setenv("REPRO_DISABLE_PACKED_LABELS", "1")
+def _set_mode(monkeypatch, *, cache=True, vector=None):
     if cache:
         monkeypatch.delenv("REPRO_DISABLE_DECODE_CACHE", raising=False)
     else:
@@ -76,37 +72,26 @@ def _outcomes(report):
 
 class TestHonestDifferential:
     @pytest.mark.parametrize("task", ALL_TASKS)
-    def test_packed_vs_tree_serial(self, task, monkeypatch):
-        _set_mode(monkeypatch, packed=True)
-        packed = _run(task)
-        _set_mode(monkeypatch, packed=False)
-        tree = _run(task)
-        assert packed.canonical_json() == tree.canonical_json()
-        assert _outcomes(packed) == _outcomes(tree)
-
-    @pytest.mark.parametrize("task", ALL_TASKS)
-    def test_packed_vs_tree_two_workers(self, task, monkeypatch):
-        _set_mode(monkeypatch, packed=True)
-        packed = _run(task, workers=2)
-        _set_mode(monkeypatch, packed=False)
-        tree = _run(task, workers=2)
-        assert packed.canonical_json() == tree.canonical_json()
-        assert _outcomes(packed) == _outcomes(tree)
+    def test_serial_vs_two_workers(self, task, monkeypatch):
+        _set_mode(monkeypatch)
+        serial = _run(task)
+        pooled = _run(task, workers=2)
+        assert pooled.canonical_json() == serial.canonical_json()
+        assert _outcomes(pooled) == _outcomes(serial)
 
 
 class TestFuzzDifferential:
     @pytest.mark.parametrize("task", ALL_TASKS)
     @pytest.mark.parametrize("adversary", FUZZ_ADVERSARIES)
-    def test_packed_vs_tree(self, task, adversary, monkeypatch):
-        _set_mode(monkeypatch, packed=True)
-        packed = _run(task, adversary)
-        _set_mode(monkeypatch, packed=False)
-        tree = _run(task, adversary)
-        assert packed.canonical_json() == tree.canonical_json()
-        assert _outcomes(packed) == _outcomes(tree)
-        # same mutations, same catchers, same *wire* coordinates: the
-        # offsets come from the packed schema in both representations
-        for a, b in zip(packed.records, tree.records):
+    def test_serial_vs_two_workers(self, task, adversary, monkeypatch):
+        _set_mode(monkeypatch)
+        serial = _run(task, adversary)
+        pooled = _run(task, adversary, workers=2)
+        assert pooled.canonical_json() == serial.canonical_json()
+        assert _outcomes(pooled) == _outcomes(serial)
+        # same mutations, same catchers, same *wire* coordinates on both
+        # sides of the process boundary
+        for a, b in zip(serial.records, pooled.records):
             extra_a = a.extra or {}
             extra_b = b.extra or {}
             for key in MUTATION_KEYS:
@@ -114,19 +99,18 @@ class TestFuzzDifferential:
 
 
 class TestFullCross:
-    """{packed, tree} x {cache on, off} x {serial, 2 workers} -> one report."""
+    """{cache on, off} x {serial, 2 workers} -> one report."""
 
     @pytest.mark.parametrize("task", ["lr_sorting", "path_outerplanarity"])
-    def test_eight_way_cross_is_byte_identical(self, task, monkeypatch):
+    def test_four_way_cross_is_byte_identical(self, task, monkeypatch):
         reports = {}
-        for packed in (True, False):
-            for cache in (True, False):
-                for workers in (0, 2):
-                    _set_mode(monkeypatch, packed=packed, cache=cache)
-                    reports[(packed, cache, workers)] = _run(
-                        task, workers=workers
-                    ).canonical_json()
-        baseline = reports[(True, True, 0)]
+        for cache in (True, False):
+            for workers in (0, 2):
+                _set_mode(monkeypatch, cache=cache)
+                reports[(cache, workers)] = _run(
+                    task, workers=workers
+                ).canonical_json()
+        baseline = reports[(True, 0)]
         for combo, canonical in reports.items():
             assert canonical == baseline, combo
 
@@ -135,20 +119,19 @@ class TestVectorDifferential:
     """The third axis: vectorized columnar decide on vs. off.
 
     Kernel verdicts must collapse to the per-view path's byte for byte --
-    honest and adversarial, on both wire representations.  The vector-on
-    legs force ``REPRO_VECTOR_MIN_NODES=2`` so the kernels actually decide
-    these (deliberately small) runs instead of ducking under the size gate.
+    honest and adversarial.  The vector-on legs force
+    ``REPRO_VECTOR_MIN_NODES=2`` so the kernels actually decide these
+    (deliberately small) runs instead of ducking under the size gate.
     """
 
     @pytest.mark.parametrize("task", ALL_TASKS)
     @pytest.mark.parametrize("adversary", [None] + FUZZ_ADVERSARIES)
-    def test_vector_cross_representations(self, task, adversary, monkeypatch):
+    def test_vector_cross(self, task, adversary, monkeypatch):
         reports = {}
-        for packed in (True, False):
-            for vector in (True, False):
-                _set_mode(monkeypatch, packed=packed, vector=vector)
-                reports[(packed, vector)] = _run(task, adversary)
-        baseline = reports[(True, False)]
+        for vector in (True, False):
+            _set_mode(monkeypatch, vector=vector)
+            reports[vector] = _run(task, adversary)
+        baseline = reports[False]
         base_json = baseline.canonical_json()
         for combo, report in reports.items():
             assert report.canonical_json() == base_json, combo
@@ -168,7 +151,7 @@ class TestVectorDifferential:
         reports = {}
         for vector in (True, False):
             for workers in (0, 2):
-                _set_mode(monkeypatch, packed=True, vector=vector)
+                _set_mode(monkeypatch, vector=vector)
                 reports[(vector, workers)] = _run(
                     task, workers=workers
                 ).canonical_json()
@@ -177,16 +160,16 @@ class TestVectorDifferential:
             assert canonical == baseline, combo
 
 
-class TestEscapeHatch:
-    def test_hatch_flag_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_PACKED_LABELS", raising=False)
-        assert not packed_labels_disabled()
-        monkeypatch.setenv("REPRO_DISABLE_PACKED_LABELS", "0")
-        assert not packed_labels_disabled()
-        monkeypatch.setenv("REPRO_DISABLE_PACKED_LABELS", "1")
-        assert packed_labels_disabled()
+def _tree_of(label):
+    """The label as plain nested field dicts (the object-tree shape)."""
+    return {
+        name: (kind, _tree_of(value) if kind == "label" else value, width)
+        for name, kind, value, width in label.fields()
+    }
 
-    def test_packed_transport_is_smaller(self, monkeypatch):
+
+class TestPackedTransport:
+    def test_packed_transport_is_smaller(self):
         """The point of the blob: shard bytes drop vs. pickled trees."""
         spec = get_task("path_outerplanarity")
         from repro.runtime.seeds import SeedSequence
@@ -200,11 +183,18 @@ class TestEscapeHatch:
         result = spec.protocol().execute(
             instance, rng=run_ss.child("protocol").rng()
         )
-        monkeypatch.delenv("REPRO_DISABLE_PACKED_LABELS", raising=False)
         packed_bytes = len(pickle.dumps(result.transcript))
-        monkeypatch.setenv("REPRO_DISABLE_PACKED_LABELS", "1")
-        tree_bytes = len(pickle.dumps(result.transcript))
-        monkeypatch.delenv("REPRO_DISABLE_PACKED_LABELS", raising=False)
+        tree_bytes = len(
+            pickle.dumps(
+                [
+                    (
+                        {v: _tree_of(l) for v, l in rnd.labels.items()},
+                        {e: _tree_of(l) for e, l in rnd.edge_labels.items()},
+                    )
+                    for rnd in result.transcript.prover_rounds()
+                ]
+            )
+        )
         assert packed_bytes < tree_bytes / 2, (packed_bytes, tree_bytes)
         # and the packed pickle round-trips to an equal transcript
         clone = pickle.loads(pickle.dumps(result.transcript))

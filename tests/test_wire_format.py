@@ -127,8 +127,9 @@ class TestRoundTrip:
     def test_unpacked_view_repacks_to_same_bytes(self, lbl):
         schema, payload = lbl.pack()
         view = PackedLabel._from_payload(schema, payload)
-        view._ensure()  # force a full decode, then pack the decoded tree
-        rs, rp = Label._trusted(dict(view._fields), view._size).pack()
+        # decode every field, then pack the decoded tree
+        fields = {name: (kind, value, width) for name, kind, value, width in view.fields()}
+        rs, rp = Label._trusted(fields, view.bit_size()).pack()
         assert rs is schema and rp == payload
 
     @given(labels())
@@ -143,24 +144,12 @@ class TestRoundTrip:
 
     @given(labels())
     @settings(max_examples=100)
-    def test_pickle_round_trip_both_representations(self, lbl):
-        # hypothesis forbids function-scoped fixtures, so save/restore the
-        # hatch by hand (the CI object-tree leg sets it process-wide)
-        saved = os.environ.get("REPRO_DISABLE_PACKED_LABELS")
-        try:
-            os.environ.pop("REPRO_DISABLE_PACKED_LABELS", None)
-            packed = pickle.loads(pickle.dumps(lbl))
-            assert isinstance(packed, PackedLabel)
-            os.environ["REPRO_DISABLE_PACKED_LABELS"] = "1"
-            tree = pickle.loads(pickle.dumps(lbl))
-            tree_from_view = pickle.loads(pickle.dumps(packed))
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_DISABLE_PACKED_LABELS", None)
-            else:
-                os.environ["REPRO_DISABLE_PACKED_LABELS"] = saved
-        assert type(tree) is Label and type(tree_from_view) is Label
-        assert tree == lbl == packed == tree_from_view
+    def test_pickle_round_trip(self, lbl):
+        packed = pickle.loads(pickle.dumps(lbl))
+        assert isinstance(packed, PackedLabel)
+        again = pickle.loads(pickle.dumps(packed))
+        assert isinstance(again, PackedLabel)
+        assert lbl == packed == again and again == lbl
 
     @given(labels())
     @settings(max_examples=50)
