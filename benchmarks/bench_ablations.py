@@ -100,26 +100,17 @@ def test_stv_repetitions(benchmark):
 
             class Cheater(STVProver):
                 def round3(self, coins, repetitions):
-                    from repro.core.labels import Label
                     from repro.primitives.spanning_tree_verification import (
-                        STV_FIELD,
-                        honest_round3_labels,
+                        honest_round3_columns,
                     )
 
-                    labels = honest_round3_labels(
-                        self.graph, self.tree, coins, repetitions
+                    columns = honest_round3_columns(
+                        self.tree, [coins[v] for v in self.graph.nodes()], repetitions
                     )
-                    roots = self.tree.roots()
-                    out = {}
-                    for v, lbl in labels.items():
-                        new = Label()
-                        for j in range(repetitions):
-                            new.field_elem(f"s{j}", lbl[f"s{j}"], STV_FIELD.p)
-                            new.field_elem(
-                                f"Z{j}", labels[roots[0]][f"s{j}"], STV_FIELD.p
-                            )
-                        out[v] = new
-                    return out
+                    root = self.tree.roots()[0]
+                    for j in range(repetitions):
+                        columns[2 * j + 1] = [columns[2 * j][root]] * self.graph.n
+                    return columns
 
             res = proto.execute(inst, prover=Cheater(g, bad), rng=random.Random(t))
             accepted += res.accepted

@@ -9,9 +9,9 @@ protocols at once, with no per-protocol subclassing:
 - :class:`MutationTap` hooks the one choke point every prover message of
   every protocol flows through (:meth:`Interaction.prover_round
   <repro.core.protocol.Interaction.prover_round>`, including the sub-runs
-  spawned inside composite protocols), introspects the built
-  :class:`~repro.core.labels.Label` structure via ``Label.walk()``, and
-  applies one single-field mutation in the chosen round.
+  spawned inside composite protocols), enumerates the mutable leaves of
+  the round from the labels' packed schemas (decoding only the leaves it
+  picks), and applies one single-field mutation in the chosen round.
 - :class:`MutatingProver` wraps any honest prover object: it delegates
   every attribute to the wrapped prover (so composite protocols can keep
   calling their ``block_path`` / ``sub_prover`` / ``rotations`` hooks) and
@@ -51,10 +51,11 @@ separately asserted lossless by the test suite.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.labels import BitString, FieldPath, Label, wire_leaf_span
+from ..core.labels import BitString, FieldPath, PackedLabel, leaf_value, wire_leaf_span
 from ..core.protocol import LabelTap
 
 MUTATION_OPS = ("bit_flip", "rerandomize", "swap_between_nodes", "zero_out")
@@ -113,31 +114,31 @@ class MutationTap(LabelTap):
         self.exclude_prefixes = tuple(exclude_prefixes)
         self.record: Optional[MutationRecord] = None
         self._seen_eligible = 0
+        self._tables: Dict = {}
 
     # -- site enumeration --------------------------------------------------
 
-    def _sites(self, labels: Dict, edge_labels: Dict) -> List[Tuple]:
-        """All mutable leaves, in deterministic emission order."""
-        sites = []
-        for pool_kind, store in (("node", labels), ("edge", edge_labels)):
-            for owner, label in store.items():
-                for path, kind, value, width in label.walk():
-                    if path[0] in self.exclude_prefixes:
-                        continue
-                    if kind == "maybe" and value is None:
-                        continue  # value width is not on the wire
-                    if width <= 0:
-                        continue
-                    sites.append((pool_kind, owner, path, kind, value, width))
-        return sites
+    def _leaf_table(self, schema):
+        """The mutable leaves of ``schema`` (its leaf table minus excluded
+        prefixes and 0-bit leaves), and whether any of them is a ``maybe``
+        (whose presence only the payload tells)."""
+        table = self._tables.get(schema)
+        if table is None:
+            leaves = tuple(
+                leaf
+                for leaf in schema.leaves()
+                if leaf[0][0] not in self.exclude_prefixes and leaf[2] > 0
+            )
+            table = self._tables[schema] = (leaves, any(leaf[1] == "maybe" for leaf in leaves))
+        return table
 
     # -- the tap -----------------------------------------------------------
 
     def on_prover_round(self, interaction, msg_index, labels, edge_labels) -> None:
         if self.record is not None or msg_index != self.msg_target:
             return
-        sites = self._sites(labels, edge_labels)
-        if not sites:
+        sites = _Sites(self, labels, edge_labels)
+        if not len(sites):
             return  # empty/ineligible emission: wait for the next one
         emission = self._seen_eligible
         self._seen_eligible += 1
@@ -175,18 +176,9 @@ class MutationTap(LabelTap):
 
     def _apply(self, rng, store, sites, pool_kind, owner, path, kind, old, width, op):
         if op == "swap_between_nodes":
-            partners = [
-                s
-                for s in sites
-                if s[0] == pool_kind
-                and s[2] == path
-                and s[1] != owner
-                and s[3] == kind
-                and s[5] == width
-                and s[4] != old
-            ]
+            partners = sites.partners(pool_kind, owner, path, kind, old, width)
             if partners:
-                _, other, _, _, other_value, _ = rng.choice(partners)
+                other, other_value = rng.choice(partners)
                 store[owner] = store[owner].with_value(path, other_value)
                 store[other] = store[other].with_value(path, old)
                 return op, other_value, other
@@ -204,6 +196,90 @@ class MutationTap(LabelTap):
             new = _rerandomize(rng, kind, old, width)
         store[owner] = store[owner].with_value(path, new)
         return op, new, None
+
+
+class _Sites:
+    """All mutable leaves of one prover round, in deterministic emission
+    order (node labels, then edge labels; each label's leaves in wire
+    order): a sequence of ``(pool_kind, owner, path, kind, value, width)``.
+
+    A packed label's leaves come from its schema's leaf table, and an item
+    decodes its one leaf on demand; a generic-builder label is walked (its
+    values are at hand, and packing it would cost more than the walk).  A
+    ``maybe`` leaf is a site only while it holds a value (an absent one's
+    value width is not on the wire); ``maybe`` leaves report kind
+    ``"maybe"`` whatever their value type, like ``Label.walk``.
+    """
+
+    def __init__(self, tap: MutationTap, labels: Dict, edge_labels: Dict):
+        #: per label with sites: (pool_kind, owner, payload or None for a
+        #: walked label, its sites); a packed label's sites are ``(path,
+        #: schema kind, width, shift)``, a walked label's ``(path, kind,
+        #: width, value)``; ``ends`` counts the sites up to each label
+        self.owners: List[Tuple] = []
+        self.ends: List[int] = []
+        total = 0
+        for pool_kind, store in (("node", labels), ("edge", edge_labels)):
+            for owner, label in store.items():
+                if isinstance(label, PackedLabel):
+                    schema, payload = label.pack()
+                    leaves, has_maybe = tap._leaf_table(schema)
+                    if has_maybe:
+                        leaves = tuple(leaf for leaf in leaves if _present(leaf, payload))
+                else:
+                    payload = None
+                    leaves = tuple(
+                        (path, kind, width, value)
+                        for path, kind, value, width in label.walk()
+                        if path[0] not in tap.exclude_prefixes
+                        and width > 0
+                        and not (kind == "maybe" and value is None)
+                    )
+                if leaves:
+                    total += len(leaves)
+                    self.owners.append((pool_kind, owner, payload, leaves))
+                    self.ends.append(total)
+        self.total = total
+
+    def __len__(self) -> int:
+        return self.total
+
+    def __getitem__(self, k: int) -> Tuple:
+        i = bisect_right(self.ends, k)
+        pool_kind, owner, payload, leaves = self.owners[i]
+        leaf = leaves[k - (self.ends[i] - len(leaves))]
+        path, kind, value, width = _site(leaf, payload)
+        return (pool_kind, owner, path, kind, value, width)
+
+    def partners(self, pool_kind, owner, path, kind, old, width) -> List[Tuple]:
+        """``(owner, value)`` of every other owner in the pool whose leaf at
+        ``path`` is a site of the same kind and width holding another value."""
+        out = []
+        for pool, other, payload, leaves in self.owners:
+            leaf = next((leaf for leaf in leaves if leaf[0] == path), None)
+            if pool != pool_kind or other == owner or leaf is None:
+                continue
+            _, leaf_kind, leaf_value, leaf_width = _site(leaf, payload)
+            if leaf_kind == kind and leaf_width == width and leaf_value != old:
+                out.append((other, leaf_value))
+        return out
+
+
+def _site(leaf, payload: Optional[int]) -> Tuple:
+    """``(path, kind, value, width)`` of a site (see :class:`_Sites`)."""
+    if payload is None:
+        path, kind, width, value = leaf
+        return path, kind, value, width
+    path, kind, width, shift = leaf
+    value = leaf_value(kind, payload, shift, width)
+    return path, "maybe" if kind == "maybe_b" else kind, value, width
+
+
+def _present(leaf, payload: int) -> bool:
+    """False for a ``maybe`` leaf without a value (presence bit clear; a
+    ``maybe_b`` leaf always decodes to a bitstring)."""
+    _, kind, width, shift = leaf
+    return kind != "maybe" or (payload >> (shift + width - 1)) & 1 == 1
 
 
 _UNCHANGED = object()

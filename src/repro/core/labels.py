@@ -28,7 +28,7 @@ Absent labels cost zero bits.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 FieldValue = Union[int, bool, "Label", "BitString", None]
 
@@ -374,8 +374,9 @@ def _replaced_field(name: str, old: tuple, value: FieldValue) -> tuple:
 #
 # Labels reach the packed form two ways.  The fixed formats the protocols
 # and the columnar kernels share are *born packed*: a :class:`LabelFormat`
-# checks each value against its field and shifts it into the payload, and
-# :func:`nest_labels` concatenates packed sub-labels under an interned
+# checks each value against its field and shifts it into the payload (one
+# label at a time, or a whole column set at once), and :func:`nest_labels`
+# / :func:`wrapper_schema` concatenate packed sub-labels under an interned
 # wrapper schema.  Labels from the generic builder (``Label()``: per-view
 # protocols, adversaries, fuzz mutations) stay field trees and pack
 # lazily, on first :meth:`Label.pack`.
@@ -420,6 +421,22 @@ class LabelSchema:
         self.fields = tuple(fields)
         self.index = index
 
+    def leaves(self) -> List[Tuple[FieldPath, str, int, int]]:
+        """The leaf table: ``(path, kind, width, shift)`` of every non-label
+        field, nested ones included, in wire order.  ``shift`` counts
+        payload bits to the right of the leaf; read its value with
+        :func:`leaf_value`."""
+        out = []
+        for name, kind, width, child, shift in self.fields:
+            if child is None:
+                out.append(((name,), kind, width, shift))
+            else:
+                out += [
+                    ((name,) + path, sub_kind, sub_width, shift + sub_shift)
+                    for path, sub_kind, sub_width, sub_shift in child.leaves()
+                ]
+        return out
+
     def __repr__(self) -> str:
         names = ",".join(e[0] for e in self.desc)
         return f"LabelSchema({names} | {self.total_width}b)"
@@ -451,6 +468,12 @@ def _leaf_value(code: int, raw: int, width: int) -> FieldValue:
     if code == _MAYBE:
         return raw & ((1 << vwidth) - 1) if raw >> vwidth else None
     return BitString(raw & ((1 << vwidth) - 1), vwidth)  # maybe_b
+
+
+def leaf_value(kind: str, payload: int, shift: int, width: int) -> FieldValue:
+    """The value of a leaf of the given schema ``kind`` and ``width``
+    whose bits sit ``shift`` bits from the right of ``payload``."""
+    return _leaf_value(_CODES[kind], (payload >> shift) & ((1 << width) - 1), width)
 
 
 def _walk_payload(schema: LabelSchema, payload: int, prefix: FieldPath) -> Iterator:
@@ -581,8 +604,76 @@ class LabelFormat:
                 acc = (acc << width) | value
         schema = self._schemas.get(variant)
         if schema is None:
-            schema = self._schemas.setdefault(variant, self._schema(variant))
+            schema = self._variant_schema(variant)
         return PackedLabel._from_payload(schema, acc)
+
+    @property
+    def names(self) -> Tuple[str, ...]:
+        """The field names, in field (and wire) order."""
+        return tuple(entry[0] for entry in self._fields)
+
+    def pack_columns(self, columns: Sequence[Sequence]) -> Tuple[List[LabelSchema], List[int]]:
+        """:meth:`pack` over value columns: ``columns[i]`` holds field
+        ``i``'s value for every row (one column per format field).
+
+        Returns each row's schema and payload: the very schema object and
+        payload :meth:`pack` gives that row's values.  An out-of-range
+        value raises the ``ValueError`` that :meth:`pack` raises on the
+        first row holding one, with that row's index as ``row``.
+        """
+        rows = len(columns[0]) if columns else 0
+        accs = [0] * rows
+        variants: Optional[List[int]] = None
+        for (name, code, width, limit, bit, kind), col in zip(self._fields, columns):
+            if len(col) != rows:
+                raise ValueError(f"column {name!r} has {len(col)} rows, not {rows}")
+            if code == _F_FLAG:
+                accs = [(a << 1) | (1 if v else 0) for a, v in zip(accs, col)]
+            elif code == _F_RANGE:
+                if rows and not (0 <= min(col) and max(col) < limit):
+                    raise self._column_error(columns)
+                accs = [(a << width) | v for a, v in zip(accs, col)]
+            elif code == _F_MAYBE:  # the row's variant records absence
+                if variants is None:
+                    variants = [0] * rows
+                for i, v in enumerate(col):
+                    if v is None:
+                        variants[i] |= bit
+                        accs[i] <<= 1
+                        continue
+                    v = int(v)
+                    if not 0 <= v < limit:
+                        raise self._column_error(columns)
+                    accs[i] = (accs[i] << width) | limit | v
+            else:  # optional
+                if variants is None:
+                    variants = [0] * rows
+                for i, v in enumerate(col):
+                    if v is OMIT:
+                        variants[i] |= bit
+                    elif 0 <= v < limit:
+                        accs[i] = (accs[i] << width) | v
+                    else:
+                        raise self._column_error(columns)
+        if variants is None:
+            return [self._variant_schema(0)] * rows, accs
+        return [self._variant_schema(variant) for variant in variants], accs
+
+    def _column_error(self, columns: Sequence[Sequence]) -> ValueError:
+        """The error :meth:`pack` raises on the first failing row."""
+        for row, values in enumerate(zip(*columns)):
+            try:
+                self.pack(values)
+            except ValueError as exc:
+                exc.row = row
+                return exc
+        raise AssertionError("no row fails")  # pragma: no cover
+
+    def _variant_schema(self, variant: int) -> LabelSchema:
+        schema = self._schemas.get(variant)
+        if schema is None:
+            schema = self._schemas.setdefault(variant, self._schema(variant))
+        return schema
 
     def _schema(self, variant: int) -> LabelSchema:
         desc = []
@@ -610,6 +701,20 @@ def _range_error(name: str, kind: str, width: int, limit: int, value) -> ValueEr
 _WRAPPERS: Dict[tuple, LabelSchema] = {}
 
 
+def wrapper_schema(names: Tuple[str, ...], schemas: Sequence[LabelSchema]) -> LabelSchema:
+    """The interned schema of a label nesting sub-labels of ``schemas``
+    under ``names`` (its payload: theirs, concatenated in order)."""
+    key = (names, *schemas)
+    schema = _WRAPPERS.get(key)
+    if schema is None:
+        desc = tuple(
+            (name, "label", child.total_width, child.desc)
+            for name, child in zip(names, schemas)
+        )
+        schema = _WRAPPERS.setdefault(key, schema_from_desc(desc))
+    return schema
+
+
 def nest_labels(names: Tuple[str, ...], subs: Sequence[Label]) -> Label:
     """A label holding each of ``subs`` as a sub-label under ``names``.
 
@@ -625,14 +730,9 @@ def nest_labels(names: Tuple[str, ...], subs: Sequence[Label]) -> Label:
             return Label._trusted(fields, sum(s._size for s in subs))
         key.append(sub._schema)
         acc = (acc << sub._size) | sub._pv
-    key = tuple(key)
-    schema = _WRAPPERS.get(key)
+    schema = _WRAPPERS.get(tuple(key))
     if schema is None:
-        desc = tuple(
-            (name, "label", child.total_width, child.desc)
-            for name, child in zip(names, key[1:])
-        )
-        schema = _WRAPPERS.setdefault(key, schema_from_desc(desc))
+        schema = wrapper_schema(names, key[1:])
     return PackedLabel._from_payload(schema, acc)
 
 

@@ -42,6 +42,11 @@ def random_laminar_intervals(
     """
     chosen: List[Tuple[int, int]] = []
     chosen_set: Set[Tuple[int, int]] = set()
+    # inner[p]: the innermost chosen interval with a < p < b ((-1, n) if
+    # none).  The chosen intervals around a point are nested, so (i, j)
+    # crosses a chosen (a, b) with a < i < b < j iff inner[i] ends before
+    # j, and one with i < a < j < b iff inner[j] starts after i.
+    inner = [(-1, n)] * n
     attempts = 0
     while len(chosen) < target and attempts < 20 * (target + 1):
         attempts += 1
@@ -49,15 +54,15 @@ def random_laminar_intervals(
         j = rng.randrange(i + min_span, min(n, i + max(min_span + 1, n // 2) + 1))
         if (i, j) in chosen_set:
             continue
-        crossing = False
-        for a, b in chosen:
-            if (a < i < b < j) or (i < a < j < b):
-                crossing = True
-                break
-        if crossing:
+        if inner[i][1] < j or inner[j][0] > i:
             continue
         chosen.append((i, j))
         chosen_set.add((i, j))
+        # (i, j) becomes the innermost wherever it nests inside the old one
+        new = (i, j)
+        inner[i + 1 : j] = [
+            new if a <= i and j <= b else (a, b) for a, b in inner[i + 1 : j]
+        ]
     return chosen
 
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.labels import EMPTY_LABEL, Label, nest_labels
+from ..core.labels import EMPTY_LABEL, Label, LabelSchema, nest_labels, wrapper_schema
 from ..core.network import Edge, Graph, norm_edge
 from ..graphs.spanning import arboricity_forest_partition, forest_partition_assignment
-from .forest_encoding import decode_forest_view, forest_encoding_labels
+from .forest_encoding import decode_forest_view, forest_encoding_columns, forest_labels
 
 N_FORESTS = 3
 
@@ -75,10 +75,16 @@ class EdgeLabelSimulation:
     # -- prover side -------------------------------------------------------
 
     def setup_labels(self) -> Dict[int, Label]:
-        """Round-1 advice: the three forest encodings, nested per node."""
-        per_forest = [
-            forest_encoding_labels(self.graph, f) for f in self.forests
-        ]
+        """Round-1 advice: the three forest encodings, nested per node.
+
+        Raises ``ValueError`` when a forest's contractions need more than
+        six colors (the graph is not planar).
+        """
+        per_forest = []
+        for cols in forest_encoding_columns([(self.graph, f) for f in self.forests]):
+            if cols is None:
+                raise ValueError("contracted graph needed more than 6 colors")
+            per_forest.append(forest_labels(cols))
         out: Dict[int, Label] = {}
         # forest encodings are interned per distinct field tuple, so whole
         # setup wrappers repeat too -- share them by sub-label identity
@@ -109,6 +115,33 @@ class EdgeLabelSimulation:
                 names, subs = zip(*items)
                 out[v] = nest_labels(names, subs)
         return out
+
+    def fold_columns(
+        self, edges: Sequence[Edge], schemas: Sequence[LabelSchema], payloads: Sequence[int]
+    ) -> Tuple[List[LabelSchema], List[int]]:
+        """:meth:`fold_round` over packed columns.
+
+        Edge ``edges[i]`` carries the label ``(schemas[i], payloads[i])``;
+        returns each node's fold wrapper as a schema and a payload, with
+        no label object built.  Edges outside the assignment stay unfolded.
+        """
+        folded: Dict[int, list] = {}
+        assignment = self.assignment
+        for (u, v), schema, payload in zip(edges, schemas, payloads):
+            hit = assignment.get((u, v) if u <= v else (v, u))
+            if hit is not None:
+                folded.setdefault(hit[1], []).append((EDGE_KEYS[hit[0]], schema, payload))
+        out_schemas = [EMPTY_LABEL.pack()[0]] * self.graph.n
+        out_payloads = [0] * self.graph.n
+        for v, items in folded.items():
+            acc = 0
+            for _, schema, payload in items:
+                acc = (acc << schema.total_width) | payload
+            out_schemas[v] = wrapper_schema(
+                tuple(item[0] for item in items), [item[1] for item in items]
+            )
+            out_payloads[v] = acc
+        return out_schemas, out_payloads
 
     # -- verifier side -----------------------------------------------------
 

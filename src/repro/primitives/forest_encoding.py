@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.labels import Label, LabelFormat
+from ..core.labels import Label, LabelFormat, PackedLabel
 from ..core.network import Graph
 from ..graphs.coloring import greedy_coloring
 from ..graphs.spanning import RootedForest
@@ -44,19 +44,30 @@ FOREST_FORMAT = LabelFormat(
 )
 
 
-def _contracted_graphs(
-    graph: Graph, forest: RootedForest
-) -> Tuple[Graph, List[int], Graph, List[int]]:
-    """Contract (v, parent(v)) edges by depth parity, both parities at once.
+#: one forest's Lemma-2.3 encoding as value columns over its graph's
+#: nodes, in FOREST_FORMAT field order: (c1, c2, parity, is_root)
+ForestColumns = Tuple[List[int], List[int], List[int], List[bool]]
 
-    Returns ``(g_odd, map_odd, g_even, map_even)`` where g_odd contracts the
-    edges with odd depth(v) and g_even the even ones; each map sends a node
-    to its contracted-node id.  Self-loops vanish; parallel edges merge
-    (colorings only need adjacency).  The single fused pass walks the forest
-    and the (memoized) edge list once instead of twice.
+
+def forest_encoding_columns(
+    pairs: Sequence[Tuple[Graph, RootedForest]],
+) -> List[Optional[ForestColumns]]:
+    """The honest Lemma-2.3 encodings of many forests, in one union pass.
+
+    Each ``(graph, forest)`` pair gets the columns of its encoding, or
+    None where its contracted graphs need more than ``MAX_COLORS``
+    colors (only non-planar inputs do).  All pairs are contracted and
+    colored as one disjoint union: contraction and the degeneracy-greedy
+    coloring never look across components, and shifting a graph's nodes
+    by a constant offset keeps every order they depend on (contracted
+    ids follow node order, neighbor lists are sorted, the bucket queue
+    pops the same per-component sequence), so every pair's columns are
+    the ones it gets alone.
     """
-    # one union-find per parity over contraction groups
-    reps = (list(range(graph.n)), list(range(graph.n)))
+    total = sum(g.n for g, _ in pairs)
+    # one union-find per depth parity: index 1 contracts the edges whose
+    # child has odd depth (G_odd), index 0 the even ones (G_even)
+    reps = (list(range(total)), list(range(total)))
 
     def find(rep: List[int], v: int) -> int:
         while rep[v] != v:
@@ -64,65 +75,83 @@ def _contracted_graphs(
             v = rep[v]
         return v
 
-    depth = forest.depth
-    for v, parent in forest.parent.items():
-        rep = reps[depth(v) % 2]
-        rv, rp = find(rep, v), find(rep, parent)
-        if rv != rp:
-            rep[rv] = rp
-    mappings = ([0] * graph.n, [0] * graph.n)
-    for parity in (0, 1):
-        rep, mapping = reps[parity], mappings[parity]
+    parity = [0] * total
+    is_root = [True] * total
+    edges: List[Tuple[int, int]] = []
+    off = 0
+    for g, forest in pairs:
+        depth = forest.depth
+        for v, p in forest.parent.items():
+            d = depth(v) % 2
+            parity[v + off] = d
+            is_root[v + off] = False
+            rep = reps[d]
+            rv, rp = find(rep, v + off), find(rep, p + off)
+            if rv != rp:
+                rep[rv] = rp
+        edges += [(u + off, v + off) for u, v in g.edges()]
+        off += g.n
+    colors = []
+    for rep in reversed(reps):  # odd (c1) first, then even (c2)
         group: Dict[int, int] = {}
-        for v in range(graph.n):
+        mapping = [0] * total
+        for v in range(total):
             r = find(rep, v)
-            g = group.get(r)
-            if g is None:
-                g = group[r] = len(group)
-            mapping[v] = g
-    map_even, map_odd = mappings
-    edges_odd: List[Tuple[int, int]] = []
-    edges_even: List[Tuple[int, int]] = []
-    for u, v in graph.edges():  # memoized on the graph; shared across calls
-        cu, cv = map_odd[u], map_odd[v]
-        if cu != cv:
-            edges_odd.append((cu, cv))
-        cu, cv = map_even[u], map_even[v]
-        if cu != cv:
-            edges_even.append((cu, cv))
-    g_odd = Graph.from_edge_list(max(map_odd, default=-1) + 1, edges_odd)
-    g_even = Graph.from_edge_list(max(map_even, default=-1) + 1, edges_even)
-    return g_odd, map_odd, g_even, map_even
+            c = group.get(r)
+            if c is None:
+                c = group[r] = len(group)
+            mapping[v] = c
+        contracted = Graph.from_edge_list(
+            len(group),
+            [(mapping[u], mapping[v]) for u, v in edges if mapping[u] != mapping[v]],
+        )
+        col = greedy_coloring(contracted)
+        colors.append([col[c] for c in mapping])
+    c1, c2 = colors
+    out: List[Optional[ForestColumns]] = []
+    off = 0
+    for g, _ in pairs:
+        end = off + g.n
+        cols = (c1[off:end], c2[off:end], parity[off:end], is_root[off:end])
+        if g.n and max(max(cols[0]), max(cols[1])) >= MAX_COLORS:
+            out.append(None)
+        else:
+            out.append(cols)
+        off = end
+    return out
 
 
 def forest_encoding_labels(graph: Graph, forest: RootedForest) -> Dict[int, Label]:
-    """The honest prover's Lemma-2.3 labels for communicating ``forest``."""
-    g_odd, map_odd, g_even, map_even = _contracted_graphs(graph, forest)
-    col_odd = greedy_coloring(g_odd)
-    col_even = greedy_coloring(g_even)
-    if max(col_odd.values(), default=0) >= MAX_COLORS or (
-        max(col_even.values(), default=0) >= MAX_COLORS
-    ):
+    """The honest prover's Lemma-2.3 labels for communicating ``forest``.
+
+    Raises ``ValueError`` when a contracted graph needs more than
+    ``MAX_COLORS`` colors (the input is not planar).
+    """
+    (cols,) = forest_encoding_columns([(graph, forest)])
+    if cols is None:
         raise ValueError(
             "contracted graph needed more than 6 colors; input not planar?"
         )
-    roots = set(forest.roots())
-    labels: Dict[int, Label] = {}
-    # Intern labels by field value: there are at most MAX_COLORS^2 * 4
-    # distinct ones, and nodes with equal fields can share one immutable
-    # Label object (downstream code never mutates transcript labels --
-    # adversarial edits go through the copying ``with_value``).  Sharing
-    # also lets per-object decode caches collapse equal labels into one
-    # memo entry.
-    interned: Dict[Tuple[int, int, int, bool], Label] = {}
-    depth = forest.depth
-    for v in graph.nodes():
-        key = (col_odd[map_odd[v]], col_even[map_even[v]], depth(v) % 2, v in roots)
-        lbl = interned.get(key)
+    return dict(enumerate(forest_labels(cols)))
+
+
+def forest_labels(cols: ForestColumns) -> List[Label]:
+    """The labels of encoding columns, one shared object per distinct label.
+
+    There are at most ``MAX_COLORS^2 * 4`` distinct labels, and nodes with
+    equal fields can share one immutable label (adversarial edits go
+    through the copying ``with_value``); sharing lets the per-object
+    decode caches collapse equal labels into one memo entry.
+    """
+    schemas, payloads = FOREST_FORMAT.pack_columns(cols)
+    interned: Dict[int, Label] = {}
+    out = []
+    for schema, payload in zip(schemas, payloads):
+        lbl = interned.get(payload)
         if lbl is None:
-            lbl = interned[key] = FOREST_FORMAT.pack(key)
-        labels[v] = lbl
-    return labels
+            lbl = interned[payload] = PackedLabel._from_payload(schema, payload)
+        out.append(lbl)
+    return out
 
 
 @dataclass

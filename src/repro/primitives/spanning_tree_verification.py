@@ -34,7 +34,7 @@ import functools
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.labels import BitString, Label, LabelFormat, field_elem_width
+from ..core.labels import BitString, Label, LabelFormat, PackedLabel, field_elem_width
 from ..core.network import Graph
 from ..graphs.spanning import RootedForest
 from .fields import PrimeField
@@ -88,46 +88,59 @@ def split_coins(coins, repetitions: int) -> List[int]:
     return out
 
 
-def honest_round3_labels(
-    graph: Graph,
-    tree: RootedForest,
-    coins: Dict[int, BitString],
-    repetitions: int,
-) -> Dict[int, Label]:
-    """The honest prover's subtree sums and global sums."""
-    x: Dict[int, List[int]] = {
-        v: split_coins(coins[v], repetitions) for v in graph.nodes()
-    }
-    z_totals = [
-        sum(x[v][j] for v in graph.nodes()) % STV_FIELD.p
-        for j in range(repetitions)
-    ]
+def honest_round3_columns(
+    tree: RootedForest, coins: Sequence, repetitions: int
+) -> List[List[int]]:
+    """The honest prover's subtree sums and global sums, as value columns.
+
+    ``coins[v]`` is node v's round-2 coins (a :class:`BitString` or its
+    raw value).  Returns the ``s0, Z0, s1, Z1, ...`` columns of
+    :func:`round3_format` over the nodes ``0..n-1``.
+    """
+    n = tree.n
+    p = STV_FIELD.p
+    x = [split_coins(c, repetitions) for c in coins]
+    z_totals = [sum(xv[j] for xv in x) % p for j in range(repetitions)]
     # subtree sums, bottom-up
     children = tree.children_map()
-    roots = tree.roots()
-    s: Dict[int, List[int]] = {}
     order: List[int] = []
-    stack = list(roots)
+    stack = tree.roots()
     while stack:
         v = stack.pop()
         order.append(v)
         stack.extend(children[v])
-    p = STV_FIELD.p
+    s: List[List[int]] = [None] * n  # type: ignore[list-item]
     for v in reversed(order):
-        sums = list(x[v])
+        sums = x[v]
         kids = children[v]
         if kids:
+            sums = list(sums)
             for j in range(repetitions):
                 t = sums[j]
                 for c in kids:
                     t += s[c][j]
                 sums[j] = t % p
         s[v] = sums
-    fmt = round3_format(repetitions)
-    labels: Dict[int, Label] = {}
-    for v in graph.nodes():
-        labels[v] = fmt.pack([x for pair in zip(s[v], z_totals) for x in pair])
-    return labels
+    columns: List[List[int]] = []
+    for j in range(repetitions):
+        columns.append([sv[j] for sv in s])
+        columns.append([z_totals[j]] * n)
+    return columns
+
+
+def honest_round3_labels(
+    graph: Graph,
+    tree: RootedForest,
+    coins: Dict[int, BitString],
+    repetitions: int,
+) -> Dict[int, Label]:
+    """The honest prover's round-3 labels (see :func:`honest_round3_columns`)."""
+    columns = honest_round3_columns(tree, [coins[v] for v in graph.nodes()], repetitions)
+    schemas, payloads = round3_format(repetitions).pack_columns(columns)
+    return {
+        v: PackedLabel._from_payload(schema, payload)
+        for v, (schema, payload) in enumerate(zip(schemas, payloads))
+    }
 
 
 #: sentinel for a missing s/Z field (None never appears as a field value here)

@@ -26,11 +26,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.labels import uint_width
 from ..core.network import Graph
-from ..core.protocol import DecideBatch, DIPProtocol, PendingDecide
+from ..core.protocol import DecideBatch, DIPProtocol
 from ..graphs.biconnectivity import block_cut_tree
 from ..graphs.outerplanar import hamiltonian_cycle_of_biconnected_outerplanar
 from ..graphs.spanning import RootedForest
-from ..primitives.spanning_tree_verification import STV_ELEM_BITS
 from .composition import CompositeRunResult, SubRun, combine
 from .instances import (
     OuterplanarInstance,
@@ -41,6 +40,7 @@ from .path_outerplanarity import (
     HonestPathOuterplanarityProver,
     PathOuterplanarityProtocol,
     batch_simulations,
+    run_staged,
 )
 from .spanning_tree import STVProver, SpanningTreeVerificationProtocol
 
@@ -110,28 +110,14 @@ class OuterplanarityProtocol(DIPProtocol):
         }
         sims = dict(zip(blocks, batch_simulations([sub for sub, _ in blocks.values()])))
         batch = DecideBatch()
-        pending: List[Tuple[str, PendingDecide, Dict[int, Tuple[int, ...]]]] = []
-        forest_parent: Dict[int, int] = {}
-        f_root: Optional[int] = None
-
+        jobs = []
+        #: per block of more than two nodes, in block order
+        block_runs: List[Tuple[int, Graph, Dict[int, int], object]] = []
         for bi, block_nodes in enumerate(bct.block_nodes):
-            sep = bct.separating_node[bi]
             if len(block_nodes) == 2:
-                # a bridge: trivially outerplanar; just extend F
-                a, b = sorted(block_nodes)
-                if sep is None:
-                    leader, other = a, b
-                    if f_root is None:
-                        f_root = leader
-                else:
-                    leader = a if b == sep else b
-                forest_parent[leader] = sep if sep is not None else other
-                if sep is None:
-                    forest_parent.pop(leader, None)
-                    forest_parent[b] = a
                 continue
             sub, index = blocks[bi]
-            inverse = {i: v for v, i in index.items()}
+            sep = bct.separating_node[bi]
             sep_local = index[sep] if sep is not None else None
             # a prover that cannot exhibit the block structure (None)
             # commits a rejected fallback sub-run on this block
@@ -141,25 +127,61 @@ class OuterplanarityProtocol(DIPProtocol):
                 witness_path=list(path_local) if path_local else None,
             )
             sub_prover = prover.sub_prover(sub_instance)
-            run = self.sub_protocol.start(
-                sub_instance,
-                sub_prover,
-                random.Random(rng.getrandbits(64)),
-                batch,
-                sims[bi],
+            jobs.append(
+                self.sub_protocol.job(
+                    sub_instance,
+                    sub_prover,
+                    random.Random(rng.getrandbits(64)),
+                    batch,
+                    sims[bi],
+                )
             )
+            block_runs.append((bi, sub, index, sub_prover))
+        f_rng = random.Random(rng.getrandbits(64))
+        stv = SpanningTreeVerificationProtocol(
+            self.stv_repetitions, enforce_instance_edges=False
+        )
+        committed: Dict[int, Optional[List[int]]] = {}
+        spanning = []
+
+        def f_job():
+            # stage 2: F, the union of the block paths (committed by the
+            # block jobs' set-up, which runs before this one's), is
+            # verified as a spanning tree of G
+            for bi, _, _, sub_prover in block_runs:
+                committed[bi] = getattr(sub_prover, "path", None)
+            forest, spanning_ok = _tree_f(g, bct, blocks, committed)
+            spanning.append(spanning_ok)
+            f_edges = frozenset((min(u, v), max(u, v)) for u, v in forest.edges())
+            return (
+                yield from stv.job(
+                    SpanningSubgraphInstance(g, f_edges),
+                    STVProver(g, forest),
+                    f_rng,
+                    batch,
+                )
+            )
+
+        pending = run_staged(jobs + [f_job()])
+        batch.run()
+
+        sub_runs = []
+        for (bi, sub, index, _), run in zip(block_runs, pending):
+            sep = bct.separating_node[bi]
+            sep_local = index[sep] if sep is not None else None
             # Theorem 6.1 closing-edge condition + the path must start at
             # the separating node (both checked from the committed path)
-            committed = getattr(sub_prover, "path", None)
+            path = committed[bi]
             block_ok = (
-                committed is not None
-                and len(committed) == sub.n
-                and sub.has_edge(committed[0], committed[-1])
-                and (sep_local is None or committed[0] == sep_local)
+                path is not None
+                and len(path) == sub.n
+                and sub.has_edge(path[0], path[-1])
+                and (sep_local is None or path[0] == sep_local)
             )
             if not block_ok:
                 host_ok = False
-                rejecting.extend(block_nodes)
+                rejecting.extend(bct.block_nodes[bi])
+            inverse = {i: v for v, i in index.items()}
             node_map: Dict[int, Tuple[int, ...]] = {}
             for local, host in inverse.items():
                 if sep is not None and host == sep:
@@ -170,39 +192,10 @@ class OuterplanarityProtocol(DIPProtocol):
                     )
                 else:
                     node_map[local] = (host,)
-            pending.append((f"block-{bi}", run, node_map))
-            # extend the spanning forest F along the committed path
-            if committed:
-                hosts = [inverse[i] for i in committed]
-                if sep is None and f_root is None:
-                    f_root = hosts[0]
-                for a, b in zip(hosts, hosts[1:]):
-                    forest_parent[b] = a
-
-        # -- stage 2: F is a spanning tree of G ----------------------------
-        try:
-            forest = RootedForest(g.n, forest_parent)
-            spanning_ok = forest.is_spanning_tree_of(g)
-        except ValueError:
-            forest = RootedForest(g.n, {})
-            spanning_ok = False
-        stv = SpanningTreeVerificationProtocol(
-            self.stv_repetitions, enforce_instance_edges=False
-        )
-        f_edges = frozenset((min(u, v), max(u, v)) for u, v in forest.edges())
-        stv_run = stv.start(
-            SpanningSubgraphInstance(g, f_edges),
-            STVProver(g, forest),
-            random.Random(rng.getrandbits(64)),
-            batch,
-        )
-        pending.append(("stv-F", stv_run, {v: (v,) for v in g.nodes()}))
-        if not spanning_ok:
+            sub_runs.append(SubRun(f"block-{bi}", run.result, node_map))
+        sub_runs.append(SubRun("stv-F", pending[-1].result, {v: (v,) for v in g.nodes()}))
+        if not spanning[0]:
             host_ok = False
-        batch.run()
-        sub_runs = [
-            SubRun(name, run.result, node_map) for name, run, node_map in pending
-        ]
 
         # -- stage 1: decomposition nonces (accounting + structural check) --
         w = max(4, self.c * uint_width(max(2, g.n.bit_length())))
@@ -220,6 +213,34 @@ class OuterplanarityProtocol(DIPProtocol):
             extra_bits=[stage_bits],
             meta={"n_blocks": len(bct.blocks)},
         )
+
+
+def _tree_f(g: Graph, bct, blocks, committed) -> Tuple[RootedForest, bool]:
+    """F: every bridge, and every block's committed path (rooted at its
+    first node), as one rooted forest; and whether F spans G as a tree."""
+    forest_parent: Dict[int, int] = {}
+    for bi, block_nodes in enumerate(bct.block_nodes):
+        sep = bct.separating_node[bi]
+        if len(block_nodes) == 2:
+            a, b = sorted(block_nodes)
+            if sep is None:
+                forest_parent.pop(a, None)
+                forest_parent[b] = a
+            else:
+                forest_parent[a if b == sep else b] = sep
+            continue
+        path = committed[bi]
+        if path:
+            sub, index = blocks[bi]
+            inverse = {i: v for v, i in index.items()}
+            hosts = [inverse[i] for i in path]
+            for a, b in zip(hosts, hosts[1:]):
+                forest_parent[b] = a
+    try:
+        forest = RootedForest(g.n, forest_parent)
+        return forest, forest.is_spanning_tree_of(g)
+    except ValueError:
+        return RootedForest(g.n, {}), False
 
 
 def _nonce_stage(g: Graph, bct, rng: random.Random) -> bool:

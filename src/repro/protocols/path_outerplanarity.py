@@ -31,10 +31,10 @@ the folded node labels.
 
 from __future__ import annotations
 
-import math
 import random
+from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.labels import (
     EMPTY_LABEL,
@@ -42,8 +42,10 @@ from ..core.labels import (
     BitString,
     Label,
     LabelFormat,
-    nest_labels,
+    LabelSchema,
+    PackedLabel,
     uint_width,
+    wrapper_schema,
 )
 from ..core.network import Edge, Graph, norm_edge
 from ..core.protocol import (
@@ -60,17 +62,19 @@ from ..graphs.outerplanar import find_path_outerplanar_witness
 from ..graphs.spanning import bfs_spanning_tree, hamiltonian_path_forest, RootedForest
 from ..primitives.edge_labels import FOREST_KEYS, EdgeLabelSimulation, N_FORESTS
 from ..primitives.forest_encoding import (
-    DecodedForestView,
+    FOREST_FORMAT,
+    ForestColumns,
     decode_forest_fields,
-    forest_encoding_labels,
+    forest_encoding_columns,
     forest_label_fields,
 )
 from ..core.columnar import chain_search, make_po_kernel
 from ..primitives.spanning_tree_verification import (
     STV_ELEM_BITS,
     STV_FIELD,
-    honest_round3_labels as stv_round3,
     check_node_fields as stv_check_fields,
+    honest_round3_columns,
+    round3_format,
     stv_label_fields,
 )
 from .instances import PathOuterplanarInstance
@@ -130,8 +134,29 @@ class PathOuterplanarityParams:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class RoundColumns:
+    """One prover message as value columns.
+
+    ``nodes`` maps each node sub-label to its columns (field name -> one
+    value per node ``0..n-1``), or to None for a 0-bit sub-label at every
+    node; ``edges`` lists the labelled edges and ``edge_columns`` holds
+    their columns the same way (one value per listed edge).
+    """
+
+    nodes: Dict[str, Optional[Dict[str, list]]]
+    edges: Sequence[Edge] = ()
+    edge_columns: Optional[Dict[str, list]] = None
+
+
 class PathOuterplanarityProver:
-    """Base class; adversaries override the witness or label hooks."""
+    """Base class; adversaries override the witness or round hooks.
+
+    A staged run (:func:`run_staged`) calls :meth:`setup` first, encodes
+    the forest it returns together with every other job's, and hands the
+    encoding columns to :meth:`round1`.  Each round hook returns its
+    message as :class:`RoundColumns`.
+    """
 
     def __init__(self, instance: PathOuterplanarInstance):
         self.instance = instance
@@ -146,18 +171,32 @@ class PathOuterplanarityProver:
     def claimed_path(self) -> Optional[List[int]]:
         raise NotImplementedError
 
-    def round1(self):
+    def setup(self) -> RootedForest:
+        """Fix the claim; return the forest that round 1 commits."""
         raise NotImplementedError
 
-    def round3(self, coins):
+    def round1(self, commit: Optional[ForestColumns]) -> RoundColumns:
         raise NotImplementedError
 
-    def round5(self, coins):
+    def round3(self, coins) -> RoundColumns:
         raise NotImplementedError
+
+    def round5(self, coins) -> Optional[RoundColumns]:
+        raise NotImplementedError
+
+    def release(self) -> None:
+        """Drop the round state once the last round is sent."""
 
 
 class HonestPathOuterplanarityProver(PathOuterplanarityProver):
     """Honest prover; degrades gracefully on no-instances (best effort)."""
+
+    #: the per-run state :meth:`release` drops (``path`` stays: composite
+    #: protocols check the committed path after the run)
+    _ROUND_STATE = (
+        "commit_forest", "pos", "path_edges", "non_path", "orientation",
+        "lr_prover", "longest_tail", "longest_head", "successor", "above",
+    )
 
     def claimed_path(self) -> Optional[List[int]]:
         if self.instance.witness_path is not None:
@@ -166,7 +205,7 @@ class HonestPathOuterplanarityProver(PathOuterplanarityProver):
 
     # -- setup -------------------------------------------------------------
 
-    def _setup(self):
+    def setup(self) -> RootedForest:
         g = self.instance.graph
         path = self.claimed_path()
         if path is not None and len(path) == g.n:
@@ -199,6 +238,7 @@ class HonestPathOuterplanarityProver(PathOuterplanarityProver):
             _LRShim(g, self.path, self.orientation)
         ).bind(self.params.lr)
         self._setup_nesting()
+        return self.commit_forest
 
     def _setup_nesting(self):
         """Successor edges, above(), and longest marks under the claim."""
@@ -248,121 +288,113 @@ class HonestPathOuterplanarityProver(PathOuterplanarityProver):
 
     # -- rounds --------------------------------------------------------------
 
-    def round1(self):
-        self._setup()
-        pm = self.params
-        g = self.instance.graph
-        commit_labels = _safe_forest_encoding(g, self.commit_forest)
+    def round1(self, commit):
+        n = self.instance.graph.n
         lr_nodes, lr_edges = self.lr_prover.round1()
-        node_fields = {
-            v: {"commit": commit_labels[v], "lr": lr_nodes.get(v, {})}
-            for v in g.nodes()
-        }
-        edge_fields: Dict[Edge, dict] = {}
-        for e in self.non_path:
-            t, h = self.orientation[e]
-            accountable = self._accountable(e)
-            fields = dict(lr_edges.get(e, {"inner": True}))
-            fields["fwd"] = accountable == t
-            fields["ltail"] = self.longest_tail[e]
-            fields["lhead"] = self.longest_head[e]
-            edge_fields[e] = fields
-        return node_fields, edge_fields
-
-    def _accountable(self, e: Edge) -> int:
-        if self.sim is not None and norm_edge(*e) in self.sim.assignment:
-            return self.sim.assignment[norm_edge(*e)][1]
-        return e[0]
+        rows = [lr_nodes[v] for v in range(n)]
+        lr = {"idx": [f["idx"] for f in rows]}
+        if self.params.lr.n_blocks > 1:
+            for key in ("x1bit", "x2bit", "side"):
+                lr[key] = [f[key] for f in rows]
+            lr["M"] = [f.get("M", OMIT) for f in rows]
+        edges = self.non_path
+        inner = [lr_edges[e]["inner"] for e in edges]
+        sim = self.sim
+        accountable = sim.assignment if sim is not None else {}
+        if commit is not None:
+            commit = dict(zip(FOREST_FORMAT.names, commit))
+        return RoundColumns(
+            {"commit": commit, "lr": lr},
+            edges,
+            {
+                "inner": inner,
+                "I": [OMIT if i else lr_edges[e]["I"] for e, i in zip(edges, inner)],
+                "fwd": [
+                    accountable.get(e, (0, e[0]))[1] == self.orientation[e][0]
+                    for e in edges
+                ],
+                "ltail": [self.longest_tail[e] for e in edges],
+                "lhead": [self.longest_head[e] for e in edges],
+            },
+        )
 
     def round3(self, coins):
         pm = self.params
-        g = self.instance.graph
+        n = self.instance.graph.n
+        raw = [coins[v].value for v in range(n)]
         # STV sums over the committed structure
-        stv_coins = {
-            v: BitString(coins[v].value & ((1 << pm.stv_bits) - 1), pm.stv_bits)
-            for v in g.nodes()
-        }
-        stv_labels = stv_round3(g, self.commit_forest, stv_coins, pm.t)
+        stv = honest_round3_columns(
+            self.commit_forest, [c & pm.stv_mask for c in raw], pm.t
+        )
         # node names drawn by the verifier
-        names = {
-            v: (coins[v].value >> pm.stv_bits) & ((1 << pm.w) - 1)
-            for v in g.nodes()
-        }
-        self.names = names
+        names = [(c >> pm.stv_bits) & pm.name_mask for c in raw]
         # LR sub-round with re-based coins
         lr_coins = {
             v: BitString(*pm.lr_coin2(coins[v].value, coins[v].width))
-            for v in g.nodes()
+            for v in range(n)
         }
         lr_nodes, lr_edges = self.lr_prover.round3(lr_coins)
+        w = pm.w
+        orientation = self.orientation
 
         def edge_name(e: Optional[Edge]) -> Optional[int]:
             if e is None:
                 return None
-            t, h = self.orientation[e]
-            return (names[t] << pm.w) | names[h]
+            t, h = orientation[e]
+            return (names[t] << w) | names[h]
 
-        has_left = {v: False for v in g.nodes()}
-        has_right = {v: False for v in g.nodes()}
-        for e, (t, h) in self.orientation.items():
+        has_left = [False] * n
+        has_right = [False] * n
+        for t, h in orientation.values():
             has_right[t] = True
             has_left[h] = True
-        node_fields = {}
-        for v in g.nodes():
-            node_fields[v] = {
-                "stv": stv_labels[v],
-                "lr": lr_nodes.get(v, {}),
+        rows = [lr_nodes[v] for v in range(n)]
+        edges = self.non_path
+        ends = [orientation[e] for e in edges]
+        return RoundColumns(
+            {
+                "stv": dict(zip(round3_format(pm.t).names, stv)),
+                "lr": {key: [f[key] for f in rows] for key in _po_formats(pm).lr3.names},
                 "nest": {
-                    "above": edge_name(self.above[v]),
-                    "has_left": has_left[v],
-                    "has_right": has_right[v],
+                    "above": [edge_name(self.above[v]) for v in range(n)],
+                    "has_left": has_left,
+                    "has_right": has_right,
                 },
-            }
-        edge_fields = {}
-        for e in self.non_path:
-            t, h = self.orientation[e]
-            fields = dict(lr_edges.get(e, {}))
-            fields["name_t"] = names[t]
-            fields["name_h"] = names[h]
-            fields["succ"] = edge_name(self.successor[e])
-            edge_fields[e] = fields
-        return node_fields, edge_fields
+            },
+            edges,
+            {
+                "jval": [lr_edges[e]["jval"] if e in lr_edges else OMIT for e in edges],
+                "name_t": [names[t] for t, _ in ends],
+                "name_h": [names[h] for _, h in ends],
+                "succ": [edge_name(self.successor[e]) for e in edges],
+            },
+        )
 
     def round5(self, coins):
         lr_nodes = self.lr_prover.round5(coins)
-        return {v: {"lr": f} for v, f in lr_nodes.items()}
+        rows = [lr_nodes[v] for v in range(self.instance.graph.n)]
+        return RoundColumns({"lr": {key: [f[key] for f in rows] for key in _R5_LR_KEYS}})
 
-
-def _safe_forest_encoding(graph: Graph, forest: RootedForest) -> Dict[int, Label]:
-    """Forest encoding that degrades to empty labels if coloring overflows
-    (can only happen on non-planar no-instances; empty labels reject)."""
-    try:
-        return forest_encoding_labels(graph, forest)
-    except ValueError:
-        return {v: _EMPTY_SUB for v in graph.nodes()}
+    def release(self) -> None:
+        for name in self._ROUND_STATE:
+            self.__dict__.pop(name, None)
 
 
 # ---------------------------------------------------------------------------
 # label formats
 # ---------------------------------------------------------------------------
 
-_R1_KEYS = ("commit", "lr")
-_R3_KEYS = ("stv", "lr", "nest")
-_R5_KEYS = ("lr",)
 _R5_LR_KEYS = ("rq0", "rq1", "A0", "A1", "B0", "B1")
 _EMIT_KEYS = ("node", "edges")
 _EMIT_SETUP_KEYS = ("node", "edges", "forests")
-
-#: the 0-bit sub-label of a stage with no fields (a distinct object from
-#: EMPTY_LABEL, which the checker uses as its "no sub-label" marker)
-_EMPTY_SUB = nest_labels((), ())
+_EMPTY_SCHEMA = EMPTY_LABEL.pack()[0]
 
 
 class _POFormats:
-    """The born-packed label layouts of one parameter set."""
+    """The born-packed label layouts of one parameter set, and each
+    round's node sub-labels as ``(name, format)`` pairs in wire order."""
 
-    def __init__(self, iw: int, multi_block: bool, p: int, p2: int, w: int):
-        self.multi_block = multi_block
+    def __init__(self, iw: int, multi_block: bool, p: int, p2: int, w: int, t: int):
         lr1 = [("idx", "uint", iw)]
         keys3: Tuple[str, ...] = ("rb",)
         if multi_block:
@@ -372,7 +404,7 @@ class _POFormats:
                 ("side", "uint", 2),
                 ("M", "uint", iw),
             ]
-            keys3 += PathOuterplanarityProtocol._R3_MULTI_KEYS
+            keys3 += ("r", "rp", "pfx2_r", "sfx1_r", "pfx1_rp")
         self.lr1 = LabelFormat(lr1, optional=("M",))
         self.e1 = LabelFormat(
             (
@@ -384,7 +416,6 @@ class _POFormats:
             ),
             optional=("I",),
         )
-        self.lr3_keys = keys3
         self.lr3 = LabelFormat(tuple((key, "felem", p) for key in keys3))
         self.nest = LabelFormat(
             (
@@ -408,17 +439,42 @@ class _POFormats:
             if multi_block
             else None
         )
+        self.node1 = (("commit", FOREST_FORMAT), ("lr", self.lr1))
+        self.node3 = (("stv", round3_format(t)), ("lr", self.lr3), ("nest", self.nest))
+        self.node5 = (("lr", self.lr5),)
 
 
 @lru_cache(maxsize=256)
-def _formats(iw: int, multi_block: bool, p: int, p2: int, w: int) -> _POFormats:
-    return _POFormats(iw, multi_block, p, p2, w)
+def _formats(iw: int, multi_block: bool, p: int, p2: int, w: int, t: int) -> _POFormats:
+    return _POFormats(iw, multi_block, p, p2, w, t)
 
 
 def _po_formats(pm: "PathOuterplanarityParams") -> _POFormats:
     plr = pm.lr
     multi = plr.n_blocks > 1
-    return _formats(plr.index_width, multi, plr.p, plr.p2 if multi else 0, pm.w)
+    return _formats(plr.index_width, multi, plr.p, plr.p2 if multi else 0, pm.w, pm.t)
+
+
+def _pack_nodes(rc: RoundColumns, node_formats) -> List[Optional[Tuple[list, list]]]:
+    """Each node sub-label's ``(schemas, payloads)`` columns (None: 0-bit).
+
+    Raises the ``ValueError`` a label-by-label pass in node order would
+    hit first: the lowest failing node, and its first failing sub-label.
+    """
+    parts: List[Optional[Tuple[list, list]]] = []
+    errors = []
+    for pos, (key, fmt) in enumerate(node_formats):
+        cols = rc.nodes.get(key)
+        if cols is None:
+            parts.append(None)
+            continue
+        try:
+            parts.append(fmt.pack_columns([cols[name] for name in fmt.names]))
+        except ValueError as exc:
+            errors.append((getattr(exc, "row", -1), pos, exc))
+    if errors:
+        raise min(errors, key=lambda e: e[:2])[2]
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -438,78 +494,6 @@ class PathOuterplanarityProtocol(DIPProtocol):
     def honest_prover(self, instance) -> PathOuterplanarityProver:
         return HonestPathOuterplanarityProver(instance)
 
-    # -- label formats -------------------------------------------------------
-    #
-    # Every format below is born packed (see ``_po_formats``); a sub-label
-    # the prover supplies as a generic-builder tree (adversaries) keeps
-    # its wrapper a tree, packed lazily.
-
-    def _r1_node(self, fmts, fields) -> Label:
-        commit = fields.get("commit")
-        if not isinstance(commit, Label):
-            commit = _EMPTY_SUB
-        lr = fields.get("lr")
-        lr_lbl = self._lr_r1_node(fmts, lr) if lr else _EMPTY_SUB
-        return nest_labels(_R1_KEYS, (commit, lr_lbl))
-
-    def _lr_r1_node(self, fmts, f) -> Label:
-        if fmts.multi_block:
-            return fmts.lr1.pack(
-                (
-                    f["idx"],
-                    f.get("x1bit", 0),
-                    f.get("x2bit", 0),
-                    f.get("side", 0),
-                    f["M"] if "M" in f else OMIT,
-                )
-            )
-        return fmts.lr1.pack((f["idx"],))
-
-    def _r1_edge(self, fmts, f) -> Label:
-        inner = bool(f.get("inner", True))
-        return fmts.e1.pack(
-            (
-                inner,
-                OMIT if inner else f["I"],
-                f.get("fwd", False),
-                f.get("ltail", False),
-                f.get("lhead", False),
-            )
-        )
-
-    _R3_MULTI_KEYS = ("r", "rp", "pfx2_r", "sfx1_r", "pfx1_rp")
-
-    def _r3_node(self, fmts, f) -> Label:
-        stv = f.get("stv")
-        if not isinstance(stv, Label):
-            stv = _EMPTY_SUB
-        lr = f.get("lr") or {}
-        lr_lbl = fmts.lr3.pack(lr[key] for key in fmts.lr3_keys) if lr else _EMPTY_SUB
-        nest = f.get("nest") or {}
-        nest_lbl = fmts.nest.pack(
-            (
-                nest.get("above"),
-                nest.get("has_left", False),
-                nest.get("has_right", False),
-            )
-        )
-        return nest_labels(_R3_KEYS, (stv, lr_lbl, nest_lbl))
-
-    def _r3_edge(self, fmts, f) -> Label:
-        return fmts.e3.pack(
-            (
-                f["jval"] if "jval" in f else OMIT,
-                f["name_t"],
-                f["name_h"],
-                f.get("succ"),
-            )
-        )
-
-    def _r5_node(self, fmts, f) -> Label:
-        lr = f.get("lr") or {}
-        lr_lbl = fmts.lr5.pack(lr[key] for key in _R5_LR_KEYS) if lr else _EMPTY_SUB
-        return nest_labels(_R5_KEYS, (lr_lbl,))
-
     # -- execution -------------------------------------------------------------
 
     def execute(self, instance, prover=None, rng=None) -> RunResult:
@@ -519,100 +503,71 @@ class PathOuterplanarityProtocol(DIPProtocol):
         batch.run()
         return pending.result
 
-    def start(
+    def start(self, instance, prover, rng, batch, sim) -> PendingDecide:
+        """Run the five rounds alone and queue the decide sweep on ``batch``."""
+        (pending,) = run_staged([self.job(instance, prover, rng, batch, sim)])
+        return pending
+
+    def job(
         self,
         instance,
         prover,
         rng: Optional[random.Random],
         batch: DecideBatch,
-        sim: Optional[EdgeLabelSimulation],
-    ) -> PendingDecide:
-        """Run the five rounds and queue the decide sweep on ``batch``.
+        sim: EdgeLabelSimulation,
+    ) -> "StagedJob":
+        """The five rounds on ``instance`` as a :func:`run_staged` job.
 
         ``sim`` is the graph's Lemma-2.4 simulation (from
-        :func:`batch_simulations`).  The returned handle carries the
-        :class:`RunResult` once ``batch.run()`` has decided it.
+        :func:`batch_simulations`); the job ends by queueing its decide
+        sweep on ``batch``.
         """
         g = instance.graph
         pm = PathOuterplanarityParams(g.n, self.c)
-        fmts = _po_formats(pm)
         prover = (prover or self.honest_prover(instance)).bind(pm, sim)
-        interaction = Interaction(g, rng)
+        return self._rounds(pm, prover, Interaction(g, rng), batch, sim)
 
-        emitted_setup = [False]
-
-        def emit(node_labels, edge_labels):
-            if sim is not None:
-                folded = sim.fold_round(
-                    {norm_edge(*e): l for e, l in edge_labels.items()
-                     if norm_edge(*e) in sim.assignment}
-                )
-                setup = None
-                if not emitted_setup[0]:
-                    setup = sim.setup_labels()
-                    emitted_setup[0] = True
-                merged = {}
-                for v in g.nodes():
-                    node = node_labels.get(v)
-                    if node is None:
-                        node = EMPTY_LABEL
-                    if setup is None:
-                        merged[v] = nest_labels(_EMIT_KEYS, (node, folded[v]))
-                    else:
-                        merged[v] = nest_labels(
-                            _EMIT_SETUP_KEYS, (node, folded[v], setup[v])
-                        )
-                node_labels = merged
-            interaction.prover_round(node_labels, edge_labels)
+    def _rounds(self, pm, prover, interaction, batch, sim) -> "StagedJob":
+        g = interaction.graph
+        fmts = _po_formats(pm)
+        commit = yield (g, prover.setup())
 
         # round 1
-        n1, e1 = prover.round1()
-        try:
-            labels1 = {v: self._r1_node(fmts, f) for v, f in n1.items()}
-            elabels1 = {e: self._r1_edge(fmts, f) for e, f in e1.items()}
-        except (ValueError, KeyError) as exc:
-            raise ProtocolError(f"malformed round-1 message: {exc}") from exc
-        emit(labels1, elabels1)
+        r1 = prover.round1(commit)
+        _emit(interaction, sim, 1, r1, fmts.node1, fmts.e1, sim.setup_labels())
+        yield
 
         # round 2 coins: widths depend on round-1 claims (all local)
-        widths = {}
-        for v in g.nodes():
-            w = pm.stv_bits + pm.w
-            lr1 = labels1.get(v, EMPTY_LABEL).get("lr")
-            if lr1 is not None and lr1.get("idx") == 1:
-                w += pm.lr.fw
-            commit = labels1.get(v, EMPTY_LABEL).get("commit")
-            if commit is not None and commit.get("is_root"):
-                w += 2 * pm.lr.fw
-            widths[v] = w
-        coins2 = interaction.verifier_round(widths)
+        lr1 = r1.nodes.get("lr")
+        leaders = [i == 1 for i in lr1["idx"]] if lr1 is not None else [False] * g.n
+        commit = r1.nodes.get("commit")
+        roots = commit["is_root"] if commit is not None else [False] * g.n
+        base = pm.stv_bits + pm.w
+        fw = pm.lr.fw
+        coins2 = interaction.verifier_round(
+            {
+                v: base + (fw if lead else 0) + (2 * fw if root else 0)
+                for v, (lead, root) in enumerate(zip(leaders, roots))
+            }
+        )
+        del r1, commit
+        yield
 
         # round 3
-        n3, e3 = prover.round3(coins2)
-        try:
-            labels3 = {v: self._r3_node(fmts, f) for v, f in n3.items()}
-            elabels3 = {e: self._r3_edge(fmts, f) for e, f in e3.items()}
-        except (ValueError, KeyError) as exc:
-            raise ProtocolError(f"malformed round-3 message: {exc}") from exc
-        emit(labels3, elabels3)
+        _emit(interaction, sim, 3, prover.round3(coins2), fmts.node3, fmts.e3)
+        yield
 
         # round 4 coins: LR session points for claimed block leaders
         widths4 = {}
         if pm.lr.n_blocks > 1:
-            for v in g.nodes():
-                lr1 = labels1.get(v, EMPTY_LABEL).get("lr")
-                if lr1 is not None and lr1.get("idx") == 1:
-                    widths4[v] = 2 * pm.lr.fw2
+            widths4 = {v: 2 * pm.lr.fw2 for v, lead in enumerate(leaders) if lead}
         coins4 = interaction.verifier_round(widths4)
+        yield
 
-        # round 5
-        n5 = prover.round5(coins4) if pm.lr.n_blocks > 1 else {}
-        try:
-            labels5 = {v: self._r5_node(fmts, f) for v, f in n5.items()}
-        except (ValueError, KeyError) as exc:
-            raise ProtocolError(f"malformed round-5 message: {exc}") from exc
-        emit(labels5, {})
-
+        # round 5 (LR sessions exist only with several blocks)
+        r5 = prover.round5(coins4) if pm.lr.n_blocks > 1 else None
+        _emit(interaction, sim, 5, r5, fmts.node5, None)
+        prover.release()
         return batch.add(
             interaction,
             _make_checker(pm),
@@ -624,6 +579,104 @@ class PathOuterplanarityProtocol(DIPProtocol):
             protocol_name=self.name,
             meta={"params": pm},
         )
+
+
+def _emit(interaction, sim, round_no, rc, node_formats, edge_format, setup=None) -> None:
+    """Pack one prover message and send it, Lemma-2.4 folded.
+
+    Every node's label is one ``(node, edges[, forests])`` wrapper built
+    as one payload concatenation under one interned schema: its node
+    sub-labels, the fold of the edge labels it is accountable for, and
+    (round 1) its share of the setup forests.  ``rc`` None sends 0-bit
+    node parts.
+    """
+    n = interaction.graph.n
+    try:
+        parts = _pack_nodes(rc, node_formats) if rc is not None else []
+        edges = rc.edges if rc is not None else ()
+        edge_labels = {}
+        if edges:
+            cols = rc.edge_columns
+            e_schemas, e_payloads = edge_format.pack_columns(
+                [cols[name] for name in edge_format.names]
+            )
+            edge_labels = {
+                e: PackedLabel._from_payload(schema, payload)
+                for e, schema, payload in zip(edges, e_schemas, e_payloads)
+            }
+            fold = sim.fold_columns(edges, e_schemas, e_payloads)
+        else:
+            fold = ([_EMPTY_SCHEMA] * n, [0] * n)
+    except (ValueError, KeyError) as exc:
+        raise ProtocolError(f"malformed round-{round_no} message: {exc}") from exc
+    node_keys = tuple(key for key, _ in node_formats) if rc is not None else ()
+    schema_cols = [
+        part[0] if part is not None else [_EMPTY_SCHEMA] * n for part in parts
+    ]
+    payload_cols = [part[1] if part is not None else [0] * n for part in parts]
+    schema_cols.append(fold[0])
+    payload_cols.append(fold[1])
+    names = _EMIT_KEYS
+    if setup is not None:
+        names = _EMIT_SETUP_KEYS
+        schemas, payloads = zip(*(setup[v].pack() for v in range(n)))
+        schema_cols.append(schemas)
+        payload_cols.append(payloads)
+    k = len(parts)
+    # the wrapper schema of each distinct combination of sub-label schemas
+    wrappers: Dict[tuple, LabelSchema] = {}
+    labels = {}
+    for v, (schemas, payloads) in enumerate(zip(zip(*schema_cols), zip(*payload_cols))):
+        schema = wrappers.get(schemas)
+        if schema is None:
+            node = wrapper_schema(node_keys, schemas[:k])
+            schema = wrappers[schemas] = wrapper_schema(names, (node,) + schemas[k:])
+        acc = 0
+        for sub, payload in zip(schemas, payloads):
+            acc = (acc << sub.total_width) | payload
+        labels[v] = PackedLabel._from_payload(schema, acc)
+    interaction.prover_round(labels, edge_labels)
+
+
+# ---------------------------------------------------------------------------
+# staged execution: a host's sub-runs, round by round
+# ---------------------------------------------------------------------------
+
+#: a sub-run as a generator: its first yield is the ``(graph, forest)``
+#: whose Lemma-2.3 encoding round 1 commits (it is sent that encoding's
+#: columns, or None), every later yield ends one round, and it returns
+#: its queued :class:`PendingDecide`
+StagedJob = Generator[object, object, PendingDecide]
+
+
+def run_staged(jobs: Sequence[StagedJob]) -> List[PendingDecide]:
+    """Run a host's sub-runs (:meth:`PathOuterplanarityProtocol.job`,
+    :meth:`SpanningTreeVerificationProtocol.job`) round by round.
+
+    First every job fixes its claim, and all the forests their round 1
+    commits are encoded in one union pass (:func:`forest_encoding_columns`).
+    Then round 1 runs for every job, then round 2 for every job, and so
+    on, always in job order.  Every sub-run draws its coins from its own
+    ``rng``, so the schedule changes no coin, no label and no verdict;
+    and the k-th message of any kind is emitted in the same order as when
+    the jobs run one after another.  Returns the jobs' queued decides.
+    """
+    jobs = list(jobs)
+    sends = forest_encoding_columns([next(job) for job in jobs])
+    results: List[Optional[PendingDecide]] = [None] * len(jobs)
+    live = range(len(jobs))
+    while live:
+        still = []
+        for i in live:
+            try:
+                jobs[i].send(sends[i])
+            except StopIteration as stop:
+                results[i] = stop.value
+            else:
+                still.append(i)
+            sends[i] = None
+        live = still
+    return results
 
 
 def batch_simulations(graphs: Sequence[Graph]) -> List[EdgeLabelSimulation]:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.labels import uint_width
 from ..core.network import Graph, norm_edge
-from ..core.protocol import DecideBatch, DIPProtocol
+from ..core.protocol import DecideBatch, DIPProtocol, PendingDecide
 from ..graphs.series_parallel import Ear, nested_ear_decomposition
 from ..graphs.spanning import RootedForest
 from ..primitives.edge_labels import EdgeLabelSimulation
@@ -37,7 +37,9 @@ from .instances import (
 from .path_outerplanarity import (
     HonestPathOuterplanarityProver,
     PathOuterplanarityProtocol,
+    StagedJob,
     batch_simulations,
+    run_staged,
 )
 from .spanning_tree import STVProver, SpanningTreeVerificationProtocol
 
@@ -78,9 +80,11 @@ class SeriesParallelProtocol(DIPProtocol):
         rng = rng or random.Random()
         plan = self.plan(instance, prover)
         batch = DecideBatch()
-        self.start(plan, rng, batch, batch_simulations(plan.nesting_graphs()))
+        pending = run_staged(
+            self.jobs(plan, rng, batch, batch_simulations(plan.nesting_graphs()))
+        )
         batch.run()
-        return self.finish(plan)
+        return self.finish(plan, pending)
 
     def plan(
         self,
@@ -168,20 +172,22 @@ class SeriesParallelProtocol(DIPProtocol):
             )
         return plan
 
-    def start(
+    def jobs(
         self,
         plan: "EarPlan",
         rng: random.Random,
         batch: DecideBatch,
         sims: Sequence[Optional[EdgeLabelSimulation]],
-    ) -> None:
-        """Run every sub-run's rounds in protocol order, queueing their
-        decides on ``batch``; ``sims`` align with ``plan.nesting_graphs()``."""
+    ) -> List[StagedJob]:
+        """Every sub-run of ``plan`` as a :func:`run_staged` job, in
+        protocol order; ``sims`` align with ``plan.nesting_graphs()``.
+        The host rng is drawn from here, before any job runs."""
         if plan.early is not None:
-            return
+            return []
         g = plan.graph
         prover = plan.prover
         sub_ears = plan.sub_ears
+        jobs: List[StagedJob] = []
 
         # -- stage 1: sub-ears are simple paths -----------------------------
         covered = [v for q in sub_ears for v in q]
@@ -202,18 +208,17 @@ class SeriesParallelProtocol(DIPProtocol):
             stv = SpanningTreeVerificationProtocol(
                 self.stv_repetitions, enforce_instance_edges=False
             )
-            run = stv.start(
-                SpanningSubgraphInstance(sub, marked),
-                STVProver(sub, forest),
-                random.Random(rng.getrandbits(64)),
-                batch,
+            jobs.append(
+                stv.job(
+                    SpanningSubgraphInstance(sub, marked),
+                    STVProver(sub, forest),
+                    random.Random(rng.getrandbits(64)),
+                    batch,
+                )
             )
             inverse = {i: v for v, i in index.items()}
             plan.pending.append(
-                (
-                    f"subear-{j}-stv", run,
-                    {i: (inverse[i],) for i in range(sub.n)}, None,
-                )
+                (f"subear-{j}-stv", {i: (inverse[i],) for i in range(sub.n)}, None, None)
             )
 
         # -- stage 2: condition (1) via ear nonces ---------------------------
@@ -230,33 +235,38 @@ class SeriesParallelProtocol(DIPProtocol):
                 nest.aux, witness_path=list(range(len(path)))
             )
             sub_prover = prover.sub_prover(sub_instance)
-            run = self.sub_protocol.start(
-                sub_instance,
-                sub_prover,
-                random.Random(rng.getrandbits(64)),
-                batch,
-                sim,
-            )
-            committed = getattr(sub_prover, "path", None)
-            if committed != list(range(len(path))):
-                plan.host_ok = False
-                plan.rejecting.extend(path)
-            plan.pending.append(
-                (
-                    f"ear-{nest.ear}-nesting", run, nest.node_map,
-                    nest.chord_carriers,
+            jobs.append(
+                self.sub_protocol.job(
+                    sub_instance,
+                    sub_prover,
+                    random.Random(rng.getrandbits(64)),
+                    batch,
+                    sim,
                 )
             )
+            plan.pending.append(
+                (
+                    f"ear-{nest.ear}-nesting", nest.node_map, nest.chord_carriers,
+                    (sub_prover, path),
+                )
+            )
+        return jobs
 
-    def finish(self, plan: "EarPlan") -> CompositeRunResult:
-        """The composite verdict, once the batch of ``start`` has run."""
+    def finish(self, plan: "EarPlan", pending: Sequence[PendingDecide]) -> CompositeRunResult:
+        """The composite verdict, once the jobs have run (``pending``: their
+        queued decides, in order) and their batch has decided them."""
         if plan.early is not None:
             return plan.early
         g = plan.graph
-        sub_runs = [
-            SubRun(name, run.result, node_map, edge_map=edge_map)
-            for name, run, node_map, edge_map in plan.pending
-        ]
+        sub_runs = []
+        for (name, node_map, edge_map, nesting), run in zip(plan.pending, pending):
+            if nesting is not None:
+                # the sub-run must have committed the parent ear's path
+                sub_prover, path = nesting
+                if getattr(sub_prover, "path", None) != list(range(len(path))):
+                    plan.host_ok = False
+                    plan.rejecting.extend(path)
+            sub_runs.append(SubRun(name, run.result, node_map, edge_map=edge_map))
         w = max(4, self.c * uint_width(max(2, g.n.bit_length())))
         stage_bits = {v: 2 * w + 3 for v in g.nodes()}
         return combine(
@@ -295,7 +305,8 @@ class EarPlan:
     ears: Optional[List[Ear]] = None
     sub_ears: List[List[int]] = field(default_factory=list)
     nesting: List[_EarNesting] = field(default_factory=list)
-    #: (name, pending decide, node_map, edge_map) per sub-run, in order
+    #: (name, node_map, edge_map, nesting) per sub-run, in job order;
+    #: ``nesting`` is a stage-3 sub-run's (prover, parent ear path)
     pending: list = field(default_factory=list)
     host_ok: bool = True
     rejecting: List[int] = field(default_factory=list)

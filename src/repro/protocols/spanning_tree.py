@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from ..core.labels import BitString, Label
+from ..core.labels import EMPTY_LABEL, PackedLabel
 from ..core.network import Graph
 from ..core.protocol import (
     DecideBatch,
@@ -20,41 +20,46 @@ from ..core.protocol import (
     DIPProtocol,
     Interaction,
     PendingDecide,
+    ProtocolError,
 )
 from ..core.transcript import RunResult
 from ..core.views import NodeView
 from ..graphs.spanning import RootedForest
 from ..primitives.forest_encoding import (
     decode_forest_fields,
-    forest_encoding_labels,
     forest_label_fields,
+    forest_labels,
 )
 from ..core.columnar import make_stv_kernel
 from ..primitives.spanning_tree_verification import (
     STV_ELEM_BITS,
     STV_FIELD,
     check_node_fields,
-    honest_round3_labels,
+    honest_round3_columns,
+    round3_format,
     stv_label_fields,
 )
 from .instances import SpanningSubgraphInstance
+from .path_outerplanarity import StagedJob, run_staged
 
 
 class STVProver:
-    """Prover hooks for the spanning-tree verification."""
+    """Prover hooks for the spanning-tree verification.
+
+    Round 1 commits the Lemma-2.3 encoding of ``tree`` (a staged run
+    encodes every job's forest in one pass); :meth:`round3` returns the
+    round-3 message as the value columns of
+    :func:`~repro.primitives.spanning_tree_verification.round3_format`.
+    """
 
     def __init__(self, graph: Graph, tree: RootedForest):
         self.graph = graph
         self.tree = tree
 
-    def round1(self) -> Dict[int, Label]:
-        try:
-            return forest_encoding_labels(self.graph, self.tree)
-        except ValueError:
-            return {v: Label() for v in self.graph.nodes()}
-
-    def round3(self, coins, repetitions) -> Dict[int, Label]:
-        return honest_round3_labels(self.graph, self.tree, coins, repetitions)
+    def round3(self, coins, repetitions) -> List[list]:
+        return honest_round3_columns(
+            self.tree, [coins[v] for v in self.graph.nodes()], repetitions
+        )
 
 
 class SpanningTreeVerificationProtocol(DIPProtocol):
@@ -98,15 +103,46 @@ class SpanningTreeVerificationProtocol(DIPProtocol):
         rng: Optional[random.Random],
         batch: DecideBatch,
     ) -> PendingDecide:
-        """Run the three rounds and queue the decide sweep on ``batch``."""
-        g = instance.graph
+        """Run the three rounds alone and queue the decide sweep on ``batch``."""
+        (pending,) = run_staged([self.job(instance, prover, rng, batch)])
+        return pending
+
+    def job(
+        self,
+        instance: SpanningSubgraphInstance,
+        prover: Optional[STVProver],
+        rng: Optional[random.Random],
+        batch: DecideBatch,
+    ) -> StagedJob:
+        """The three rounds on ``instance`` as a :func:`run_staged` job."""
         prover = prover or self.honest_prover(instance)
-        interaction = Interaction(g, rng)
-        interaction.prover_round(prover.round1())
+        return self._rounds(instance, prover, Interaction(instance.graph, rng), batch)
+
+    def _rounds(self, instance, prover, interaction, batch) -> StagedJob:
+        g = instance.graph
+        commit = yield (g, prover.tree)
+        if commit is None:  # a coloring overflow (non-planar): 0-bit labels
+            labels1 = {v: EMPTY_LABEL for v in g.nodes()}
+        else:
+            labels1 = dict(enumerate(forest_labels(commit)))
+        interaction.prover_round(labels1)
+        yield
         coins = interaction.verifier_round(
             {v: self.repetitions * STV_ELEM_BITS for v in g.nodes()}
         )
-        interaction.prover_round(prover.round3(coins, self.repetitions))
+        yield
+        try:
+            schemas, payloads = round3_format(self.repetitions).pack_columns(
+                prover.round3(coins, self.repetitions)
+            )
+        except ValueError as exc:
+            raise ProtocolError(f"malformed round-3 message: {exc}") from exc
+        interaction.prover_round(
+            {
+                v: PackedLabel._from_payload(schema, payload)
+                for v, (schema, payload) in enumerate(zip(schemas, payloads))
+            }
+        )
 
         tree_ports: Dict[int, tuple] = {}
         for v in g.nodes():

@@ -13,12 +13,11 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from ..core.labels import uint_width
-from ..core.network import Graph
 from ..core.protocol import DecideBatch, DIPProtocol
 from ..graphs.biconnectivity import block_cut_tree
 from .composition import CompositeRunResult, SubRun, combine
 from .instances import SeriesParallelInstance, Treewidth2Instance
-from .path_outerplanarity import batch_simulations
+from .path_outerplanarity import batch_simulations, run_staged
 from .series_parallel import SeriesParallelProtocol, SeriesParallelProver
 
 
@@ -72,23 +71,29 @@ class Treewidth2Protocol(DIPProtocol):
             sub_instance = SeriesParallelInstance(sub)
             plan = sp.plan(sub_instance, prover.block_prover(sub_instance))
             blocks.append((bi, sub, index, plan))
-        # every block's ears share one simulation pass and one decide batch
+        # every block's ears share one simulation pass and one decide batch,
         sims = iter(
             batch_simulations(
                 [aux for *_, plan in blocks for aux in plan.nesting_graphs()]
             )
         )
+        # ... and all blocks' sub-runs run as one staged host execution
         batch = DecideBatch()
+        jobs = []
+        sizes = []
         for *_, plan in blocks:
             sims_of_block = [next(sims) for _ in plan.nesting]
-            sp.start(plan, random.Random(rng.getrandbits(64)), batch, sims_of_block)
+            block_jobs = sp.jobs(plan, random.Random(rng.getrandbits(64)), batch, sims_of_block)
+            jobs += block_jobs
+            sizes.append(len(block_jobs))
+        pending = iter(run_staged(jobs))
         batch.run()
 
         host_ok = True
         rejecting: List[int] = []
         sub_runs: List[SubRun] = []
-        for bi, sub, index, plan in blocks:
-            run = sp.finish(plan)
+        for (bi, sub, index, plan), size in zip(blocks, sizes):
+            run = sp.finish(plan, [next(pending) for _ in range(size)])
             inverse = {i: v for v, i in index.items()}
             sep = bct.separating_node[bi]
             node_map: Dict[int, Tuple[int, ...]] = {}

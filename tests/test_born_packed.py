@@ -25,15 +25,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.labels import EMPTY_LABEL, Label, PackedLabel, nest_labels
+from repro.core.labels import EMPTY_LABEL, OMIT, Label, PackedLabel, nest_labels
+from repro.core.network import Graph
 from repro.core.protocol import ProtocolError
-from repro.primitives.edge_labels import EDGE_KEYS, FOREST_KEYS
+from repro.primitives.edge_labels import EDGE_KEYS, FOREST_KEYS, _SimulationSlice
 from repro.primitives.forest_encoding import COLOR_BITS, FOREST_FORMAT
 from repro.primitives.spanning_tree_verification import STV_FIELD, round3_format
 from repro.protocols.path_outerplanarity import (
     HonestPathOuterplanarityProver,
     PathOuterplanarityParams,
     PathOuterplanarityProtocol,
+    RoundColumns,
+    _emit,
+    _pack_nodes,
     _po_formats,
 )
 from repro.runtime.registry import get_task
@@ -122,10 +126,8 @@ def lr1_fields(draw, pm):
     f = {"idx": draw(uints(iw))}
     if pm.lr.n_blocks > 1:
         for key, width in (("x1bit", 1), ("x2bit", 1), ("side", 2)):
-            if draw(st.booleans()):  # absent keys default to 0
-                f[key] = draw(uints(width))
-        if draw(st.booleans()):
-            f["M"] = draw(uints(iw))
+            f[key] = draw(uints(width))
+        f["M"] = draw(st.one_of(st.just(OMIT), uints(iw)))  # both optional states
     return f
 
 
@@ -134,37 +136,32 @@ def lr1_tree(pm, f):
     lbl = Label().uint("idx", f["idx"], iw)
     if pm.lr.n_blocks > 1:
         for key, width in (("x1bit", 1), ("x2bit", 1), ("side", 2)):
-            lbl.uint(key, f.get(key, 0), width)
-        if "M" in f:
+            lbl.uint(key, f[key], width)
+        if f["M"] is not OMIT:
             lbl.uint("M", f["M"], iw)
     return lbl
 
 
 @st.composite
 def e1_fields(draw, pm):
-    f = {}
-    for key in ("inner", "fwd", "ltail", "lhead"):
-        if draw(st.booleans()):
-            f[key] = draw(st.booleans())
-    if not f.get("inner", True):
-        f["I"] = draw(uints(pm.lr.index_width))
+    f = {key: draw(st.booleans()) for key in ("inner", "fwd", "ltail", "lhead")}
+    f["I"] = OMIT if f["inner"] else draw(uints(pm.lr.index_width))
     return f
 
 
 def e1_tree(pm, f):
-    inner = bool(f.get("inner", True))
-    lbl = Label().flag("inner", inner)
-    if not inner:
+    lbl = Label().flag("inner", f["inner"])
+    if f["I"] is not OMIT:
         lbl.uint("I", f["I"], pm.lr.index_width)
     for key in ("fwd", "ltail", "lhead"):
-        lbl.flag(key, f.get(key, False))
+        lbl.flag(key, f[key])
     return lbl
 
 
 def lr3_keys(pm):
     keys = ("rb",)
     if pm.lr.n_blocks > 1:
-        keys += PathOuterplanarityProtocol._R3_MULTI_KEYS
+        keys += ("r", "rp", "pfx2_r", "sfx1_r", "pfx1_rp")
     return keys
 
 
@@ -173,14 +170,13 @@ def r3_fields(draw, pm):
     t = pm.t
     stv = [draw(felems(STV_FIELD.p)) for _ in range(2 * t)]
     lr = {}
-    if draw(st.booleans()):
+    if draw(st.booleans()):  # the lr sub-label present, or 0-bit
         lr = {key: draw(felems(pm.lr.p)) for key in lr3_keys(pm)}
-    nest = {}
-    if draw(st.booleans()):  # both maybe states
-        nest["above"] = draw(uints(2 * pm.w))
-    for key in ("has_left", "has_right"):
-        if draw(st.booleans()):
-            nest[key] = draw(st.booleans())
+    nest = {
+        "above": draw(st.one_of(st.none(), uints(2 * pm.w))),  # both maybe states
+        "has_left": draw(st.booleans()),
+        "has_right": draw(st.booleans()),
+    }
     return stv, lr, nest
 
 
@@ -198,9 +194,9 @@ def r3_tree(pm, stv, lr, nest):
         lr_lbl.field_elem(key, lr[key], pm.lr.p)
     nest_lbl = (
         Label()
-        .maybe("above", nest.get("above"), 2 * pm.w)
-        .flag("has_left", nest.get("has_left", False))
-        .flag("has_right", nest.get("has_right", False))
+        .maybe("above", nest["above"], 2 * pm.w)
+        .flag("has_left", nest["has_left"])
+        .flag("has_right", nest["has_right"])
     )
     return (
         Label()
@@ -212,22 +208,56 @@ def r3_tree(pm, stv, lr, nest):
 
 @st.composite
 def e3_fields(draw, pm):
-    f = {"name_t": draw(uints(pm.w)), "name_h": draw(uints(pm.w))}
-    if draw(st.booleans()):
-        f["jval"] = draw(felems(pm.lr.p))
-    if draw(st.booleans()):  # both maybe states
-        f["succ"] = draw(uints(2 * pm.w))
-    return f
+    return {
+        "jval": draw(st.one_of(st.just(OMIT), felems(pm.lr.p))),
+        "name_t": draw(uints(pm.w)),
+        "name_h": draw(uints(pm.w)),
+        "succ": draw(st.one_of(st.none(), uints(2 * pm.w))),  # both maybe states
+    }
 
 
 def e3_tree(pm, f):
     lbl = Label()
-    if "jval" in f:
+    if f["jval"] is not OMIT:
         lbl.field_elem("jval", f["jval"], pm.lr.p)
     lbl.uint("name_t", f["name_t"], pm.w)
     lbl.uint("name_h", f["name_h"], pm.w)
-    lbl.maybe("succ", f.get("succ"), 2 * pm.w)
+    lbl.maybe("succ", f["succ"], 2 * pm.w)
     return lbl
+
+
+def values(fmt, f):
+    """A field dict as the format's value sequence."""
+    return [f[name] for name in fmt.names]
+
+
+def one_row(**subs):
+    """A one-node round: each sub-label's field dict (``{}``: 0-bit)."""
+    return RoundColumns(
+        {key: {name: [v] for name, v in f.items()} or None for key, f in subs.items()}
+    )
+
+
+class _Capture:
+    """The interaction :func:`_emit` sends to: it keeps the labels."""
+
+    def __init__(self, n):
+        self.graph = Graph(n, [(0, 1)] if n == 2 else [])
+
+    def prover_round(self, labels, edge_labels):
+        self.labels, self.edge_labels = labels, edge_labels
+
+
+def emitted(node_formats, rc):
+    """The one-node graph's round label, as the protocol sends it."""
+    out = _Capture(1)
+    _emit(out, None, 1, rc, node_formats, None)
+    return out.labels[0]
+
+
+def sent_tree(node_tree):
+    """The generic tree of a sent label with no edges and no setup."""
+    return Label().sub("node", node_tree).sub("edges", Label())
 
 
 R5_KEYS = ("rq0", "rq1", "A0", "A1", "B0", "B1")
@@ -277,7 +307,7 @@ class TestFormatsEqualGenericTrees:
         count = data.draw(st.integers(0, 3))
         edges = [data.draw(e1_fields(pm)) for _ in range(count)]
         names = tuple(EDGE_KEYS[i] for i in order[:count])
-        born = nest_labels(names, [PROTO._r1_edge(fmts, f) for f in edges])
+        born = nest_labels(names, [fmts.e1.pack(values(fmts.e1, f)) for f in edges])
         tree = Label()
         for name, f in zip(names, edges):
             tree.sub(name, e1_tree(pm, f))
@@ -289,40 +319,41 @@ class TestFormatsEqualGenericTrees:
         pm = PARAMS[n]
         commit = data.draw(forest_values())
         lr = data.draw(st.one_of(st.just({}), lr1_fields(pm)))
-        born = PROTO._r1_node(
-            _po_formats(pm), {"commit": FOREST_FORMAT.pack(commit), "lr": lr}
+        born = emitted(
+            _po_formats(pm).node1,
+            one_row(commit=dict(zip(FOREST_FORMAT.names, commit)), lr=lr),
         )
         tree = (
             Label()
             .sub("commit", forest_tree(commit))
             .sub("lr", lr1_tree(pm, lr) if lr else Label())
         )
-        assert_same(born, tree)
+        assert_same(born, sent_tree(tree))
 
     @given(ns, st.data())
     @settings(max_examples=80, deadline=None)
     def test_r1_edge(self, n, data):
         pm = PARAMS[n]
         f = data.draw(e1_fields(pm))
-        assert_same(PROTO._r1_edge(_po_formats(pm), f), e1_tree(pm, f))
+        fmt = _po_formats(pm).e1
+        assert_same(fmt.pack(values(fmt, f)), e1_tree(pm, f))
 
     @given(ns, st.data())
     @settings(max_examples=80, deadline=None)
     def test_r3_node(self, n, data):
         pm = PARAMS[n]
         stv, lr, nest = data.draw(r3_fields(pm))
-        born = PROTO._r3_node(
-            _po_formats(pm),
-            {"stv": round3_format(pm.t).pack(stv), "lr": lr, "nest": nest},
-        )
-        assert_same(born, r3_tree(pm, stv, lr, nest))
+        stv_fields = dict(zip(round3_format(pm.t).names, stv))
+        born = emitted(_po_formats(pm).node3, one_row(stv=stv_fields, lr=lr, nest=nest))
+        assert_same(born, sent_tree(r3_tree(pm, stv, lr, nest)))
 
     @given(ns, st.data())
     @settings(max_examples=80, deadline=None)
     def test_r3_edge(self, n, data):
         pm = PARAMS[n]
         f = data.draw(e3_fields(pm))
-        assert_same(PROTO._r3_edge(_po_formats(pm), f), e3_tree(pm, f))
+        fmt = _po_formats(pm).e3
+        assert_same(fmt.pack(values(fmt, f)), e3_tree(pm, f))
 
     @given(st.sampled_from(NS[1:]), st.data())
     @settings(max_examples=60, deadline=None)
@@ -331,33 +362,51 @@ class TestFormatsEqualGenericTrees:
         lr = {}
         if data.draw(st.booleans()):
             lr = {key: data.draw(felems(pm.lr.p2)) for key in R5_KEYS}
-        assert_same(PROTO._r5_node(_po_formats(pm), {"lr": lr}), r5_tree(pm, lr))
+        born = emitted(_po_formats(pm).node5, one_row(lr=lr))
+        assert_same(born, sent_tree(r5_tree(pm, lr)))
 
     @given(ns, st.booleans(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_emit_wrapper(self, n, with_setup, data):
         pm = PARAMS[n]
         fmts = _po_formats(pm)
-        lr = data.draw(lr1_fields(pm))
-        commit = data.draw(forest_values())
-        node = PROTO._r1_node(fmts, {"commit": FOREST_FORMAT.pack(commit), "lr": lr})
+        lrs = [data.draw(lr1_fields(pm)) for _ in range(2)]
+        commits = [data.draw(forest_values()) for _ in range(2)]
         edge = data.draw(e1_fields(pm))
-        edges = nest_labels((EDGE_KEYS[1],), [PROTO._r1_edge(fmts, edge)])
         forests = [data.draw(forest_values()) for _ in FOREST_KEYS]
-        node_tree = Label().sub("commit", forest_tree(commit)).sub("lr", lr1_tree(pm, lr))
-        tree = Label().sub("node", node_tree).sub(
-            "edges", Label().sub(EDGE_KEYS[1], e1_tree(pm, edge))
+        # a two-node graph whose one edge is node 0's to carry (forest 1)
+        out = _Capture(2)
+        sim = _SimulationSlice(out.graph, {(0, 1): (1, 0)}, {})
+        rc = RoundColumns(
+            {
+                "commit": {
+                    name: [c[i] for c in commits]
+                    for i, name in enumerate(FOREST_FORMAT.names)
+                },
+                "lr": {key: [f[key] for f in lrs] for key in lrs[0]},
+            },
+            [(0, 1)],
+            {key: [edge[key]] for key in edge},
         )
-        subs = [node, edges]
-        if with_setup:
-            setup = nest_labels(FOREST_KEYS, [FOREST_FORMAT.pack(v) for v in forests])
-            setup_tree = Label()
-            for key, values in zip(FOREST_KEYS, forests):
-                setup_tree.sub(key, forest_tree(values))
-            tree.sub("forests", setup_tree)
-            subs.append(setup)
-        names = ("node", "edges", "forests")[: len(subs)]
-        assert_same(nest_labels(names, subs), tree)
+        setup = nest_labels(FOREST_KEYS, [FOREST_FORMAT.pack(v) for v in forests])
+        _emit(out, sim, 1, rc, fmts.node1, fmts.e1, {0: setup, 1: setup} if with_setup else None)
+        assert_same(out.edge_labels[(0, 1)], e1_tree(pm, edge))
+        for v in (0, 1):
+            node_tree = (
+                Label()
+                .sub("commit", forest_tree(commits[v]))
+                .sub("lr", lr1_tree(pm, lrs[v]))
+            )
+            edges_tree = Label()
+            if v == 0:
+                edges_tree.sub(EDGE_KEYS[1], e1_tree(pm, edge))
+            tree = Label().sub("node", node_tree).sub("edges", edges_tree)
+            if with_setup:
+                setup_tree = Label()
+                for key, forest in zip(FOREST_KEYS, forests):
+                    setup_tree.sub(key, forest_tree(forest))
+                tree.sub("forests", setup_tree)
+            assert_same(out.labels[v], tree)
 
     def test_empty_label_is_the_empty_tree(self):
         assert_same(EMPTY_LABEL, Label())
@@ -388,14 +437,16 @@ class TestOutOfWidth:
         key = data.draw(st.sampled_from(keys))
         width = {"x1bit": 1, "x2bit": 1, "side": 2}.get(key, pm.lr.index_width)
         f[key] = data.draw(too_wide(width))
-        same_error(lambda: PROTO._lr_r1_node(fmts, f), lambda: lr1_tree(pm, f))
+        same_error(lambda: fmts.lr1.pack(values(fmts.lr1, f)), lambda: lr1_tree(pm, f))
 
     @given(ns, st.data())
     @settings(max_examples=40, deadline=None)
     def test_r1_edge_index(self, n, data):
         pm = PARAMS[n]
-        f = {"inner": False, "I": data.draw(too_wide(pm.lr.index_width))}
-        same_error(lambda: PROTO._r1_edge(_po_formats(pm), f), lambda: e1_tree(pm, f))
+        f = data.draw(e1_fields(pm))
+        f.update(inner=False, I=data.draw(too_wide(pm.lr.index_width)))
+        fmt = _po_formats(pm).e1
+        same_error(lambda: fmt.pack(values(fmt, f)), lambda: e1_tree(pm, f))
 
     @given(ns, st.data())
     @settings(max_examples=60, deadline=None)
@@ -408,8 +459,8 @@ class TestOutOfWidth:
             lr[data.draw(st.sampled_from(lr3_keys(pm)))] = data.draw(not_in_field(pm.lr.p))
         else:
             nest["above"] = data.draw(too_wide(2 * pm.w))
-        fields = {"stv": round3_format(pm.t).pack(stv), "lr": lr, "nest": nest}
-        same_error(lambda: PROTO._r3_node(fmts, fields), lambda: r3_tree(pm, stv, lr, nest))
+        rc = one_row(stv=dict(zip(round3_format(pm.t).names, stv)), lr=lr, nest=nest)
+        same_error(lambda: _pack_nodes(rc, fmts.node3), lambda: r3_tree(pm, stv, lr, nest))
 
     @given(ns, st.data())
     @settings(max_examples=60, deadline=None)
@@ -421,7 +472,8 @@ class TestOutOfWidth:
             f[key] = data.draw(not_in_field(pm.lr.p))
         else:
             f[key] = data.draw(too_wide(pm.w if key != "succ" else 2 * pm.w))
-        same_error(lambda: PROTO._r3_edge(_po_formats(pm), f), lambda: e3_tree(pm, f))
+        fmt = _po_formats(pm).e3
+        same_error(lambda: fmt.pack(values(fmt, f)), lambda: e3_tree(pm, f))
 
     @given(st.sampled_from(NS[1:]), st.data())
     @settings(max_examples=40, deadline=None)
@@ -430,7 +482,8 @@ class TestOutOfWidth:
         lr = {key: 0 for key in R5_KEYS}
         lr[data.draw(st.sampled_from(R5_KEYS))] = data.draw(not_in_field(pm.lr.p2))
         same_error(
-            lambda: PROTO._r5_node(_po_formats(pm), {"lr": lr}), lambda: r5_tree(pm, lr)
+            lambda: _pack_nodes(one_row(lr=lr), _po_formats(pm).node5),
+            lambda: r5_tree(pm, lr),
         )
 
     @given(ns, st.data())
@@ -461,29 +514,30 @@ class _WideProver(HonestPathOuterplanarityProver):
         super().__init__(instance)
         self.target = target
 
-    def round1(self):
-        nodes, edges = super().round1()
+    def round1(self, commit):
+        rc = super().round1(commit)
         if self.target == "idx":
-            nodes[0]["lr"]["idx"] = 1 << self.params.lr.index_width
+            rc.nodes["lr"]["idx"][0] = 1 << self.params.lr.index_width
         elif self.target == "I":
-            edges[next(iter(edges))].update(inner=False, I=-1)
-        return nodes, edges
+            rc.edge_columns["inner"][0] = False
+            rc.edge_columns["I"][0] = -1
+        return rc
 
     def round3(self, coins):
-        nodes, edges = super().round3(coins)
+        rc = super().round3(coins)
         if self.target == "rb":
-            nodes[0]["lr"]["rb"] = self.params.lr.p
+            rc.nodes["lr"]["rb"][0] = self.params.lr.p
         elif self.target == "above":
-            nodes[0]["nest"]["above"] = 1 << (2 * self.params.w)
+            rc.nodes["nest"]["above"][0] = 1 << (2 * self.params.w)
         elif self.target == "succ":
-            edges[next(iter(edges))]["succ"] = -1
-        return nodes, edges
+            rc.edge_columns["succ"][0] = -1
+        return rc
 
     def round5(self, coins):
-        nodes = super().round5(coins)
+        rc = super().round5(coins)
         if self.target == "A0":
-            nodes[0]["lr"]["A0"] = self.params.lr.p2
-        return nodes
+            rc.nodes["lr"]["A0"][0] = self.params.lr.p2
+        return rc
 
 
 @pytest.mark.parametrize("target", ["idx", "I", "rb", "above", "succ", "A0"])

@@ -1,15 +1,18 @@
 """Batched composite sub-runs decide exactly like sub-runs run alone.
 
 ``outerplanarity``, ``series_parallel`` and ``treewidth2`` hand all their
-path-outerplanarity and spanning-tree sub-runs to one batch per host
-execution: one Lemma-2.4 simulation pass over the disjoint union of the
-block / ear graphs, and one kernel call per parameter class.  This module
+path-outerplanarity and spanning-tree sub-runs to one staged batch per
+host execution: one Lemma-2.4 simulation pass over the disjoint union of
+the block / ear graphs, one Lemma-2.3 pass for every forest the sub-runs
+commit, every round built for all sub-runs before the next
+(``run_staged``), and one kernel call per parameter class.  This module
 pins that batch against running every sub-run alone -- its own
-simulation (``_safe_simulation``) and its own kernel call, the
+simulation (``_safe_simulation``), its own forest encoding, all its
+rounds before the next sub-run starts, and its own kernel call, the
 per-sub-run execution the batch replaces:
 
-- for every sub-run: the packed wire form of every node and edge label,
-  every coin, and the rejecting nodes; plus the host verdict;
+- for every sub-run: the schema and wire bytes of every node and edge
+  label, every coin, and the rejecting nodes; plus the host verdict;
 - honest runs, ``fuzz_r1/r3/r5``, and hand-written liars / no-instances
   (those of ``test_composite_protocols.py`` and
   ``test_decomposition_stages.py``, and a block of arboricity 4 that
@@ -18,10 +21,12 @@ per-sub-run execution the batch replaces:
   ``REPRO_VECTOR_MIN_NODES=2``; ``planar_embedding`` (batches of one) is
   the control.
 
-Two more pins: a class in which one member carries an uncoverable label
-sends only that member's nodes to the per-view checker, and honest
+Three more pins: a class in which one member carries an uncoverable
+label sends only that member's nodes to the per-view checker; honest
 ``outerplanarity`` / ``treewidth2`` runs decide every node of every
-class at or above the floor by kernel.
+class at or above the floor by kernel; and a sub-run whose prover sends
+an out-of-width value fails its staged host with the error it raises
+alone.
 """
 
 import random
@@ -43,14 +48,17 @@ from repro.graphs.generators import (
 )
 from repro.obs import metrics
 from repro.protocols import outerplanarity, path_outerplanarity, series_parallel, treewidth2
+from repro.protocols.outerplanarity import OuterplanarityProtocol, OuterplanarityProver
 from repro.protocols.instances import (
     OuterplanarInstance,
+    PathOuterplanarInstance,
     PlanarEmbeddingInstance,
     SeriesParallelInstance,
     Treewidth2Instance,
 )
 from repro.runtime import get_task
 
+from test_born_packed import _WideProver
 from test_decomposition_stages import _K4ParentLiar
 
 TASKS = ("outerplanarity", "series_parallel", "treewidth2", "planar_embedding")
@@ -78,13 +86,20 @@ def mode(request, monkeypatch):
 
 
 def _run_alone(mp: pytest.MonkeyPatch) -> None:
-    """Patch the batch away: every sub-run simulates and decides alone."""
+    """Patch the batch away: every sub-run simulates, runs its rounds and
+    decides alone, one sub-run after the other."""
 
     def simulations(graphs):
         return [path_outerplanarity._safe_simulation(g) for g in graphs]
 
+    staged = path_outerplanarity.run_staged
+
+    def one_by_one(jobs):
+        return [staged([job])[0] for job in jobs]
+
     for module in (path_outerplanarity, outerplanarity, series_parallel, treewidth2):
         mp.setattr(module, "batch_simulations", simulations)
+        mp.setattr(module, "run_staged", one_by_one)
 
     def run(self):
         pending, self._pending = self._pending, []
@@ -98,7 +113,7 @@ def _run_alone(mp: pytest.MonkeyPatch) -> None:
 
 def _wire(label):
     schema, payload = label.pack()
-    return schema.desc, payload
+    return schema.desc, label.wire_bytes(), payload
 
 
 def _fingerprint(result) -> list:
@@ -330,3 +345,51 @@ def test_honest_composites_decide_batched_classes_by_kernel(task, monkeypatch):
     assert decided == sum(sum(c) for c in classes if sum(c) >= floor)
     # the batch is what lifts classes of sub-floor sub-runs over the floor
     assert any(sum(c) >= floor and max(c) < floor for c in classes)
+
+
+# -- an out-of-width value fails the staged host like the sub-run alone ------
+
+
+class _WideBlockProver(OuterplanarityProver):
+    """Honest, except the third block's prover pushes ``target`` out of
+    its width (``_WideProver``)."""
+
+    def __init__(self, instance, target):
+        super().__init__(instance)
+        self.target = target
+        self.blocks = 0
+
+    def sub_prover(self, sub_instance):
+        self.blocks += 1
+        if self.blocks == 3:
+            return _WideProver(sub_instance, self.target)
+        return super().sub_prover(sub_instance)
+
+
+def _raised(run) -> str:
+    with pytest.raises(protocol.ProtocolError) as err:
+        run()
+    assert isinstance(err.value.__cause__, ValueError)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("target", ["idx", "I", "rb", "above", "succ", "A0"])
+def test_out_of_width_sub_run_fails_the_staged_host_as_alone(target):
+    host = _glued(*[cycle_graph(6)] * 5)  # five 6-node blocks, one chord each
+    instance = OuterplanarInstance(host)
+
+    def host_run():
+        prover = _WideBlockProver(instance, target)
+        OuterplanarityProtocol(c=2).execute(instance, prover=prover, rng=random.Random(4))
+
+    staged = _raised(host_run)
+    with pytest.MonkeyPatch.context() as mp:
+        _run_alone(mp)
+        assert _raised(host_run) == staged
+    # ... and the text is the one a sub-run of that shape raises by itself
+    block = PathOuterplanarInstance(cycle_graph(6), witness_path=list(range(6)))
+    assert staged == _raised(
+        lambda: path_outerplanarity.PathOuterplanarityProtocol(c=2).execute(
+            block, prover=_WideProver(block, target), rng=random.Random(4)
+        )
+    )

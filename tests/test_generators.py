@@ -51,6 +51,36 @@ def test_laminar_intervals_never_cross(n, seed):
     )
 
 
+def _laminar_intervals_reference(n, target, rng, min_span=2):
+    """The quadratic original: scan every chosen interval for a crossing."""
+    chosen, chosen_set, attempts = [], set(), 0
+    while len(chosen) < target and attempts < 20 * (target + 1):
+        attempts += 1
+        i = rng.randrange(0, n - min_span)
+        j = rng.randrange(i + min_span, min(n, i + max(min_span + 1, n // 2) + 1))
+        if (i, j) in chosen_set:
+            continue
+        if any((a < i < b < j) or (i < a < j < b) for a, b in chosen):
+            continue
+        chosen.append((i, j))
+        chosen_set.add((i, j))
+    return chosen
+
+
+@pytest.mark.parametrize(
+    "n, min_span",
+    [(n, span) for n in (3, 4, 5, 8, 17, 64, 255, 256, 1024) for span in (1, 2, 3) if n > span],
+)
+def test_laminar_intervals_match_the_quadratic_reference(n, min_span):
+    for seed in range(3):
+        for target in (0, 1, n // 4, n // 2, n):
+            fast, slow = random.Random(seed), random.Random(seed)
+            got = random_laminar_intervals(n, target, fast, min_span)
+            assert got == _laminar_intervals_reference(n, target, slow, min_span)
+            # the same draws, in the same order: the streams stay in step
+            assert fast.random() == slow.random()
+
+
 class TestYesGenerators:
     @pytest.mark.parametrize("seed", range(3))
     def test_path_outerplanar(self, seed):

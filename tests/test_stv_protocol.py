@@ -85,29 +85,18 @@ class TestSoundness:
     def test_adversarial_global_sum_caught(self):
         """A cheating prover that picks Z := s(root_1) to appease one root
         still loses at the other root w.h.p."""
-        from repro.core.labels import Label
-        from repro.primitives.spanning_tree_verification import (
-            STV_FIELD,
-            honest_round3_labels,
-            split_coins,
-        )
+        from repro.primitives.spanning_tree_verification import honest_round3_columns
 
         class TwoRootCheater(STVProver):
             def round3(self, coins, repetitions):
-                labels = honest_round3_labels(self.graph, self.tree, coins, repetitions)
+                columns = honest_round3_columns(
+                    self.tree, [coins[v] for v in self.graph.nodes()], repetitions
+                )
                 roots = self.tree.roots()
                 # overwrite every Z with the first root's subtree sum
-                fixed = {}
                 for j in range(repetitions):
-                    fixed[j] = labels[roots[0]][f"s{j}"]
-                out = {}
-                for v, lbl in labels.items():
-                    new = Label()
-                    for j in range(repetitions):
-                        new.field_elem(f"s{j}", lbl[f"s{j}"], STV_FIELD.p)
-                        new.field_elem(f"Z{j}", fixed[j], STV_FIELD.p)
-                    out[v] = new
-                return out
+                    columns[2 * j + 1] = [columns[2 * j][roots[0]]] * self.graph.n
+                return columns
 
         rng = random.Random(11)
         proto = SpanningTreeVerificationProtocol(repetitions=4)
