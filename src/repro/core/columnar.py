@@ -21,20 +21,22 @@ ordinary per-view Python path, so a kernel can always punt on a rare
 case without ever changing a verdict).  ``Interaction.decide`` merges
 the two; canonical reports are byte-identical with kernels on or off.
 
-Kernels run per *parameter class*, not per execution: a
+Kernels run per *host batch*, not per execution: a
 :class:`~repro.core.protocol.DecideBatch` groups the pending decides of
 many executions (the per-block and per-ear sub-runs of a composite
-protocol) by their kernel parameters, and :func:`run_kernel` decides
-each class in one call over the disjoint union of its members' graphs.
-Each member then gets its own slice of the ``(ok, fallback)`` arrays.
+protocol) by kernel, and :func:`run_kernel` decides each group in one
+call over the disjoint union of its members' graphs.  Members may
+differ in size: the path-outerplanarity kernel reads every parameter of
+a node's own sub-run from per-node arrays.  Each member then gets its
+own slice of the ``(ok, fallback)`` arrays.
 
 Numpy is an **optional** dependency (the ``[vector]`` extra): when it is
 missing, :func:`run_kernel` decides nothing and the per-view path runs
 unchanged.  ``REPRO_DISABLE_VECTOR_DECIDE=1`` is the escape hatch,
 mirroring the decode-cache hatch, and
 ``REPRO_VECTOR_MIN_NODES`` tunes the size gate, which applies to the
-node count of the whole class union (vectorization has a fixed setup
-cost per kernel call, which a class of many tiny sub-runs shares).
+node count of the whole batch union (vectorization has a fixed setup
+cost per kernel call, which a batch of many tiny sub-runs shares).
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ def vector_decide_disabled() -> bool:
     return os.environ.get("REPRO_DISABLE_VECTOR_DECIDE", "") not in ("", "0")
 
 
-#: below this node count (summed over a parameter class: the tiny block
-#: and ear sub-runs of a composite are batched into one union first) the
+#: below this node count (summed over a host batch: the tiny block and
+#: ear sub-runs of a composite are batched into one union first) the
 #: fixed cost of building columns outweighs the win
 DEFAULT_MIN_NODES = 32
 
@@ -118,7 +120,7 @@ BIG = 1 << 60
 class Uncoverable(Exception):
     """A coin shape the columnar path cannot represent (a width beyond
     int64).  Raised during extraction; ``run_kernel`` turns it into a
-    per-view fallback for the whole class."""
+    per-view fallback for the whole batch."""
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +195,54 @@ def _resolve_spec(schema, path: tuple, unwrap: bool, want_sub: bool) -> tuple:
 #: unwrap applies the wrapped-label "node" descend before walking the path
 ColumnSpec = Tuple[tuple, bool, bool]
 
-#: resolved plans: specs tuple -> {schema: one resolved spec per column}.
-#: Schemas are interned process-wide and never freed, so a plan is
-#: resolved once per process.
+#: column plans: specs tuple -> {schema: _ColumnPlan}.  Schemas are
+#: interned process-wide and never freed, so a plan is built once per
+#: process.
 _PLANS: Dict[tuple, dict] = {}
+
+#: a plan entry's value kinds (``kind`` of a :class:`_ColumnPlan`)
+_CONST, _LEAF, _MAYBE = 0, 1, 2
+
+
+class _ColumnPlan:
+    """One schema's extraction plan for a specs tuple, one entry per
+    column: the value ``kind``, the ``shift`` of its lowest bit, its
+    value ``mask``, the presence-bit offset ``pbit`` of a maybe leaf
+    (relative to ``shift``), and the ``const`` a non-value entry reads
+    (1 for a present sub-label, else MISSING).  ``uncover`` marks a
+    schema with an entry no int64 column holds; ``top`` is the highest
+    payload bit any entry reads, plus one.  The schema None (no label at
+    all) reads MISSING everywhere."""
+
+    __slots__ = ("kind", "shift", "mask", "pbit", "const", "uncover", "top")
+
+    def __init__(self, schema, specs: Sequence["ColumnSpec"]):
+        self.kind, self.shift, self.mask, self.pbit, self.const = [], [], [], [], []
+        self.uncover = False
+        self.top = 0
+        for path, want_sub, unwrap in specs:
+            if schema is None:  # no label at all
+                spec = _MISSING_SPEC
+            else:
+                spec = _resolve_spec(schema, path, unwrap, want_sub)
+            tag = spec[0]
+            kind, shift, mask, pbit, const = _CONST, 0, 0, 0, MISSING
+            if tag == "leaf":
+                kind, shift, mask = _LEAF, spec[1], spec[2]
+                self.top = max(self.top, shift + mask.bit_length())
+            elif tag == "maybe":
+                kind, shift, pbit = _MAYBE, spec[1], spec[2] - 1
+                mask = (1 << pbit) - 1
+                self.top = max(self.top, shift + pbit + 1)
+            elif tag == "sub":
+                const = 1
+            elif tag == "uncover":
+                self.uncover = True
+            self.kind.append(kind)
+            self.shift.append(shift)
+            self.mask.append(mask)
+            self.pbit.append(pbit)
+            self.const.append(const)
 
 
 def extract_columns(np, rows: Sequence[Optional[Label]], specs: Sequence[ColumnSpec]):
@@ -208,57 +254,62 @@ def extract_columns(np, rows: Sequence[Optional[Label]], specs: Sequence[ColumnS
     (their column values are MISSING placeholders; the caller must route
     every reader of such a row to the per-view fallback).
 
-    Rows are grouped by schema, and each (schema, column) pair is read by
-    one shift/mask comprehension over the group's payloads.  Born-packed
-    and wire-decoded labels hand over their payload as is; a
-    generic-builder tree (a mutated label, an adversary's) is packed on
-    first read.
+    Each row's payload is laid out as little-endian 64-bit words (only
+    the bits some column reads), and every (row, column) entry is read by
+    one vectorized shift/mask, with the shift and mask of its row's
+    schema plan.  Born-packed and wire-decoded labels hand over
+    their payload as is; a generic-builder tree (a mutated label, an
+    adversary's) is packed on first read.
     """
-    k = len(specs)
-    groups: Dict[LabelSchema, Tuple[List[int], List[int]]] = {}
-    for ridx, lbl in enumerate(rows):
+    plans = _PLANS.get(specs)
+    if plans is None:
+        plans = _PLANS.setdefault(specs, {None: _ColumnPlan(None, specs)})
+    codes: Dict[Optional[LabelSchema], int] = {None: 0}
+    row_plans = [plans[None]]
+    row_codes: List[int] = []
+    pays: List[int] = []
+    for lbl in rows:
         if lbl is None:
-            continue
-        if lbl.__class__ is PackedLabel:
+            schema, payload = None, 0
+        elif lbl.__class__ is PackedLabel:
             schema, payload = lbl._schema, lbl._pv
         else:
             schema, payload = lbl.pack()
-        group = groups.get(schema)
-        if group is None:
-            groups[schema] = ([ridx], [payload])
-        else:
-            group[0].append(ridx)
-            group[1].append(payload)
-    mat = np.full((k, len(rows)), MISSING, dtype=np.int64)
-    uncover = np.zeros(len(rows), dtype=bool)
-    plans = _PLANS.get(specs)
-    if plans is None:
-        plans = _PLANS.setdefault(specs, {})
-    for schema, (idx, pays) in groups.items():
-        plan = plans.get(schema)
-        if plan is None:
-            plan = plans[schema] = [
-                _resolve_spec(schema, path, unwrap, want_sub)
-                for path, want_sub, unwrap in specs
-            ]
-        sel = np.array(idx, dtype=np.intp)
-        for j, spec in enumerate(plan):
-            tag = spec[0]
-            if tag == "leaf":
-                _, shift, mask = spec
-                mat[j, sel] = [(p >> shift) & mask for p in pays]
-            elif tag == "maybe":
-                _, shift, width = spec
-                present = shift + width - 1
-                mask = (1 << (width - 1)) - 1
-                mat[j, sel] = [
-                    (p >> shift) & mask if (p >> present) & 1 else NONE for p in pays
-                ]
-            elif tag == "sub":
-                mat[j, sel] = 1
-            elif tag == "uncover":
-                uncover[sel] = True
-    return list(mat), uncover
+        code = codes.get(schema)
+        if code is None:
+            plan = plans.get(schema)
+            if plan is None:
+                plan = plans[schema] = _ColumnPlan(schema, specs)
+            code = codes[schema] = len(row_plans)
+            row_plans.append(plan)
+        row_codes.append(code)
+        pays.append(payload)
+    n_rows = len(rows)
+    code_arr = np.array(row_codes, dtype=np.intp)
+    uncover = np.array([plan.uncover for plan in row_plans], dtype=bool)[code_arr]
+    # one spare word past the highest bit read: a field that straddles a
+    # word boundary reads the next word too
+    nbytes = 8 * (max(plan.top for plan in row_plans) // 64 + 2)
+    low = (1 << (8 * nbytes)) - 1
+    words = np.frombuffer(
+        b"".join([(p & low).to_bytes(nbytes, "little") for p in pays]), dtype="<u8"
+    ).reshape(n_rows, nbytes // 8)
+    # every (row, column) entry at once, each read with its row's plan
+    kind = np.array([plan.kind for plan in row_plans], dtype=np.int64)[code_arr]
+    shift = np.array([plan.shift for plan in row_plans], dtype=np.int64)[code_arr]
+    word = shift >> 6
+    off = (shift & 63).astype(np.uint64)
+    row = np.arange(n_rows)[:, None]
+    one = np.uint64(1)
+    raw = (words[row, word] >> off) | (
+        (words[row, word + 1] << one) << (np.uint64(63) - off)
+    )
+    mask = np.array([plan.mask for plan in row_plans], dtype=np.uint64)[code_arr]
+    pbit = np.array([plan.pbit for plan in row_plans], dtype=np.uint64)[code_arr]
+    const = np.array([plan.const for plan in row_plans], dtype=np.int64)[code_arr]
+    mat = np.where(kind == _CONST, const, (raw & mask).astype(np.int64))
+    mat[(kind == _MAYBE) & ((raw >> pbit) & one == 0)] = NONE
+    return list(np.ascontiguousarray(mat.T)), uncover
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +541,16 @@ def _decode_forest_cols(np, csr, n: int, own):
 
 def _stv_reject(
     np, csr, n: int, reps: int, p: int, elem_bits: int,
-    coin_vals, s_cols, z_cols, child_mask, is_root_mask,
+    coin_vals, s_cols, z_cols, child_mask, is_root_mask, node_reps=None,
 ):
     """Reject mask of ``check_node_fields`` (sans tree-port pinning).
 
     ``coin_vals`` are the STV coin slices (already masked by the caller);
     ``child_mask`` is the per-slot decoded-children mask, ``is_root_mask``
     the decoded root flag.  MISSING fields reject exactly where the
-    scalar checker's _ABSENT tests do.
+    scalar checker's _ABSENT tests do.  ``node_reps``, when given, is
+    each node's own repetition count: repetition ``j`` then rejects only
+    nodes with ``j < node_reps`` (``reps`` is the largest of them).
     """
     _, nbr, slot_node = csr
     reject = np.zeros(n, dtype=bool)
@@ -505,19 +558,20 @@ def _stv_reject(
     for j in range(reps):
         s_v = s_cols[j]
         z_v = z_cols[j]
-        reject |= (s_v == MISSING) | (z_v == MISSING)
-        reject |= (s_v < 0) | (s_v >= p) | (z_v < 0) | (z_v >= p)
+        bad = (s_v == MISSING) | (z_v == MISSING)
+        bad |= (s_v < 0) | (s_v >= p) | (z_v < 0) | (z_v >= p)
         # global-sum consistency across every graph edge (_ABSENT never
         # equals a field value: MISSING neighbors mismatch and reject)
-        reject |= seg_any(np, z_v[nbr] != z_v[slot_node], slot_node, n)
+        bad |= seg_any(np, z_v[nbr] != z_v[slot_node], slot_node, n)
         # subtree-sum recurrence over decoded children
         ns = s_v[nbr]
-        reject |= seg_any(np, child_mask & (ns == MISSING), slot_node, n)
+        bad |= seg_any(np, child_mask & (ns == MISSING), slot_node, n)
         contrib = np.where(ns >= 0, ns, 0)
         total = seg_sum(np, child_mask, slot_node, contrib, n)
         x_j = ((coin_vals >> (j * elem_bits)) & emask) % p
-        reject |= (x_j + total) % p != s_v
-        reject |= is_root_mask & (s_v != z_v)
+        bad |= (x_j + total) % p != s_v
+        bad |= is_root_mask & (s_v != z_v)
+        reject |= bad if node_reps is None else bad & (node_reps > j)
     return reject
 
 
@@ -526,13 +580,16 @@ def _stv_reject(
 # ---------------------------------------------------------------------------
 
 
-def make_stv_kernel(reps: int, p: int, elem_bits: int, tree_ports):
+def make_stv_kernel(params, p: int, elem_bits: int):
     """Columnar checker for :class:`SpanningTreeVerificationProtocol`.
 
+    ``params`` holds one ``(reps, tree_ports)`` pair per member; the
+    batch key makes them equal, so the first one speaks for all.
     ``tree_ports`` is the instance's port pinning (dict node -> tuple of
     ports) when the protocol enforces a specific tree, else None --
     matching the ``expected_tree_ports`` argument of the scalar checker.
     """
+    reps, tree_ports = params[0]
 
     _F = (
         (("c1",), False, False),
@@ -584,18 +641,19 @@ def make_stv_kernel(reps: int, p: int, elem_bits: int, tree_ports):
     return kernel
 
 
-def run_kernel(kernel, members):
-    """Run one columnar kernel over the disjoint union of ``members``.
+def run_kernel(make_kernel, members):
+    """Decide the disjoint union of ``members`` with one columnar kernel.
 
-    ``members`` are the ``(graph, transcript)`` pairs of finished
-    executions that share the kernel's parameters.  Returns one entry per
-    member: its ``(ok, fallback)`` numpy bool slices, or None where the
-    vectorized path does not apply -- the caller then uses the per-view
-    path for every node of that member.  Degenerate members (fewer than
-    two nodes, or no edges) are always None; the others are all None when
+    ``members`` are the ``(graph, transcript, params)`` triples of
+    finished executions that one kernel decides; ``make_kernel`` builds
+    that kernel from the ``params`` of the members it decides, in
+    member order.  Returns one entry per member: its ``(ok, fallback)``
+    numpy bool slices, or None where the vectorized path does not apply
+    -- the caller then uses the per-view path for every node of that
+    member.  Degenerate members (fewer than two nodes, or no edges) are
+    always None and never reach the kernel; the others are all None when
     the hatch is set, numpy is absent, their union is below the size
-    floor, or a coin shape is uncoverable.  A single member is decided on
-    its own graph and transcript.
+    floor, or a coin shape is uncoverable.
     """
     out: List[Optional[tuple]] = [None] * len(members)
     if vector_decide_disabled():
@@ -603,10 +661,11 @@ def run_kernel(kernel, members):
     np = _numpy()
     if np is None:
         return out
-    live = [i for i, (g, _) in enumerate(members) if g.n >= 2 and g.m > 0]
+    live = [i for i, (g, _, _) in enumerate(members) if g.n >= 2 and g.m > 0]
     if sum(members[i][0].n for i in live) < vector_min_nodes():
         return out
-    ctx = ColumnarContext(np, [members[i] for i in live])
+    kernel = make_kernel([members[i][2] for i in live])
+    ctx = ColumnarContext(np, [members[i][:2] for i in live])
     try:
         ok, fallback = kernel(ctx)
     except Uncoverable:
@@ -729,21 +788,29 @@ def _chain_step(entries, used, budget, own_above, flag, none, expected, count) -
     return False
 
 
-def make_po_kernel(pm, stv_p: int, stv_elem_bits: int, n_forests: int = 3):
+def make_po_kernel(pms, stv_p: int, stv_elem_bits: int, n_forests: int = 3):
     """Columnar checker for ``check_path_outerplanarity_node``.
 
-    ``pm`` is the :class:`PathOuterplanarityParams` of the run (duck-typed
-    here to keep core/ free of protocol imports); ``stv_p`` /
-    ``stv_elem_bits`` are the STV field constants.  The kernel re-derives
-    every verdict of the scalar checker; the only cases it routes to the
-    per-view fallback (beyond uncoverable label shapes) are nodes with
-    two or more outer edges or nesting entries on one side, whose
-    multiset/chain checks are cheaper re-run in Python than vectorized.
+    ``pms`` holds one :class:`PathOuterplanarityParams` per member
+    (duck-typed here to keep core/ free of protocol imports): the members
+    may differ in size, so every parameter the checker reads -- block
+    length, block count, fields, coin slicing, STV repetitions -- is a
+    per-node array (each member's value repeated over its nodes, read
+    per slot through ``slot_node``).  ``stv_p`` / ``stv_elem_bits`` are
+    the STV field constants.  The kernel re-derives every verdict of the
+    scalar checker; the only cases it routes to the per-view fallback
+    (beyond uncoverable label shapes) are nodes with two or more outer
+    edges or nesting entries on one side, whose multiset/chain checks are
+    cheaper re-run in Python than vectorized.  ``run_kernel`` passes only
+    members with at least two nodes, so no member is the trivial 1-node
+    run.
     """
-    plr = pm.lr
-    t_reps = pm.t
-    stv_specs = tuple(((("stv", f"s{j}"), False, True) for j in range(t_reps)))
-    stv_specs += tuple(((("stv", f"Z{j}"), False, True) for j in range(t_reps)))
+    lrs = [pm.lr for pm in pms]
+    # STV columns for the largest repetition count; a node masks the
+    # repetitions beyond its own ``t``
+    t_max = max(pm.t for pm in pms)
+    stv_specs = tuple(((("stv", f"s{j}"), False, True) for j in range(t_max)))
+    stv_specs += tuple(((("stv", f"Z{j}"), False, True) for j in range(t_max)))
     r3_specs = _PO_R3_SPECS + stv_specs
     forest_specs = [(("forests",), True, False)]
     for i in range(n_forests):
@@ -753,18 +820,39 @@ def make_po_kernel(pm, stv_p: int, stv_elem_bits: int, n_forests: int = 3):
             forest_specs.append(((("forests", key, fname)), False, False))
     r1_specs = _PO_R1_SPECS + tuple(forest_specs)
     n_r1 = len(_PO_R1_SPECS)
+    index_width = max(lr.index_width for lr in lrs)
 
     def kernel(ctx: ColumnarContext):  # noqa: C901
         np = ctx.np
         n = ctx.n
-        if pm.n == 1:
-            return np.ones(n, dtype=bool), ctx.fallback
         csr = ctx.csr()
         indptr, nbr, slot_node = csr
         nslots = len(nbr)
         slots = np.arange(nslots, dtype=np.int64)
         fallback = ctx.fallback
         reject = np.zeros(n, dtype=bool)
+        sizes = np.diff(ctx.offsets)
+
+        def per_node(values):
+            return np.repeat(np.array(values, dtype=np.int64), sizes)
+
+        # per-node parameters (``_s``: the same read per slot)
+        L = per_node([lr.L for lr in lrs])
+        multi = per_node([lr.n_blocks for lr in lrs]) > 1
+        p = per_node([lr.p for lr in lrs])
+        fw = per_node([lr.fw for lr in lrs])
+        fwm = per_node([lr.fw_mask for lr in lrs])
+        p2 = per_node([lr.p2 for lr in lrs])
+        fw2 = per_node([lr.fw2 for lr in lrs])
+        fw2m = per_node([lr.fw2_mask for lr in lrs])
+        t_reps = per_node([pm.t for pm in pms])
+        stv_bits = per_node([pm.stv_bits for pm in pms])
+        stv_mask = per_node([pm.stv_mask for pm in pms])
+        lr_shift = per_node([pm.lr_shift for pm in pms])
+        name_mask = per_node([pm.name_mask for pm in pms])
+        w_s = per_node([pm.w for pm in pms])[slot_node]
+        L_s = L[slot_node]
+        p_s = p[slot_node]
 
         r1 = ctx.node_cols(0, r1_specs)
         cc1, cc2, cpar, croot, lr1_has, idx, x1b, x2b, side, mult = r1[:n_r1]
@@ -772,8 +860,10 @@ def make_po_kernel(pm, stv_p: int, stv_elem_bits: int, n_forests: int = 3):
         r3 = ctx.node_cols(1, r3_specs)
         lr3_has, rb, rcol, rpcol, pfx2, sfx1, pfx1 = r3[:7]
         above, hl, hr, stv_has = r3[7:11]
-        s_cols = r3[11 : 11 + t_reps]
-        z_cols = r3[11 + t_reps :]
+        s_cols = r3[11 : 11 + t_max]
+        z_cols = r3[11 + t_max :]
+        r5 = ctx.node_cols(2, _PO_R5_SPECS)
+        lr5_has, rq0, rq1, a0c, a1c, b0c, b1c = r5
         e1 = ctx.edge_cols(0, _PO_E1_SPECS)
         inner, ival, fwd, ltail, lhead = e1
         e3 = ctx.edge_cols(1, _PO_E3_SPECS)
@@ -801,8 +891,8 @@ def make_po_kernel(pm, stv_p: int, stv_elem_bits: int, n_forests: int = 3):
         sbad = stv_has == MISSING
         reject |= sbad | seg_any(np, sbad[nbr], slot_node, n)
         reject |= _stv_reject(
-            np, csr, n, t_reps, stv_p, stv_elem_bits,
-            coins0 & pm.stv_mask, s_cols, z_cols, child_mask, croot == 1,
+            np, csr, n, t_max, stv_p, stv_elem_bits,
+            coins0 & stv_mask, s_cols, z_cols, child_mask, croot == 1, t_reps,
         )
 
         # ---- 3. port kinds (path + claimed orientations) ----
@@ -840,176 +930,162 @@ def make_po_kernel(pm, stv_p: int, stv_elem_bits: int, n_forests: int = 3):
         io = is_out | is_in
 
         # ---- 4. LR sorting over the committed path ----
+        # ``multi`` gates the predicates of runs with several blocks
+        # (B > 1): the consecutive-numbers proof, the position streams
+        # and the outer-block sessions
         reject |= (lr1_has == MISSING) | (lr3_has == MISSING)
-        L, B = plr.L, plr.n_blocks
-        if B > 1:
-            r5 = ctx.node_cols(2, _PO_R5_SPECS)
-            lr5_has, rq0, rq1, a0c, a1c, b0c, b1c = r5
-            reject |= lr5_has == MISSING
-        if plr.n > 1:
-            coin2 = coins0 >> pm.lr_shift
-            p = plr.p
-            fw, fwm = plr.fw, plr.fw_mask
-            # A. index structure
-            reject |= (idx == MISSING) | (idx < 1) | (idx > 2 * L - 1)
-            reject |= ~has_left & (idx != 1)
-            r_idx = idx[right_nb]
-            reject |= has_right & (r_idx == MISSING)
-            reject |= has_right & np.where(r_idx == 1, idx != L, r_idx != idx + 1)
-            reject |= has_left & (idx > 1) & (idx[left_nb] != idx - 1)
-            sbr = has_right & (r_idx == idx + 1)
-            sbl = has_left & (idx > 1)
-            lo = idx <= L
-            if B > 1:
-                # B. consecutive-numbers proof
-                reject |= (x1b == MISSING) | (x2b == MISSING) | (side == MISSING)
-                reject |= lo & (side == 2) & ~((x1b == 1) & (x2b == 0))
-                reject |= lo & (side == 1) & ~((x1b == 0) & (x2b == 1))
-                reject |= lo & (side == 0) & (x1b != x2b)
-                reject |= (idx == L) & (side == 0)
-                mB = lo & sbr & (idx + 1 <= L)
-                r_side = side[right_nb]
-                reject |= mB & (r_side == MISSING)
-                reject |= mB & ((side == 1) | (side == 2)) & (r_side != 2)
-                mB = lo & sbl & (idx - 1 <= L)
-                l_side = side[left_nb]
-                reject |= mB & (l_side == MISSING)
-                reject |= mB & ((side == 0) | (side == 1)) & (l_side != 0)
-                reject |= (idx > L) & ((x1b != 0) | (x2b != 0))
-                # C. position streams over F_p
-                reject |= (
-                    (rcol == MISSING) | (rpcol == MISSING) | (pfx2 == MISSING)
-                    | (sfx1 == MISSING) | (pfx1 == MISSING)
-                )
-                reject |= has_left & (
-                    (rcol[left_nb] != rcol) | (rpcol[left_nb] != rpcol)
-                )
-                reject |= has_right & (
-                    (rcol[right_nb] != rcol) | (rpcol[right_nb] != rpcol)
-                )
-                raw2 = coin2 >> fw
-                reject |= ~has_left & (rcol != (raw2 & fwm) % p)
-                reject |= ~has_left & (rpcol != ((raw2 >> fw) & fwm) % p)
-                u2 = lo & (x2b == 1)
-                u1 = lo & (x1b == 1)
-                f2v = np.where(u2, (idx - rcol) % p, 1)
-                f1r = np.where(u1, (idx - rcol) % p, 1)
-                f1rp = np.where(u1, (idx - rpcol) % p, 1)
-                npfx2 = pfx2[left_nb]
-                npfx1 = pfx1[left_nb]
-                reject |= sbl & ((npfx2 == MISSING) | (npfx1 == MISSING))
-                reject |= sbl & (
-                    (pfx2 != npfx2 * f2v % p) | (pfx1 != npfx1 * f1rp % p)
-                )
-                reject |= ~sbl & ((pfx2 != f2v % p) | (pfx1 != f1rp % p))
-                nsfx = sfx1[right_nb]
-                reject |= sbr & ((nsfx == MISSING) | (sfx1 != nsfx * f1r % p))
-                reject |= ~sbr & (sfx1 != f1r % p)
-                reject |= (idx == 1) & has_left & (npfx2 != sfx1)
-            # D. inner-block edges + r_b distribution (every B)
-            reject |= rb == MISSING
-            reject |= (idx == 1) & (rb != (coin2 & fwm) % p)
-            reject |= sbl & (rb[left_nb] != rb)
-            reject |= seg_any(np, io & (inner == MISSING), slot_node, n)
-            outer = io & (inner == 0)
-            if B == 1:
-                reject |= seg_any(np, outer, slot_node, n)
-            innr = io & (inner == 1)
-            nb_idx = idx[nbr]
-            nb_rb = rb[nbr]
-            dbad = innr & ((nb_idx == MISSING) | (nb_rb == MISSING))
-            dbad |= innr & is_out & ~(idx[slot_node] < nb_idx)
-            dbad |= innr & is_in & ~(nb_idx < idx[slot_node])
-            dbad |= innr & (nb_rb != rb[slot_node])
-            reject |= seg_any(np, dbad, slot_node, n)
-            if B > 1:
-                # E. outer-block commitments
-                ebad = outer & ((ival == MISSING) | (jval == MISSING))
-                ebad |= outer & (
-                    (ival < 1) | (ival > L) | (jval < 0) | (jval >= p)
-                )
-                reject |= seg_any(np, ebad, slot_node, n)
-                out_o = outer & is_out
-                in_o = outer & is_in
-                co0 = seg_count(np, out_o, slot_node, n)
-                co1 = seg_count(np, in_o, slot_node, n)
-                iv0 = seg_pick(np, out_o, slot_node, ival, n)
-                jv0 = seg_pick(np, out_o, slot_node, jval, n)
-                iv1 = seg_pick(np, in_o, slot_node, ival, n)
-                jv1 = seg_pick(np, in_o, slot_node, jval, n)
-                reject |= (co0 == 1) & (co1 == 1) & (iv0 == iv1)
-                # session streams over F_p2
-                p2 = plr.p2
-                fw2, fw2m = plr.fw2, plr.fw2_mask
-                reject |= (
-                    (rq0 == MISSING) | (rq1 == MISSING) | (a0c == MISSING)
-                    | (a1c == MISSING) | (b0c == MISSING) | (b1c == MISSING)
-                )
-                reject |= (idx == 1) & (rq0 != (coins1 & fw2m) % p2)
-                reject |= (idx == 1) & (rq1 != ((coins1 >> fw2) & fw2m) % p2)
-                reject |= sbl & ((rq0[left_nb] != rq0) | (rq1[left_nb] != rq1))
-                ca0 = np.where(co0 == 1, ((iv0 - 1) * p + jv0 - rq0) % p2, 1)
-                ca1 = np.where(co1 == 1, ((iv1 - 1) * p + jv1 - rq1) % p2, 1)
-                # nodes with several outer edges on a side: the scalar
-                # dict-collapse (same index, same value merges; same
-                # index, different value rejects) and cross-side index
-                # disjointness run as a tight loop over just those nodes,
-                # overwriting their contribution terms
-                multi_e = np.nonzero((co0 > 1) | (co1 > 1))[0]
-                for v in multi_e.tolist():
-                    c0d: Dict[int, int] = {}
-                    c1d: Dict[int, int] = {}
-                    bad = False
-                    for s in range(int(indptr[v]), int(indptr[v + 1])):
-                        if out_o[s]:
-                            store = c0d
-                        elif in_o[s]:
-                            store = c1d
-                        else:
-                            continue
-                        i_, j_ = int(ival[s]), int(jval[s])
-                        if i_ in store and store[i_] != j_:
-                            bad = True
-                            break
-                        store[i_] = j_
-                    if not bad and set(c0d) & set(c1d):
-                        bad = True
-                    if bad:
-                        reject[v] = True
-                        continue
-                    rq0v, rq1v = int(rq0[v]), int(rq1[v])
-                    acc0 = 1
-                    for i_, j_ in c0d.items():
-                        acc0 = acc0 * (((i_ - 1) * p + j_ - rq0v) % p2) % p2
-                    acc1 = 1
-                    for i_, j_ in c1d.items():
-                        acc1 = acc1 * (((i_ - 1) * p + j_ - rq1v) % p2) % p2
-                    ca0[v] = acc0
-                    ca1[v] = acc1
-                reject |= lo & (mult == MISSING)
-                phi_prev = np.where(idx == 1, 1, pfx1[left_nb])
-                reject |= lo & (idx > 1) & (phi_prev == MISSING)
-                term_rq = np.where(x1b == 1, rq1, rq0)
-                tbase = ((idx - 1) * p + phi_prev - term_rq) % p2
-                term = pow_mod(np, tbase, mult, p2, plr.index_width)
-                cb1 = np.where(lo & (x1b == 1), term, 1)
-                cb0 = np.where(lo & (x1b != 1), term, 1)
-                ra0, ra1 = a0c[right_nb], a1c[right_nb]
-                rb0, rb1 = b0c[right_nb], b1c[right_nb]
-                reject |= sbr & (
-                    (ra0 == MISSING) | (ra1 == MISSING)
-                    | (rb0 == MISSING) | (rb1 == MISSING)
-                )
-                na0 = np.where(sbr, ra0, 1)
-                na1 = np.where(sbr, ra1, 1)
-                nb0 = np.where(sbr, rb0, 1)
-                nb1 = np.where(sbr, rb1, 1)
-                reject |= (a0c != na0 * ca0 % p2) | (a1c != na1 * ca1 % p2)
-                reject |= (b0c != nb0 * cb0 % p2) | (b1c != nb1 * cb1 % p2)
-                reject |= (idx == 1) & ((a0c != b0c) | (a1c != b1c))
+        reject |= multi & (lr5_has == MISSING)
+        coin2 = coins0 >> lr_shift
+        # A. index structure
+        reject |= (idx == MISSING) | (idx < 1) | (idx > 2 * L - 1)
+        reject |= ~has_left & (idx != 1)
+        r_idx = idx[right_nb]
+        reject |= has_right & (r_idx == MISSING)
+        reject |= has_right & np.where(r_idx == 1, idx != L, r_idx != idx + 1)
+        reject |= has_left & (idx > 1) & (idx[left_nb] != idx - 1)
+        sbr = has_right & (r_idx == idx + 1)
+        sbl = has_left & (idx > 1)
+        lo = idx <= L
+        # B. consecutive-numbers proof
+        bad = (x1b == MISSING) | (x2b == MISSING) | (side == MISSING)
+        bad |= lo & (side == 2) & ~((x1b == 1) & (x2b == 0))
+        bad |= lo & (side == 1) & ~((x1b == 0) & (x2b == 1))
+        bad |= lo & (side == 0) & (x1b != x2b)
+        bad |= (idx == L) & (side == 0)
+        mB = lo & sbr & (idx + 1 <= L)
+        r_side = side[right_nb]
+        bad |= mB & (r_side == MISSING)
+        bad |= mB & ((side == 1) | (side == 2)) & (r_side != 2)
+        mB = lo & sbl & (idx - 1 <= L)
+        l_side = side[left_nb]
+        bad |= mB & (l_side == MISSING)
+        bad |= mB & ((side == 0) | (side == 1)) & (l_side != 0)
+        bad |= (idx > L) & ((x1b != 0) | (x2b != 0))
+        # C. position streams over F_p
+        bad |= (
+            (rcol == MISSING) | (rpcol == MISSING) | (pfx2 == MISSING)
+            | (sfx1 == MISSING) | (pfx1 == MISSING)
+        )
+        bad |= has_left & ((rcol[left_nb] != rcol) | (rpcol[left_nb] != rpcol))
+        bad |= has_right & ((rcol[right_nb] != rcol) | (rpcol[right_nb] != rpcol))
+        raw2 = coin2 >> fw
+        bad |= ~has_left & (rcol != (raw2 & fwm) % p)
+        bad |= ~has_left & (rpcol != ((raw2 >> fw) & fwm) % p)
+        u2 = lo & (x2b == 1)
+        u1 = lo & (x1b == 1)
+        f2v = np.where(u2, (idx - rcol) % p, 1)
+        f1r = np.where(u1, (idx - rcol) % p, 1)
+        f1rp = np.where(u1, (idx - rpcol) % p, 1)
+        npfx2 = pfx2[left_nb]
+        npfx1 = pfx1[left_nb]
+        bad |= sbl & ((npfx2 == MISSING) | (npfx1 == MISSING))
+        bad |= sbl & ((pfx2 != npfx2 * f2v % p) | (pfx1 != npfx1 * f1rp % p))
+        bad |= ~sbl & ((pfx2 != f2v % p) | (pfx1 != f1rp % p))
+        nsfx = sfx1[right_nb]
+        bad |= sbr & ((nsfx == MISSING) | (sfx1 != nsfx * f1r % p))
+        bad |= ~sbr & (sfx1 != f1r % p)
+        bad |= (idx == 1) & has_left & (npfx2 != sfx1)
+        reject |= multi & bad
+        # D. inner-block edges + r_b distribution (every B)
+        reject |= rb == MISSING
+        reject |= (idx == 1) & (rb != (coin2 & fwm) % p)
+        reject |= sbl & (rb[left_nb] != rb)
+        reject |= seg_any(np, io & (inner == MISSING), slot_node, n)
+        outer = io & (inner == 0)
+        # a single block has no outer edges
+        reject |= ~multi & seg_any(np, outer, slot_node, n)
+        innr = io & (inner == 1)
+        nb_idx = idx[nbr]
+        nb_rb = rb[nbr]
+        dbad = innr & ((nb_idx == MISSING) | (nb_rb == MISSING))
+        dbad |= innr & is_out & ~(idx[slot_node] < nb_idx)
+        dbad |= innr & is_in & ~(nb_idx < idx[slot_node])
+        dbad |= innr & (nb_rb != rb[slot_node])
+        reject |= seg_any(np, dbad, slot_node, n)
+        # E. outer-block commitments
+        ebad = outer & ((ival == MISSING) | (jval == MISSING))
+        ebad |= outer & ((ival < 1) | (ival > L_s) | (jval < 0) | (jval >= p_s))
+        bad = seg_any(np, ebad, slot_node, n)
+        out_o = outer & is_out
+        in_o = outer & is_in
+        co0 = seg_count(np, out_o, slot_node, n)
+        co1 = seg_count(np, in_o, slot_node, n)
+        iv0 = seg_pick(np, out_o, slot_node, ival, n)
+        jv0 = seg_pick(np, out_o, slot_node, jval, n)
+        iv1 = seg_pick(np, in_o, slot_node, ival, n)
+        jv1 = seg_pick(np, in_o, slot_node, jval, n)
+        bad |= (co0 == 1) & (co1 == 1) & (iv0 == iv1)
+        # session streams over F_p2
+        bad |= (
+            (rq0 == MISSING) | (rq1 == MISSING) | (a0c == MISSING)
+            | (a1c == MISSING) | (b0c == MISSING) | (b1c == MISSING)
+        )
+        bad |= (idx == 1) & (rq0 != (coins1 & fw2m) % p2)
+        bad |= (idx == 1) & (rq1 != ((coins1 >> fw2) & fw2m) % p2)
+        bad |= sbl & ((rq0[left_nb] != rq0) | (rq1[left_nb] != rq1))
+        ca0 = np.where(co0 == 1, ((iv0 - 1) * p + jv0 - rq0) % p2, 1)
+        ca1 = np.where(co1 == 1, ((iv1 - 1) * p + jv1 - rq1) % p2, 1)
+        # nodes with several outer edges on a side: the scalar
+        # dict-collapse (same index, same value merges; same index,
+        # different value rejects) and cross-side index disjointness run
+        # as a tight loop over just those nodes, overwriting their
+        # contribution terms
+        multi_e = np.nonzero(multi & ((co0 > 1) | (co1 > 1)))[0]
+        for v in multi_e.tolist():
+            c0d: Dict[int, int] = {}
+            c1d: Dict[int, int] = {}
+            bad_v = False
+            for s in range(int(indptr[v]), int(indptr[v + 1])):
+                if out_o[s]:
+                    store = c0d
+                elif in_o[s]:
+                    store = c1d
+                else:
+                    continue
+                i_, j_ = int(ival[s]), int(jval[s])
+                if i_ in store and store[i_] != j_:
+                    bad_v = True
+                    break
+                store[i_] = j_
+            if not bad_v and set(c0d) & set(c1d):
+                bad_v = True
+            if bad_v:
+                reject[v] = True
+                continue
+            p_v, p2_v = int(p[v]), int(p2[v])
+            rq0v, rq1v = int(rq0[v]), int(rq1[v])
+            acc0 = 1
+            for i_, j_ in c0d.items():
+                acc0 = acc0 * (((i_ - 1) * p_v + j_ - rq0v) % p2_v) % p2_v
+            acc1 = 1
+            for i_, j_ in c1d.items():
+                acc1 = acc1 * (((i_ - 1) * p_v + j_ - rq1v) % p2_v) % p2_v
+            ca0[v] = acc0
+            ca1[v] = acc1
+        bad |= lo & (mult == MISSING)
+        phi_prev = np.where(idx == 1, 1, pfx1[left_nb])
+        bad |= lo & (idx > 1) & (phi_prev == MISSING)
+        term_rq = np.where(x1b == 1, rq1, rq0)
+        tbase = ((idx - 1) * p + phi_prev - term_rq) % p2
+        term = pow_mod(np, tbase, mult, p2, index_width)
+        cb1 = np.where(lo & (x1b == 1), term, 1)
+        cb0 = np.where(lo & (x1b != 1), term, 1)
+        ra0, ra1 = a0c[right_nb], a1c[right_nb]
+        rb0, rb1 = b0c[right_nb], b1c[right_nb]
+        bad |= sbr & (
+            (ra0 == MISSING) | (ra1 == MISSING) | (rb0 == MISSING) | (rb1 == MISSING)
+        )
+        na0 = np.where(sbr, ra0, 1)
+        na1 = np.where(sbr, ra1, 1)
+        nb0 = np.where(sbr, rb0, 1)
+        nb1 = np.where(sbr, rb1, 1)
+        bad |= (a0c != na0 * ca0 % p2) | (a1c != na1 * ca1 % p2)
+        bad |= (b0c != nb0 * cb0 % p2) | (b1c != nb1 * cb1 % p2)
+        bad |= (idx == 1) & ((a0c != b0c) | (a1c != b1c))
+        reject |= multi & bad
 
         # ---- 5. nesting verification ----
-        own_name = (coins0 >> pm.stv_bits) & pm.name_mask
+        own_name = (coins0 >> stv_bits) & name_mask
         reject |= (above == MISSING) | (hl == MISSING) | (hr == MISSING)
         nbad = io & (
             (ltail == MISSING) | (lhead == MISSING) | (name_t == MISSING)
@@ -1022,7 +1098,7 @@ def make_po_kernel(pm, stv_p: int, stv_elem_bits: int, n_forests: int = 3):
         reject |= seg_any(
             np, is_in & (name_h != own_name[slot_node]), slot_node, n
         )
-        name = (name_t << pm.w) | name_h
+        name = (name_t << w_s) | name_h
         cr = seg_count(np, is_out, slot_node, n)
         cl = seg_count(np, is_in, slot_node, n)
         reject |= ~has_right & (cr > 0)

@@ -473,13 +473,17 @@ class PendingDecide:
     """A decide sweep queued on a :class:`DecideBatch`; ``result`` is set
     by :meth:`DecideBatch.run`."""
 
-    __slots__ = ("interaction", "check", "key", "make_kernel", "kwargs", "result")
+    __slots__ = (
+        "interaction", "check", "key", "make_kernel", "kernel_params", "kwargs",
+        "result",
+    )
 
-    def __init__(self, interaction, check, key, make_kernel, kwargs):
+    def __init__(self, interaction, check, key, make_kernel, kernel_params, kwargs):
         self.interaction = interaction
         self.check = check
         self.key = key
         self.make_kernel = make_kernel
+        self.kernel_params = kernel_params
         self.kwargs = kwargs
         self.result: Optional[RunResult] = None
 
@@ -490,12 +494,14 @@ class DecideBatch:
     Every sub-run keeps its own :class:`Interaction`, rounds and
     transcript; only the final local-decision sweep waits here.
     :meth:`run` groups the queued sweeps by kernel ``key`` (equal keys
-    mean equal kernel parameters), runs each class's kernel once over the
-    disjoint union of its members (:func:`repro.core.columnar.run_kernel`),
-    then finishes every sweep, in queue order, through its own
-    :meth:`Interaction.decide` with its slice of the kernel output.  The
-    verifier is a conjunction of per-node local predicates, so every
-    node's verdict is the one a lone decide gives it.
+    mean one kernel: the path-outerplanarity sub-runs of a host batch
+    share one key whatever their sizes), runs each key's kernel once
+    over the disjoint union of its members
+    (:func:`repro.core.columnar.run_kernel`), then finishes every sweep,
+    in queue order, through its own :meth:`Interaction.decide` with its
+    slice of the kernel output.  The verifier is a conjunction of
+    per-node local predicates, so every node's verdict is the one a lone
+    decide gives it.
     """
 
     def __init__(self):
@@ -506,15 +512,21 @@ class DecideBatch:
         interaction: Interaction,
         check: Callable[[NodeView], bool],
         key,
-        make_kernel: Callable[[], Callable],
+        make_kernel: Callable[[list], Callable],
+        kernel_params,
         **decide_kwargs,
     ) -> PendingDecide:
         """Queue ``interaction``'s decide sweep.
 
-        ``make_kernel()`` builds the columnar kernel of the sweep's class;
-        it is called once per class, on its first member.
+        Sweeps with equal ``key`` are decided by one kernel call over
+        their union.  ``make_kernel(params)`` builds that kernel from
+        ``params``, the ``kernel_params`` of the sweeps it decides (one
+        per sweep, in queue order); the first sweep's factory is called
+        once per key.
         """
-        pending = PendingDecide(interaction, check, key, make_kernel, decide_kwargs)
+        pending = PendingDecide(
+            interaction, check, key, make_kernel, kernel_params, decide_kwargs
+        )
         self._pending.append(pending)
         return pending
 
@@ -526,8 +538,11 @@ class DecideBatch:
         outs: Dict[int, Any] = {}
         for members in classes.values():
             slices = run_columnar_kernel(
-                members[0].make_kernel(),
-                [(p.interaction.graph, p.interaction.transcript) for p in members],
+                members[0].make_kernel,
+                [
+                    (p.interaction.graph, p.interaction.transcript, p.kernel_params)
+                    for p in members
+                ],
             )
             for p, out in zip(members, slices):
                 outs[id(p)] = out

@@ -10,21 +10,25 @@ coloring along a reverse degeneracy order uses at most 6 colors
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from ..core.network import Graph
 
+#: an adjacency list per node: sorted, without duplicates or self-loops
+Adjacency = Sequence[Sequence[int]]
 
-def degeneracy_order(graph: Graph) -> List[int]:
+
+def smallest_last_order(adj: Adjacency) -> List[int]:
     """Nodes in a smallest-last (degeneracy) elimination order.
 
     Bucket queue with lazy deletion (Matula-Beck): O(n + m) with small
     constants.  Stale bucket entries are skipped by re-checking a node's
     current degree on pop; after each removal the scan pointer backs up by
-    one, since degrees drop by at most one per removed neighbor.
+    one, since degrees drop by at most one per removed neighbor.  The
+    order depends on the neighbor order, hence sorted lists.
     """
-    n = graph.n
-    degree = [len(a) for a in graph._adj]
+    n = len(adj)
+    degree = [len(a) for a in adj]
     max_deg = max(degree, default=0)
     buckets: List[List[int]] = [[] for _ in range(max_deg + 1)]
     for v in range(n):
@@ -42,7 +46,7 @@ def degeneracy_order(graph: Graph) -> List[int]:
             continue  # stale entry; the live one sits in another bucket
         removed[v] = True
         order.append(v)
-        for u in graph.neighbors(v):
+        for u in adj[v]:
             if not removed[u]:
                 d = degree[u] - 1
                 degree[u] = d
@@ -50,6 +54,28 @@ def degeneracy_order(graph: Graph) -> List[int]:
         if cur:
             cur -= 1
     return order
+
+
+def greedy_colors(adj: Adjacency) -> List[int]:
+    """Greedy colors along the reverse smallest-last order: at most
+    degeneracy+1 colors (<= 6 if planar), one per node."""
+    col = [-1] * len(adj)  # -1 marks "uncolored"; it never blocks a c >= 0
+    for v in reversed(smallest_last_order(adj)):
+        taken = {col[u] for u in adj[v]}
+        c = 0
+        while c in taken:
+            c += 1
+        col[v] = c
+    return col
+
+
+def _adjacency(graph: Graph) -> List[Sequence[int]]:
+    return [graph.neighbors(v) for v in range(graph.n)]
+
+
+def degeneracy_order(graph: Graph) -> List[int]:
+    """:func:`smallest_last_order` of ``graph``."""
+    return smallest_last_order(_adjacency(graph))
 
 
 def degeneracy(graph: Graph) -> int:
@@ -66,15 +92,7 @@ def degeneracy(graph: Graph) -> int:
 
 def greedy_coloring(graph: Graph) -> Dict[int, int]:
     """A proper coloring with at most degeneracy+1 colors (<= 6 if planar)."""
-    order = degeneracy_order(graph)
-    col = [-1] * graph.n  # -1 marks "uncolored"; it never blocks a c >= 0
-    for v in reversed(order):
-        taken = {col[u] for u in graph.neighbors(v)}
-        c = 0
-        while c in taken:
-            c += 1
-        col[v] = c
-    return dict(enumerate(col))
+    return dict(enumerate(greedy_colors(_adjacency(graph))))
 
 
 def is_proper_coloring(graph: Graph, color: Dict[int, int]) -> bool:

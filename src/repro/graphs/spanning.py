@@ -124,32 +124,58 @@ def hamiltonian_path_forest(path: Sequence[int], n: int) -> RootedForest:
     return RootedForest(n, parent)
 
 
+def peel_forests(graph: Graph, count: int) -> Tuple[List[RootedForest], int]:
+    """``count`` spanning forests peeled off ``graph`` one after another,
+    and the number of edges left after the last.
+
+    Each forest is the BFS spanning forest of the edges the earlier ones
+    left (one tree per component, rooted at its smallest node, neighbors
+    visited in sorted order); once no edge is left they are empty.
+    """
+    n = graph.n
+    adj = [set(graph.neighbors(v)) for v in range(n)]
+    left = graph.m
+    forests: List[RootedForest] = []
+    for _ in range(count):
+        parent: Dict[int, int] = {}
+        seen = [False] * n
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                for v in sorted(adj[u]):
+                    if not seen[v]:
+                        seen[v] = True
+                        parent[v] = u
+                        queue.append(v)
+        for u, p in parent.items():
+            adj[u].discard(p)
+            adj[p].discard(u)
+        left -= len(parent)
+        forests.append(RootedForest(n, parent))
+    return forests, left
+
+
 def arboricity_forest_partition(graph: Graph, max_forests: int = 3) -> List[RootedForest]:
-    """Partition the edges of a planar graph into <= ``max_forests`` forests.
+    """Partition the edges of a planar graph into exactly ``max_forests``
+    forests (padded with empty ones).
 
     Strategy: repeatedly extract a maximal spanning forest of the remaining
-    edge set.  Each extraction removes a spanning forest of every remaining
-    component; for planar graphs (arboricity <= 3 by Nash-Williams) three
-    extractions always exhaust the edges.  Raises if edges remain after
-    ``max_forests`` rounds (i.e. the graph was not arboricity-bounded).
+    edge set (:func:`peel_forests`).  Each extraction removes a spanning
+    forest of every remaining component; for planar graphs (arboricity
+    <= 3 by Nash-Williams) three extractions always exhaust the edges.
+    Raises if edges remain after ``max_forests`` rounds (i.e. the graph
+    was not arboricity-bounded).
     """
-    remaining = graph.copy()
-    forests: List[RootedForest] = []
-    for _ in range(max_forests):
-        if remaining.m == 0:
-            break
-        forest = spanning_forest(remaining)
-        forests.append(forest)
-        for u, p in forest.parent.items():
-            remaining.remove_edge(u, p)
-    if remaining.m > 0:
+    forests, left = peel_forests(graph, max_forests)
+    if left > 0:
         raise ValueError(
             f"graph not decomposable into {max_forests} forests "
-            f"({remaining.m} edges left)"
+            f"({left} edges left)"
         )
-    # pad with empty forests so callers can rely on exactly max_forests slots
-    while len(forests) < max_forests:
-        forests.append(RootedForest(graph.n))
     return forests
 
 

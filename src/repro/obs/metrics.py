@@ -9,7 +9,8 @@ Prometheus-style metric names::
 
 Metrics are **off by default**: the helpers test one module-level flag
 and return, so an un-instrumented batch pays a single boolean check per
-call site (measured in :mod:`benchmarks.bench_obs_overhead`).  Enable
+call site (every untraced perfbench op runs this path; perfbench's
+``obs.trace_overhead`` measures tracing on top of it).  Enable
 with :func:`enable` (or the :func:`enabled_metrics` context manager in
 tests) to start accumulating into the process-global :data:`REGISTRY`.
 

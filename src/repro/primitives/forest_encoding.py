@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.labels import Label, LabelFormat, PackedLabel
 from ..core.network import Graph
-from ..graphs.coloring import greedy_coloring
+from ..graphs.coloring import greedy_colors
 from ..graphs.spanning import RootedForest
 
 #: bits per color field (6 colors fit in 3 bits; guarded below)
@@ -101,11 +101,13 @@ def forest_encoding_columns(
             if c is None:
                 c = group[r] = len(group)
             mapping[v] = c
-        contracted = Graph.from_edge_list(
-            len(group),
-            [(mapping[u], mapping[v]) for u, v in edges if mapping[u] != mapping[v]],
-        )
-        col = greedy_coloring(contracted)
+        adj: List[List[int]] = [[] for _ in range(len(group))]
+        for u, v in edges:
+            a, b = mapping[u], mapping[v]
+            if a != b:
+                adj[a].append(b)
+                adj[b].append(a)
+        col = greedy_colors([sorted(set(a)) for a in adj])
         colors.append([col[c] for c in mapping])
     c1, c2 = colors
     out: List[Optional[ForestColumns]] = []

@@ -22,8 +22,9 @@ any one of them: the prover-independent Lemma-2.4 precomputation runs
 once over the disjoint union of all block / ear graphs
 (:func:`~repro.protocols.path_outerplanarity.batch_simulations`), and the
 decide sweeps wait on one :class:`~repro.core.protocol.DecideBatch`,
-which runs one vectorized kernel per parameter class over the union of
-its members before every sub-run decides through its own interaction.
+which runs one vectorized kernel per host batch (one for every
+path-outerplanarity sub-run, whatever its size) over the union of its
+members before every sub-run decides through its own interaction.
 The series-parallel protocol splits into ``plan`` / ``start`` /
 ``finish`` so that treewidth-2 can put the ears of all its blocks into
 one batch.

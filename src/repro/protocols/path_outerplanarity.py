@@ -571,10 +571,12 @@ class PathOuterplanarityProtocol(DIPProtocol):
         return batch.add(
             interaction,
             _make_checker(pm),
-            key=("po", pm.n, pm.c),
+            key=("po", pm.c),
             make_kernel=partial(
-                make_po_kernel, pm, STV_FIELD.p, STV_ELEM_BITS, N_FORESTS
+                make_po_kernel,
+                stv_p=STV_FIELD.p, stv_elem_bits=STV_ELEM_BITS, n_forests=N_FORESTS,
             ),
+            kernel_params=pm,
             inputs={},
             protocol_name=self.name,
             meta={"params": pm},
@@ -708,19 +710,12 @@ class _PartialSimulation(EdgeLabelSimulation):
     """Best-effort 3-forest cover for graphs of arboricity > 3."""
 
     def __init__(self, graph: Graph):
-        from ..graphs.spanning import spanning_forest, forest_partition_assignment
+        from ..graphs.spanning import peel_forests
 
         self.graph = graph
-        remaining = graph.copy()
-        forests = []
-        for _ in range(N_FORESTS):
-            forest = spanning_forest(remaining)
-            forests.append(forest)
-            for u, p in forest.parent.items():
-                remaining.remove_edge(u, p)
-        self.forests = forests
+        self.forests, _ = peel_forests(graph, N_FORESTS)
         self.assignment = {}
-        for fi, forest in enumerate(forests):
+        for fi, forest in enumerate(self.forests):
             for child, parent in forest.parent.items():
                 self.assignment[norm_edge(child, parent)] = (fi, child)
 

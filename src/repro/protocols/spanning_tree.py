@@ -197,10 +197,8 @@ class SpanningTreeVerificationProtocol(DIPProtocol):
             check,
             # an enforcing run pins its own instance's ports: a class alone
             key=("stv", reps) + ((id(interaction),) if enforce else ()),
-            make_kernel=partial(
-                make_stv_kernel,
-                reps, STV_FIELD.p, STV_ELEM_BITS, tree_ports if enforce else None,
-            ),
+            make_kernel=partial(make_stv_kernel, p=STV_FIELD.p, elem_bits=STV_ELEM_BITS),
+            kernel_params=(reps, tree_ports if enforce else None),
             inputs={v: {"tree_ports": tree_ports[v]} for v in g.nodes()},
             protocol_name=self.name,
         )

@@ -11,11 +11,16 @@ path performs:
 2. the leaf shifts agree with :func:`wire_leaf_span` -- the columns read
    exactly the bits the mutation engine reports as the field's wire span;
 3. every gate (escape hatch, missing numpy, size floor) degrades to the
-   per-view path without changing a single verdict.
+   per-view path without changing a single verdict;
+4. one path-outerplanarity kernel over sub-runs of different sizes
+   (block lengths, block counts, STV repetitions) gives every node the
+   verdict of its sub-run's own kernel and of the per-view checker.
 
 Byte-identity of full batch reports across vector on/off is pinned by
 ``test_wire_differential.py``; this module covers the layer below.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -33,9 +38,11 @@ from repro.core.columnar import (
 )
 from repro.core.labels import EMPTY_LABEL, BitString, PackedLabel, wire_leaf_span
 from repro.core.network import Graph, path_graph
+from repro.core.protocol import DecideBatch, run_context
 from repro.core.transcript import Transcript
 from repro.core.views import build_views
 from repro.obs import metrics
+from repro.protocols.path_outerplanarity import batch_simulations
 from repro.runtime.registry import get_task
 from repro.runtime.runner import BatchRunner
 
@@ -158,19 +165,23 @@ class TestGates:
     def test_run_kernel_gates_fire_before_the_kernel(self, monkeypatch):
         calls = []
 
-        def kernel(ctx):
-            calls.append(ctx)
+        def make_kernel(params):
+            calls.append(params)
+            return lambda ctx: calls.append(ctx)
 
         g = path_graph(4)
         monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
-        assert run_kernel(kernel, [(g, None)]) == [None]
+        assert run_kernel(make_kernel, [(g, None, None)]) == [None]
         monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
         monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
         # below the size floor, and the degenerate edgeless case (an
         # edgeless member adds nothing to its class union either)
-        assert run_kernel(kernel, [(g, None)]) == [None]
-        assert run_kernel(kernel, [(Graph(64), None)]) == [None]
-        assert run_kernel(kernel, [(g, None), (Graph(64), None)]) == [None, None]
+        assert run_kernel(make_kernel, [(g, None, None)]) == [None]
+        assert run_kernel(make_kernel, [(Graph(64), None, None)]) == [None]
+        assert run_kernel(
+            make_kernel, [(g, None, None), (Graph(64), None, None)]
+        ) == [None, None]
+        # neither the kernel nor its factory ran
         assert calls == []
 
     def test_run_kernel_without_numpy(self, monkeypatch):
@@ -179,7 +190,7 @@ class TestGates:
         monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
         assert not numpy_available()
         g = path_graph(64)
-        assert run_kernel(lambda ctx: None, [(g, None)]) == [None]
+        assert run_kernel(lambda params: lambda ctx: None, [(g, None, None)]) == [None]
 
 
 # -- fallback equivalence ---------------------------------------------------
@@ -211,6 +222,67 @@ class TestNumpyAbsentFallback:
         vector = run()
         monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
         assert run() == vector
+
+
+# -- one path-outerplanarity kernel over sub-runs of every size --------------
+
+#: L = 2 (3, 4 nodes) up to L = 6 (40 nodes); one block (3, 5 nodes) and
+#: several (4, 7, 8, 16, 20, 40 nodes); STV repetitions t = 2 and t = 3
+MIXED_SIZES = (3, 4, 5, 7, 8, 16, 20, 40)
+
+
+def _po_pending(adversary, seed, no_instance=False):
+    """Finished path-outerplanarity runs of every ``MIXED_SIZES`` size,
+    their decide sweeps queued (not run) on one batch.  A no-instance
+    needs two crossing chords, so the 3-node member stays a yes-instance."""
+    spec = get_task("path_outerplanarity")
+    proto = spec.protocol(c=2)
+    batch = DecideBatch()
+    for k, n in enumerate(MIXED_SIZES):
+        factory = spec.no_factory if no_instance and n >= 4 else spec.yes_factory
+        instance = factory(n, random.Random(seed * 1000 + n))
+        prover = None
+        if adversary is not None:
+            prover = spec.adversaries[adversary](instance, random.Random(seed + k))
+        (sim,) = batch_simulations([instance.graph])
+        with run_context(tap=getattr(prover, "tap", None)):
+            proto.start(instance, prover, random.Random(seed * 100 + k), batch, sim)
+    return batch._pending
+
+
+@needs_numpy
+@pytest.mark.parametrize("no_instance", [False, True], ids=["yes", "no"])
+@pytest.mark.parametrize("adversary", [None, "fuzz_r1", "fuzz_r3", "fuzz_r5"])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_po_kernel_over_mixed_sizes_matches_each_alone_and_per_view(
+    seed, adversary, no_instance, monkeypatch
+):
+    """One ``make_po_kernel`` call over sub-runs with different L, block
+    counts and STV repetitions gives every member the slices its own
+    kernel gives it, and every kernel-decided node the per-view verdict."""
+    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
+    monkeypatch.setenv("REPRO_VECTOR_MIN_NODES", "0")
+    pending = _po_pending(adversary, seed, no_instance)
+    pms = [p.kernel_params for p in pending]
+    assert {pm.lr.L for pm in pms} == {2, 3, 4, 5, 6}
+    assert {pm.lr.n_blocks > 1 for pm in pms} == {False, True}
+    assert {pm.t for pm in pms} == {2, 3}
+    members = [
+        (p.interaction.graph, p.interaction.transcript, p.kernel_params)
+        for p in pending
+    ]
+    merged = run_kernel(pending[0].make_kernel, members)
+    for p, member, out in zip(pending, members, merged):
+        (alone,) = run_kernel(p.make_kernel, [member])
+        ok, fallback = out
+        assert (ok == alone[0]).all() and (fallback == alone[1]).all()
+        per_view = p.interaction.decide(p.check, **p.kwargs)
+        rejecting = set(per_view.rejecting_nodes)
+        for v in range(member[0].n):
+            if not fallback[v]:
+                assert bool(ok[v]) == (v not in rejecting), (member[0].n, v)
+        if adversary is None and not no_instance:
+            assert per_view.accepted and not fallback.any()
 
 
 # -- observability ----------------------------------------------------------

@@ -5,7 +5,8 @@ path-outerplanarity and spanning-tree sub-runs to one staged batch per
 host execution: one Lemma-2.4 simulation pass over the disjoint union of
 the block / ear graphs, one Lemma-2.3 pass for every forest the sub-runs
 commit, every round built for all sub-runs before the next
-(``run_staged``), and one kernel call per parameter class.  This module
+(``run_staged``), and one kernel call per host batch (every
+path-outerplanarity sub-run, whatever its size).  This module
 pins that batch against running every sub-run alone -- its own
 simulation (``_safe_simulation``), its own forest encoding, all its
 rounds before the next sub-run starts, and its own kernel call, the
@@ -21,16 +22,18 @@ per-sub-run execution the batch replaces:
   ``REPRO_VECTOR_MIN_NODES=2``; ``planar_embedding`` (batches of one) is
   the control.
 
-Three more pins: a class in which one member carries an uncoverable
-label sends only that member's nodes to the per-view checker; honest
-``outerplanarity`` / ``treewidth2`` runs decide every node of every
-class at or above the floor by kernel; and a sub-run whose prover sends
-an out-of-width value fails its staged host with the error it raises
-alone.
+More pins: a batch in which one member carries an uncoverable label
+sends only that member's nodes to the per-view checker; honest
+``outerplanarity`` / ``treewidth2`` runs decide every sub-run node by
+kernel, none by fallback; a host whose blocks span L = 2..6, one and
+several LR blocks, makes exactly one path-outerplanarity kernel call,
+and its kernel verdicts equal the per-view verdicts node by node under
+honest, fuzzed and lying provers (as do the liars above); and a sub-run
+whose prover sends an out-of-width value fails its staged host with the
+error it raises alone.
 """
 
 import random
-from collections import defaultdict
 
 import pytest
 
@@ -105,7 +108,9 @@ def _run_alone(mp: pytest.MonkeyPatch) -> None:
         pending, self._pending = self._pending, []
         for p in pending:
             ia = p.interaction
-            (out,) = run_kernel(p.make_kernel(), [(ia.graph, ia.transcript)])
+            (out,) = run_kernel(
+                p.make_kernel, [(ia.graph, ia.transcript, p.kernel_params)]
+            )
             p.result = ia.decide(p.check, kernel_out=out, **p.kwargs)
 
     mp.setattr(DecideBatch, "run", run)
@@ -281,7 +286,7 @@ class _UncoverableOnce(LabelTap):
 def test_uncoverable_member_alone_reaches_the_per_view_checker(monkeypatch):
     monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
     monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
-    host = _glued(*[cycle_graph(5)] * 8)  # eight 5-node blocks: one class
+    host = _glued(*[cycle_graph(5)] * 8)  # eight 5-node blocks, one batch
     assert 8 * 5 >= vector_min_nodes()
     built, checked = [], []
     real_build = protocol.build_views
@@ -310,21 +315,11 @@ def test_uncoverable_member_alone_reaches_the_per_view_checker(monkeypatch):
     # owner and its two cycle neighbors
     assert built == [tap.graph]
     assert len(checked) == fallback == 3
-    # every other node of the class, and the host STV, decided by kernel
+    # every other node of the batch, and the host STV, decided by kernel
     assert decided == 8 * 5 - 3 + host.n
 
 
-# -- coverage: honest composites decide every batched class by kernel --------
-
-
-def _classes(result):
-    """Member node counts per kernel class, recomputed from the results."""
-    classes = defaultdict(list)
-    for sub in result.sub_runs:
-        params = (sub.result.meta or {}).get("params")
-        key = (sub.result.protocol_name, params.n if params is not None else None)
-        classes[key].append(len(sub.node_map))
-    return list(classes.values())
+# -- coverage: one kernel decides every sub-run node of a host ---------------
 
 
 @needs_numpy
@@ -339,12 +334,107 @@ def test_honest_composites_decide_batched_classes_by_kernel(task, monkeypatch):
         fallback = reg.counter("repro_vector_fallback_nodes_total").value()
         decided = reg.counter("repro_vector_decide_nodes_total").value()
     assert result.accepted
-    floor = vector_min_nodes()
-    classes = _classes(result)
+    sizes = [len(sub.node_map) for sub in result.sub_runs]
     assert fallback == 0
-    assert decided == sum(sum(c) for c in classes if sum(c) >= floor)
-    # the batch is what lifts classes of sub-floor sub-runs over the floor
-    assert any(sum(c) >= floor and max(c) < floor for c in classes)
+    assert decided == sum(sizes)
+    # sub-runs far below the floor are decided too: the floor applies to
+    # the union of a host's sub-runs
+    assert min(sizes) < vector_min_nodes()
+
+
+def _po_kernel_calls(monkeypatch) -> list:
+    """Record the member count of every path-outerplanarity kernel call."""
+    calls = []
+    real = protocol.run_columnar_kernel
+
+    def counting(make_kernel, members):
+        if getattr(make_kernel, "func", None) is columnar.make_po_kernel:
+            calls.append(len(members))
+        return real(make_kernel, members)
+
+    monkeypatch.setattr(protocol, "run_columnar_kernel", counting)
+    return calls
+
+
+#: glued cycles with chords: L = 2 (3, 4 nodes) up to L = 6 (40 nodes),
+#: one block (3, 5 nodes) and several (4, 7, 8, 16, 20, 40 nodes)
+MIXED_BLOCKS = (3, 4, 5, 7, 8, 16, 20, 40)
+
+
+def _chorded_cycle(k: int) -> Graph:
+    """A k-cycle with the nested chords (0, 2) and (0, k // 2)."""
+    g = cycle_graph(k)
+    for j in {2, k // 2}:
+        if 2 <= j <= k - 2 and not g.has_edge(0, j):
+            g.add_edge(0, j)
+    return g
+
+
+def _mixed_host() -> OuterplanarInstance:
+    return OuterplanarInstance(_glued(*[_chorded_cycle(k) for k in MIXED_BLOCKS]))
+
+
+@needs_numpy
+def test_composite_host_makes_one_po_kernel_call(monkeypatch):
+    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
+    monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
+    calls = _po_kernel_calls(monkeypatch)
+    result = OuterplanarityProtocol(c=2).execute(_mixed_host(), rng=random.Random(2))
+    assert result.accepted
+    po_runs = [s for s in result.sub_runs if s.result.protocol_name == "path-outerplanarity"]
+    params = {s.result.meta["params"].lr.L for s in po_runs}
+    assert params == {2, 3, 4, 5, 6}
+    assert calls == [len(po_runs)] == [len(MIXED_BLOCKS)]
+
+
+def _verdicts(result) -> list:
+    """Host verdict, then every sub-run's rejecting nodes."""
+    return [(result.accepted, tuple(result.rejecting_nodes))] + [
+        (sub.name, tuple(sub.result.rejecting_nodes)) for sub in result.sub_runs
+    ]
+
+
+def _kernel_vs_per_view(task, make_instance, make_prover, seed, monkeypatch):
+    """The run's verdicts with kernels on, then with the per-view path only."""
+    monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
+    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
+    with metrics.enabled_metrics() as reg:
+        kernel = _host_run(task, make_instance(), make_prover, seed)
+        decided = reg.counter("repro_vector_decide_nodes_total").value()
+    monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
+    per_view = _host_run(task, make_instance(), make_prover, seed)
+    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE")
+    assert _verdicts(kernel) == _verdicts(per_view)
+    return kernel, decided
+
+
+@needs_numpy
+@pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a or "honest")
+@pytest.mark.parametrize("seed", range(6))  # fuzz_r1 rejects at seed 5
+def test_mixed_block_host_kernel_verdicts_equal_per_view(adversary, seed, monkeypatch):
+    make_prover = None
+    if adversary is not None:
+        factory = get_task("outerplanarity").adversaries[adversary]
+
+        def make_prover(instance):
+            return factory(instance, random.Random(seed))
+
+    result, decided = _kernel_vs_per_view(
+        "outerplanarity", _mixed_host, make_prover, seed, monkeypatch
+    )
+    assert decided > 0
+    if adversary is None:
+        assert result.accepted
+
+
+@needs_numpy
+@pytest.mark.parametrize("liar", sorted(LIARS))
+def test_liars_kernel_verdicts_equal_per_view(liar, monkeypatch):
+    task, make_instance, make_prover = LIARS[liar]
+    result, _ = _kernel_vs_per_view(
+        task, lambda: make_instance(64), make_prover, 7, monkeypatch
+    )
+    assert not result.accepted
 
 
 # -- an out-of-width value fails the staged host like the sub-run alone ------

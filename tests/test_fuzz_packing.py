@@ -36,8 +36,14 @@ GOLDEN_N = 16
 GOLDEN_SEED = 21
 COMPOSITE_GOLDEN_PATH = Path(__file__).parent / "data" / "fuzz_golden_composite.json"
 COMPOSITE_TASKS = ("outerplanarity", "series_parallel", "treewidth2")
-#: one label subtree: the mutated label plus its nested sub-labels
-MAX_FUZZ_PACKS = 50
+#: one label subtree: the mutated label and the sub-labels on the mutated
+#: field's path -- at most three levels (a round wrapper, its protocol
+#: sub-label, the field group), e.g. ``(node, edges, forests)`` ->
+#: ``forests`` -> ``forest0``.  A whole prover round is at least n labels,
+#: so any pack of a round breaks this bound at both sizes below
+MAX_FUZZ_PACKS = 3
+#: the tap must not pack a round at either size (n=256: 256+ labels)
+FUZZ_PACK_NS = (32, 256)
 #: tasks whose labels come from the generic (tree) builder
 TREE_BUILT_TASKS = ("lr_sorting",)
 
@@ -79,14 +85,15 @@ def test_honest_run_packs_nothing(task, pack_calls):
     assert len(pack_calls) == 0
 
 
+@pytest.mark.parametrize("n", FUZZ_PACK_NS)
 @pytest.mark.parametrize("adversary", FUZZ)
 @pytest.mark.parametrize("task", task_names())
-def test_fuzzed_run_packs_only_the_mutated_label(task, adversary, pack_calls):
+def test_fuzzed_run_packs_only_the_mutated_label(task, adversary, n, pack_calls):
     spec = get_task(task)
     report = BatchRunner(
         spec.protocol(c=2), spec.yes_factory,
         prover_factory=spec.adversaries[adversary],
-    ).run(1, 32, seed=4)
+    ).run(1, n, seed=4)
     assert report.records[0].extra["mutated"]
     assert len(pack_calls) <= MAX_FUZZ_PACKS
     if task in TREE_BUILT_TASKS:
