@@ -19,7 +19,7 @@ consumes a :class:`ColumnarContext` and returns two boolean arrays:
 label shapes the kernel does not cover -- those are re-checked by the
 ordinary per-view Python path, so a kernel can always punt on a rare
 case without ever changing a verdict).  ``Interaction.decide`` merges
-the two; canonical reports are byte-identical with kernels on or off.
+the two, so every node gets the verdict the per-view checker gives it.
 
 Kernels run per *host batch*, not per execution: a
 :class:`~repro.core.protocol.DecideBatch` groups the pending decides of
@@ -30,68 +30,18 @@ differ in size: the path-outerplanarity kernel reads every parameter of
 a node's own sub-run from per-node arrays.  Each member then gets its
 own slice of the ``(ok, fallback)`` arrays.
 
-Numpy is an **optional** dependency (the ``[vector]`` extra): when it is
-missing, :func:`run_kernel` decides nothing and the per-view path runs
-unchanged.  ``REPRO_DISABLE_VECTOR_DECIDE=1`` is the escape hatch,
-mirroring the decode-cache hatch, and
-``REPRO_VECTOR_MIN_NODES`` tunes the size gate, which applies to the
-node count of the whole batch union (vectorization has a fixed setup
-cost per kernel call, which a batch of many tiny sub-runs shares).
+Every kernel-keyed batch member with at least two nodes and an edge is
+decided by its kernel; a batch whose coins the kernel cannot cover
+(:class:`Uncoverable`) goes to the per-view checker whole.  numpy is
+imported inside :func:`run_kernel`, so a process that never decides a
+kernel-keyed batch (an ``lr_sorting`` server, say) never loads it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .labels import Label, LabelSchema, PackedLabel
-
-# ---------------------------------------------------------------------------
-# optional numpy + escape hatches
-# ---------------------------------------------------------------------------
-
-_NP = None
-_NP_CHECKED = False
-
-
-def _numpy():
-    """The numpy module, or None when the optional dependency is absent."""
-    global _NP, _NP_CHECKED
-    if not _NP_CHECKED:
-        _NP_CHECKED = True
-        try:  # pragma: no cover - exercised via the no-numpy CI leg
-            import numpy
-
-            _NP = numpy
-        except Exception:
-            _NP = None
-    return _NP
-
-
-def numpy_available() -> bool:
-    return _numpy() is not None
-
-
-def vector_decide_disabled() -> bool:
-    """True when the ``REPRO_DISABLE_VECTOR_DECIDE`` escape hatch is set."""
-    return os.environ.get("REPRO_DISABLE_VECTOR_DECIDE", "") not in ("", "0")
-
-
-#: below this node count (summed over a host batch: the tiny block and
-#: ear sub-runs of a composite are batched into one union first) the
-#: fixed cost of building columns outweighs the win
-DEFAULT_MIN_NODES = 32
-
-
-def vector_min_nodes() -> int:
-    raw = os.environ.get("REPRO_VECTOR_MIN_NODES", "")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_MIN_NODES
-
 
 # ---------------------------------------------------------------------------
 # sentinels
@@ -648,21 +598,17 @@ def run_kernel(make_kernel, members):
     finished executions that one kernel decides; ``make_kernel`` builds
     that kernel from the ``params`` of the members it decides, in
     member order.  Returns one entry per member: its ``(ok, fallback)``
-    numpy bool slices, or None where the vectorized path does not apply
-    -- the caller then uses the per-view path for every node of that
-    member.  Degenerate members (fewer than two nodes, or no edges) are
+    numpy bool slices, or None where the kernel does not apply -- the
+    caller then decides every node of that member with the per-view
+    checker.  Degenerate members (fewer than two nodes, or no edges) are
     always None and never reach the kernel; the others are all None when
-    the hatch is set, numpy is absent, their union is below the size
-    floor, or a coin shape is uncoverable.
+    a coin shape is uncoverable.
     """
+    import numpy as np  # here, not at module load: see the module docstring
+
     out: List[Optional[tuple]] = [None] * len(members)
-    if vector_decide_disabled():
-        return out
-    np = _numpy()
-    if np is None:
-        return out
     live = [i for i, (g, _, _) in enumerate(members) if g.n >= 2 and g.m > 0]
-    if sum(members[i][0].n for i in live) < vector_min_nodes():
+    if not live:
         return out
     kernel = make_kernel([members[i][2] for i in live])
     ctx = ColumnarContext(np, [members[i][:2] for i in live])

@@ -274,12 +274,7 @@ def gc_paused(fn: Callable) -> Callable:
 #
 # :meth:`Interaction.decide` hands a fresh :class:`DecodeCache` to every
 # view it builds (``NodeView.decode_cache``), so each shared structure is
-# decoded once per sweep instead of once per node.  Checkers that find no
-# cache on their view build a private one per node, which is exactly the
-# old decode-everything-locally behavior — the
-# ``REPRO_DISABLE_DECODE_CACHE=1`` escape hatch forces that path, and the
-# bit-identity suite pins canonical reports equal with the cache on and
-# off.
+# decoded once per sweep instead of once per node.
 
 _CACHE_MISS = object()  # sentinel: distinguishes "absent" from cached None
 
@@ -314,11 +309,6 @@ class DecodeCache:
         self.misses += 1
         value = memo[key] = fn(*args)
         return value
-
-
-def decode_cache_disabled() -> bool:
-    """True when the ``REPRO_DISABLE_DECODE_CACHE`` escape hatch is set."""
-    return os.environ.get("REPRO_DISABLE_DECODE_CACHE", "") not in ("", "0")
 
 
 class Interaction:
@@ -420,7 +410,7 @@ class Interaction:
             # fully covered: skip view construction entirely
             rejecting = [v for v in self.graph.nodes() if not kernel_ok[v]]
         else:
-            cache = None if decode_cache_disabled() else DecodeCache()
+            cache = DecodeCache()
             views = build_views(
                 self.graph, self.transcript, inputs, shared_inputs, cache
             )

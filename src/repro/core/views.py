@@ -59,7 +59,7 @@ class NodeView:
     #: view, so mutation by one checker must not corrupt its siblings.
     neighbor_inputs: List[Mapping[str, Any]] = field(default_factory=list)
     #: the decide sweep's shared memo of pure label decodings (one object
-    #: for every view of the sweep); ``None`` means decode privately
+    #: for every view of the sweep); :func:`build_views` always sets it
     decode_cache: Optional["DecodeCache"] = None
 
     def own(self, round_index: int) -> Label:
@@ -84,8 +84,13 @@ def build_views(
     ``inputs`` maps node -> local input dict.  ``shared_inputs`` maps
     node -> the part of that node's input which its neighbors may also see
     (edge-incident data such as port orientations).  ``decode_cache`` is
-    set on every view (see :class:`~repro.core.protocol.DecodeCache`).
+    set on every view (see :class:`~repro.core.protocol.DecodeCache`); a
+    fresh one is built when none is passed.
     """
+    if decode_cache is None:
+        from .protocol import DecodeCache  # protocol imports this module
+
+        decode_cache = DecodeCache()
     inputs = inputs or {}
     shared_inputs = shared_inputs or {}
     prover_rounds = transcript.prover_rounds()

@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.labels import EMPTY_LABEL, BitString, Label, field_elem_width, uint_width
 from ..core.network import Edge, Graph, norm_edge
-from ..core.protocol import DecodeCache, DIPProtocol, Interaction, ProtocolError
+from ..core.protocol import DIPProtocol, Interaction, ProtocolError
 from ..core.transcript import RunResult
 from ..core.views import NodeView
 from ..primitives.fields import next_prime
@@ -604,7 +604,7 @@ class LRNodeSlice:
     """
 
     def __init__(self, port_kinds, own_labels, neighbor_labels, edge_labels,
-                 coin2: int, coin4: int, decode_cache=None):
+                 coin2: int, coin4: int, decode_cache):
         self.port_kinds = port_kinds
         self._own = own_labels            # [r1, r3, r5] labels
         self._neighbors = neighbor_labels  # [round][port]
@@ -618,8 +618,6 @@ class LRNodeSlice:
         # unwraps are pure per label and every round label is shared with
         # all neighbors, so memoize them in the sweep's decode cache
         cache = view.decode_cache
-        if cache is None:
-            cache = DecodeCache()
         cget = cache.get
         memo = cache.sub("lr_unwrap")
 
@@ -759,8 +757,6 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
         return True
 
     cache = view.decode_cache
-    if cache is None:
-        cache = DecodeCache()
     m1 = cache.sub("lr_f1")
     m3 = cache.sub("lr_f3")
     m5 = cache.sub("lr_f5")

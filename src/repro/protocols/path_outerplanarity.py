@@ -826,12 +826,8 @@ def check_path_outerplanarity_node(  # noqa: C901
 ) -> bool:
     if pm.n == 1:
         return True
-    # One decode cache per decide sweep (set on the view by
-    # Interaction.decide); with the cache disabled each node gets a private
-    # empty cache, which reproduces the uncached decode behaviour exactly.
+    # one decode cache per decide sweep, shared by every view of it
     cache = view.decode_cache
-    if cache is None:
-        cache = DecodeCache()
     m_commit = cache.sub("po_commit")
     m_stv = cache.sub(f"po_stv{pm.t}")
 

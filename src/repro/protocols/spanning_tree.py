@@ -16,7 +16,6 @@ from ..core.labels import EMPTY_LABEL, PackedLabel
 from ..core.network import Graph
 from ..core.protocol import (
     DecideBatch,
-    DecodeCache,
     DIPProtocol,
     Interaction,
     PendingDecide,
@@ -159,8 +158,6 @@ class SpanningTreeVerificationProtocol(DIPProtocol):
             # per-sweep decode cache: each round label is shared with every
             # neighbor, so extract its fields once instead of deg+1 times
             cache = view.decode_cache
-            if cache is None:
-                cache = DecodeCache()
             cget = cache.get
             m_forest = cache.sub("stv_forest")
             m_stv = cache.sub(f"stv_fields{reps}")

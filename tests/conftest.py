@@ -53,6 +53,32 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
+@pytest.fixture
+def per_view_decide(monkeypatch):
+    """Decide every node with the per-view checker, the reference the
+    columnar kernels are compared against: the batch's one kernel call
+    site decides nothing.  The patch lives in this process only, so a
+    differential run under it stays serial or on in-thread workers."""
+    monkeypatch.setattr(
+        "repro.core.protocol.run_columnar_kernel",
+        lambda make_kernel, members: [None] * len(members),
+    )
+
+
+@pytest.fixture
+def no_memo_decode_cache(monkeypatch):
+    """A decode cache that shares nothing between the views of a sweep:
+    every ``sub()`` call hands out a fresh dict, so each node decodes what
+    it reads itself.  The reference the shared cache is compared against."""
+    from repro.core import protocol
+
+    class NoMemoDecodeCache(protocol.DecodeCache):
+        def sub(self, kind):
+            return {}
+
+    monkeypatch.setattr(protocol, "DecodeCache", NoMemoDecodeCache)
+
+
 @pytest.fixture(autouse=True)
 def _no_observability_leaks():
     """Hermeticity for observability: metrics enabled by one test must

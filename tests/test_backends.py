@@ -6,7 +6,7 @@ keyed by run index alone, so where the run executes — in process, in a
 local pool worker, or on a socket-connected agent — cannot leave a trace
 in ``BatchReport.canonical_json()``.  This suite pins that
 differentially over the whole registry (honest + the universal fuzz
-family, per-view and vector decide legs), property-tests the shard
+family, kernel and per-view decide legs), property-tests the shard
 planner, and drives the remote coordinator through seeded chaos (a worker killed
 mid-shard, a connection dropped mid-RESULT-blob) to show resubmission
 converges back to the fault-free serial bytes.
@@ -69,24 +69,13 @@ def _run(task, adversary=None, *, backend=None, workers=0, runs=3, n=24,
     return runner.run(runs, n, seed=seed)
 
 
-def _set_decide(monkeypatch, vector):
-    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-    if vector:
-        # the conformance n sits below the default size floor: drop the
-        # gate so the columnar kernels decide these runs on every backend
-        monkeypatch.setenv("REPRO_VECTOR_MIN_NODES", "2")
-    else:
-        monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
-        monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
-
-
 @pytest.fixture(scope="module")
 def remote_backend():
     """One coordinator + two localhost worker agents for the whole module.
 
     The agents run on threads of this process (protocol-faithful at the
-    socket layer; the decide-path env flags are read per call, so both
-    decide legs exercise them) and serve every batch the module runs —
+    socket layer; the per-view fake patches this process, so both decide
+    legs reach them) and serve every batch the module runs —
     the spec-once protocol re-ships each batch's spec on first contact.
     """
     backend = RemoteWorkerBackend(min_workers=2, accept_timeout=20.0)
@@ -105,21 +94,24 @@ def remote_backend():
 class TestBackendConformance:
     """serial vs pool vs remote, all tasks, honest + fuzz, both decide legs.
 
-    The vector leg has the columnar kernels decide labels that crossed a
-    process (pool) or socket (remote) boundary, i.e. labels rebuilt from
-    the packed wire blob rather than born in this process.
+    The columnar kernels decide labels that crossed a process (pool) or
+    socket (remote) boundary, i.e. labels rebuilt from the packed wire
+    blob rather than born in this process.  The per-view leg decides the
+    serial and remote runs with the per-view checker; its fake patches
+    this process only, so the pool runs, first, with the kernels.
     """
 
-    @pytest.mark.parametrize("vector", [False, True], ids=["per_view", "vector"])
+    @pytest.mark.parametrize("decide", ["kernels", "per_view"])
     @pytest.mark.parametrize(
         "task,adversary", CASES, ids=[f"{t}-{a or 'honest'}" for t, a in CASES]
     )
     def test_three_backends_byte_identical(
-        self, task, adversary, vector, remote_backend, monkeypatch
+        self, task, adversary, decide, remote_backend, request
     ):
-        _set_decide(monkeypatch, vector)
-        serial = _run(task, adversary, backend=SerialBackend())
         pool = _run(task, adversary, backend=ProcessPoolBackend(2), workers=2)
+        if decide == "per_view":
+            request.getfixturevalue("per_view_decide")
+        serial = _run(task, adversary, backend=SerialBackend())
         remote = _run(task, adversary, backend=remote_backend)
 
         reference = serial.canonical_json()

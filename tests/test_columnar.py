@@ -1,4 +1,4 @@
-"""Columnar decide path: extraction equivalence, gating, and fallback.
+"""Columnar decide path: extraction equivalence, gating, and mixed sizes.
 
 The vectorized kernels of ``core/columnar.py`` are only allowed to exist
 because the column extraction is *provably* the same decode the per-view
@@ -10,18 +10,24 @@ path performs:
    (Hypothesis drives this over random nested labels);
 2. the leaf shifts agree with :func:`wire_leaf_span` -- the columns read
    exactly the bits the mutation engine reports as the field's wire span;
-3. every gate (escape hatch, missing numpy, size floor) degrades to the
-   per-view path without changing a single verdict;
+3. a degenerate member (one node, or no edge) never reaches a kernel,
+   every other member does (there is no size floor), and numpy is only
+   imported once a kernel runs;
 4. one path-outerplanarity kernel over sub-runs of different sizes
    (block lengths, block counts, STV repetitions) gives every node the
    verdict of its sub-run's own kernel and of the per-view checker.
 
-Byte-identity of full batch reports across vector on/off is pinned by
-``test_wire_differential.py``; this module covers the layer below.
+Byte-identity of full batch reports between the kernels and the
+per-view checker is pinned by ``test_wire_differential.py``; this module
+covers the layer below.
 """
 
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st  # noqa: F401  (strategy re-export)
@@ -31,13 +37,10 @@ from repro.core.columnar import (
     MISSING,
     NONE,
     extract_columns,
-    numpy_available,
     run_kernel,
-    vector_decide_disabled,
-    vector_min_nodes,
 )
 from repro.core.labels import EMPTY_LABEL, BitString, PackedLabel, wire_leaf_span
-from repro.core.network import Graph, path_graph
+from repro.core.network import Graph
 from repro.core.protocol import DecideBatch, run_context
 from repro.core.transcript import Transcript
 from repro.core.views import build_views
@@ -47,11 +50,6 @@ from repro.runtime.registry import get_task
 from repro.runtime.runner import BatchRunner
 
 from test_wire_format import labels, _rebuild
-
-np = columnar._numpy()
-
-needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")
-
 
 # -- expected-value oracle --------------------------------------------------
 
@@ -116,7 +114,6 @@ def _check_extraction(lbl):
     assert not uncover[2]
 
 
-@needs_numpy
 class TestExtractionProperty:
     @given(labels())
     @settings(max_examples=150, deadline=None)
@@ -146,82 +143,88 @@ class TestExtractionProperty:
 
 
 class TestGates:
-    def test_hatch_flag_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-        assert not vector_decide_disabled()
-        monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "0")
-        assert not vector_decide_disabled()
-        monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
-        assert vector_decide_disabled()
-
-    def test_min_nodes_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
-        assert vector_min_nodes() == columnar.DEFAULT_MIN_NODES
-        monkeypatch.setenv("REPRO_VECTOR_MIN_NODES", "7")
-        assert vector_min_nodes() == 7
-        monkeypatch.setenv("REPRO_VECTOR_MIN_NODES", "junk")
-        assert vector_min_nodes() == columnar.DEFAULT_MIN_NODES
-
-    def test_run_kernel_gates_fire_before_the_kernel(self, monkeypatch):
+    def test_degenerate_members_never_reach_the_kernel(self):
         calls = []
 
         def make_kernel(params):
             calls.append(params)
             return lambda ctx: calls.append(ctx)
 
-        g = path_graph(4)
-        monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
-        assert run_kernel(make_kernel, [(g, None, None)]) == [None]
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-        monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
-        # below the size floor, and the degenerate edgeless case (an
-        # edgeless member adds nothing to its class union either)
-        assert run_kernel(make_kernel, [(g, None, None)]) == [None]
+        # one node, and no edges at any size
+        assert run_kernel(make_kernel, [(Graph(1), None, None)]) == [None]
         assert run_kernel(make_kernel, [(Graph(64), None, None)]) == [None]
         assert run_kernel(
-            make_kernel, [(g, None, None), (Graph(64), None, None)]
+            make_kernel, [(Graph(1), None, None), (Graph(64), None, None)]
         ) == [None, None]
         # neither the kernel nor its factory ran
         assert calls == []
 
-    def test_run_kernel_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(columnar, "_NP", None)
-        monkeypatch.setattr(columnar, "_NP_CHECKED", True)
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-        assert not numpy_available()
-        g = path_graph(64)
-        assert run_kernel(lambda params: lambda ctx: None, [(g, None, None)]) == [None]
+    def test_two_node_member_reaches_the_kernel(self):
+        """The smallest member that is not degenerate, a single edge, is
+        handed to the kernel: no size floor holds members back."""
+        t = Transcript()
+        t.add_prover_round({v: EMPTY_LABEL for v in range(2)})
+        g = Graph(2, [(0, 1)])
+        seen = []
+
+        def make_kernel(params):
+            seen.append(params)
+
+            def kernel(ctx):
+                seen.append(ctx.n)
+                ok = ctx.np.ones(ctx.n, dtype=bool)
+                return ok, ctx.fallback
+
+            return kernel
+
+        members = [(Graph(1), t, "skip"), (g, t, "edge"), (g, t, "edge2")]
+        out = run_kernel(make_kernel, members)
+        assert seen == [["edge", "edge2"], 4]
+        assert out[0] is None
+        for ok, fallback in out[1:]:
+            assert ok.tolist() == [True, True]
+            assert fallback.tolist() == [False, False]
+
+    def test_numpy_is_imported_only_once_a_kernel_runs(self):
+        """``lr_sorting`` has no kernel: a process that only runs it never
+        loads numpy (it would add ~10 MB to a ``repro serve`` process);
+        a kernel-keyed task loads it on its first decide."""
+        script = (
+            "import sys\n"
+            "from repro.runtime import get_task\n"
+            "from repro.runtime.runner import BatchRunner\n"
+            "def run(task):\n"
+            "    spec = get_task(task)\n"
+            "    BatchRunner(spec.protocol(), spec.yes_factory).run(1, 16, seed=3)\n"
+            "    return 'numpy' in sys.modules\n"
+            "print(run('lr_sorting'), run('planarity'))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.split() == ["False", "True"]
 
 
-# -- fallback equivalence ---------------------------------------------------
+# -- the per-view checker is observationally the kernels ---------------------
 
 
-class TestNumpyAbsentFallback:
-    def test_batch_identical_without_numpy(self, monkeypatch):
-        """The pure-Python fallback is observationally the vector path."""
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-        spec = get_task("planarity")
+@pytest.mark.parametrize("task", ["planarity", "treewidth2"])
+def test_batch_identical_on_the_per_view_checker(task, request):
+    """A whole batch report is the same when the per-view checker decides
+    every node (the ``per_view_decide`` fake) as with the kernels."""
+    spec = get_task(task)
 
-        def run():
-            runner = BatchRunner(spec.protocol(), spec.yes_factory)
-            return runner.run(2, 40, seed=3).canonical_json()
+    def run():
+        runner = BatchRunner(spec.protocol(), spec.yes_factory)
+        return runner.run(2, 40, seed=3).canonical_json()
 
-        with_np = run()
-        monkeypatch.setattr(columnar, "_NP", None)
-        monkeypatch.setattr(columnar, "_NP_CHECKED", True)
-        assert run() == with_np
-
-    def test_batch_identical_with_hatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-        spec = get_task("treewidth2")
-
-        def run():
-            runner = BatchRunner(spec.protocol(), spec.yes_factory)
-            return runner.run(2, 40, seed=3).canonical_json()
-
-        vector = run()
-        monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
-        assert run() == vector
+    kernels = run()
+    request.getfixturevalue("per_view_decide")
+    assert run() == kernels
 
 
 # -- one path-outerplanarity kernel over sub-runs of every size --------------
@@ -250,18 +253,15 @@ def _po_pending(adversary, seed, no_instance=False):
     return batch._pending
 
 
-@needs_numpy
 @pytest.mark.parametrize("no_instance", [False, True], ids=["yes", "no"])
 @pytest.mark.parametrize("adversary", [None, "fuzz_r1", "fuzz_r3", "fuzz_r5"])
 @pytest.mark.parametrize("seed", range(3))
 def test_one_po_kernel_over_mixed_sizes_matches_each_alone_and_per_view(
-    seed, adversary, no_instance, monkeypatch
+    seed, adversary, no_instance
 ):
     """One ``make_po_kernel`` call over sub-runs with different L, block
     counts and STV repetitions gives every member the slices its own
     kernel gives it, and every kernel-decided node the per-view verdict."""
-    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-    monkeypatch.setenv("REPRO_VECTOR_MIN_NODES", "0")
     pending = _po_pending(adversary, seed, no_instance)
     pms = [p.kernel_params for p in pending]
     assert {pm.lr.L for pm in pms} == {2, 3, 4, 5, 6}
@@ -288,10 +288,8 @@ def test_one_po_kernel_over_mixed_sizes_matches_each_alone_and_per_view(
 # -- observability ----------------------------------------------------------
 
 
-@needs_numpy
 class TestMetricsCounters:
-    def test_vector_counters_accumulate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
+    def test_vector_counters_accumulate(self):
         spec = get_task("planarity")
         with metrics.enabled_metrics() as reg:
             BatchRunner(spec.protocol(), spec.yes_factory).run(1, 48, seed=2)
@@ -300,9 +298,16 @@ class TestMetricsCounters:
         assert decided > 0
         assert fallback >= 0
 
-    def test_counters_silent_with_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
-        spec = get_task("planarity")
+    @pytest.mark.parametrize(
+        "task,fake", [("lr_sorting", None), ("planarity", "per_view_decide")]
+    )
+    def test_counters_silent_without_a_kernel(self, task, fake, request):
+        """Nodes the per-view checker decides are never counted as kernel
+        nodes: ``lr_sorting`` has no kernel, and under the
+        ``per_view_decide`` fake no kernel decides anything."""
+        if fake is not None:
+            request.getfixturevalue(fake)
+        spec = get_task(task)
         with metrics.enabled_metrics() as reg:
             BatchRunner(spec.protocol(), spec.yes_factory).run(1, 48, seed=2)
             assert reg.counter("repro_vector_decide_nodes_total").value() == 0

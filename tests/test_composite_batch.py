@@ -18,9 +18,11 @@ per-sub-run execution the batch replaces:
   (those of ``test_composite_protocols.py`` and
   ``test_decomposition_stages.py``, and a block of arboricity 4 that
   sends the union simulation to its per-graph fallback);
-- with kernels on, with ``REPRO_DISABLE_VECTOR_DECIDE=1`` and with
-  ``REPRO_VECTOR_MIN_NODES=2``; ``planar_embedding`` (batches of one) is
-  the control.
+- with the kernels; with every node on the per-view checker (the
+  ``per_view_decide`` fake); and on the per-view checker with a decode
+  cache that shares nothing between views (plus the
+  ``no_memo_decode_cache`` fake), the plain per-node reference;
+  ``planar_embedding`` (batches of one) is the control.
 
 More pins: a batch in which one member carries an uncoverable label
 sends only that member's nodes to the per-view checker; honest
@@ -28,17 +30,17 @@ sends only that member's nodes to the per-view checker; honest
 kernel, none by fallback; a host whose blocks span L = 2..6, one and
 several LR blocks, makes exactly one path-outerplanarity kernel call,
 and its kernel verdicts equal the per-view verdicts node by node under
-honest, fuzzed and lying provers (as do the liars above); and a sub-run
-whose prover sends an out-of-width value fails its staged host with the
-error it raises alone.
+honest, fuzzed and lying provers (as do the liars above), as does the
+series-parallel fuzz coverage matrix; and a sub-run whose prover sends an
+out-of-width value fails its staged host with the error it raises alone.
 """
 
 import random
 
 import pytest
 
+from repro.analysis.fuzz_coverage import fuzz_coverage
 from repro.core import columnar, protocol
-from repro.core.columnar import run_kernel, vector_min_nodes
 from repro.core.labels import Label
 from repro.core.network import Graph, complete_graph, cycle_graph
 from repro.core.protocol import DecideBatch, LabelTap, run_context
@@ -60,6 +62,7 @@ from repro.protocols.instances import (
     Treewidth2Instance,
 )
 from repro.runtime import get_task
+from repro.runtime.registry import FUZZ_ROUNDS
 
 from test_born_packed import _WideProver
 from test_decomposition_stages import _K4ParentLiar
@@ -68,23 +71,18 @@ TASKS = ("outerplanarity", "series_parallel", "treewidth2", "planar_embedding")
 #: n=256 runs in the slow tier; 16 and 64 already hold many-block hosts
 NS = (16, 64, pytest.param(256, marks=pytest.mark.slow))
 ADVERSARIES = (None, "fuzz_r1", "fuzz_r3", "fuzz_r5")
+#: mode -> the fakes it applies
 MODES = {
-    "kernels": {},
-    "per_view": {"REPRO_DISABLE_VECTOR_DECIDE": "1"},
-    "floor2": {"REPRO_VECTOR_MIN_NODES": "2"},
+    "kernels": (),
+    "per_view": ("per_view_decide",),
+    "per_view_no_memo": ("per_view_decide", "no_memo_decode_cache"),
 }
-
-needs_numpy = pytest.mark.skipif(
-    not columnar.numpy_available(), reason="numpy not installed"
-)
 
 
 @pytest.fixture(params=sorted(MODES))
-def mode(request, monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-    monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
-    for key, value in MODES[request.param].items():
-        monkeypatch.setenv(key, value)
+def mode(request):
+    for fake in MODES[request.param]:
+        request.getfixturevalue(fake)
     return request.param
 
 
@@ -108,7 +106,7 @@ def _run_alone(mp: pytest.MonkeyPatch) -> None:
         pending, self._pending = self._pending, []
         for p in pending:
             ia = p.interaction
-            (out,) = run_kernel(
+            (out,) = protocol.run_columnar_kernel(
                 p.make_kernel, [(ia.graph, ia.transcript, p.kernel_params)]
             )
             p.result = ia.decide(p.check, kernel_out=out, **p.kwargs)
@@ -282,12 +280,8 @@ class _UncoverableOnce(LabelTap):
             labels[0] = Label().sub("node", Label().sub("lr", lr))
 
 
-@needs_numpy
 def test_uncoverable_member_alone_reaches_the_per_view_checker(monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-    monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
     host = _glued(*[cycle_graph(5)] * 8)  # eight 5-node blocks, one batch
-    assert 8 * 5 >= vector_min_nodes()
     built, checked = [], []
     real_build = protocol.build_views
     real_check = path_outerplanarity.check_path_outerplanarity_node
@@ -322,11 +316,8 @@ def test_uncoverable_member_alone_reaches_the_per_view_checker(monkeypatch):
 # -- coverage: one kernel decides every sub-run node of a host ---------------
 
 
-@needs_numpy
 @pytest.mark.parametrize("task", ["outerplanarity", "treewidth2"])
-def test_honest_composites_decide_batched_classes_by_kernel(task, monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-    monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
+def test_honest_composites_decide_batched_classes_by_kernel(task):
     spec = get_task(task)
     instance = spec.yes_factory(256, random.Random(5))
     with metrics.enabled_metrics() as reg:
@@ -337,9 +328,8 @@ def test_honest_composites_decide_batched_classes_by_kernel(task, monkeypatch):
     sizes = [len(sub.node_map) for sub in result.sub_runs]
     assert fallback == 0
     assert decided == sum(sizes)
-    # sub-runs far below the floor are decided too: the floor applies to
-    # the union of a host's sub-runs
-    assert min(sizes) < vector_min_nodes()
+    # the smallest sub-runs (triangle blocks, two-node ears) among them
+    assert min(sizes) <= 3
 
 
 def _po_kernel_calls(monkeypatch) -> list:
@@ -374,10 +364,7 @@ def _mixed_host() -> OuterplanarInstance:
     return OuterplanarInstance(_glued(*[_chorded_cycle(k) for k in MIXED_BLOCKS]))
 
 
-@needs_numpy
 def test_composite_host_makes_one_po_kernel_call(monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-    monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
     calls = _po_kernel_calls(monkeypatch)
     result = OuterplanarityProtocol(c=2).execute(_mixed_host(), rng=random.Random(2))
     assert result.accepted
@@ -394,24 +381,20 @@ def _verdicts(result) -> list:
     ]
 
 
-def _kernel_vs_per_view(task, make_instance, make_prover, seed, monkeypatch):
-    """The run's verdicts with kernels on, then with the per-view path only."""
-    monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
-    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
+def _kernel_vs_per_view(task, make_instance, make_prover, seed, request):
+    """The run's verdicts with the kernels, then with the per-view path only."""
     with metrics.enabled_metrics() as reg:
         kernel = _host_run(task, make_instance(), make_prover, seed)
         decided = reg.counter("repro_vector_decide_nodes_total").value()
-    monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
+    request.getfixturevalue("per_view_decide")
     per_view = _host_run(task, make_instance(), make_prover, seed)
-    monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE")
     assert _verdicts(kernel) == _verdicts(per_view)
     return kernel, decided
 
 
-@needs_numpy
 @pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a or "honest")
 @pytest.mark.parametrize("seed", range(6))  # fuzz_r1 rejects at seed 5
-def test_mixed_block_host_kernel_verdicts_equal_per_view(adversary, seed, monkeypatch):
+def test_mixed_block_host_kernel_verdicts_equal_per_view(adversary, seed, request):
     make_prover = None
     if adversary is not None:
         factory = get_task("outerplanarity").adversaries[adversary]
@@ -420,21 +403,36 @@ def test_mixed_block_host_kernel_verdicts_equal_per_view(adversary, seed, monkey
             return factory(instance, random.Random(seed))
 
     result, decided = _kernel_vs_per_view(
-        "outerplanarity", _mixed_host, make_prover, seed, monkeypatch
+        "outerplanarity", _mixed_host, make_prover, seed, request
     )
     assert decided > 0
     if adversary is None:
         assert result.accepted
 
 
-@needs_numpy
 @pytest.mark.parametrize("liar", sorted(LIARS))
-def test_liars_kernel_verdicts_equal_per_view(liar, monkeypatch):
+def test_liars_kernel_verdicts_equal_per_view(liar, request):
     task, make_instance, make_prover = LIARS[liar]
     result, _ = _kernel_vs_per_view(
-        task, lambda: make_instance(64), make_prover, 7, monkeypatch
+        task, lambda: make_instance(64), make_prover, 7, request
     )
     assert not result.accepted
+
+
+def test_series_parallel_fuzz_matrix_equal_per_view(request):
+    """Series-parallel hosts decide every block and ear sub-run in one
+    path-outerplanarity kernel call; the fuzz coverage matrix (``repro
+    fuzz --task series_parallel --round all --n 64 --trials 8 --seed 3``)
+    is byte-identical to the one the per-view checker alone reports."""
+
+    def matrix():
+        return fuzz_coverage(
+            "series_parallel", rounds=list(FUZZ_ROUNDS), n=64, trials=8, seed=3
+        ).to_json(indent=2)
+
+    kernels = matrix()
+    request.getfixturevalue("per_view_decide")
+    assert matrix() == kernels
 
 
 # -- an out-of-width value fails the staged host like the sub-run alone ------

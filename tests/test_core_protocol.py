@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.labels import BitString, Label
 from repro.core.network import Graph, path_graph
-from repro.core.protocol import Interaction, ProtocolError, merge_labels
+from repro.core.protocol import DecodeCache, Interaction, ProtocolError, merge_labels
 from repro.core.transcript import Transcript
 from repro.core.views import build_views
 
@@ -108,6 +108,9 @@ class TestViews:
         assert v1.neighbor(0, 1)["id"] == 2
         assert "e01" in v1.edge_labels[0][0]
         assert v1.edge_labels[0][1].bit_size() == 0
+        # no cache passed: build_views makes one for the whole sweep
+        assert isinstance(v1.decode_cache, DecodeCache)
+        assert all(v.decode_cache is v1.decode_cache for v in views.values())
 
     def test_merge_labels(self):
         merged = merge_labels(

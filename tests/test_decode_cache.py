@@ -1,10 +1,11 @@
 """Bit-identity and bookkeeping of the decide-phase decode cache.
 
-The cache is a pure memo: with ``REPRO_DISABLE_DECODE_CACHE=1`` every
-checker falls back to a private per-node cache, which is exactly the old
-decode-everything-locally behavior.  These tests pin the canonical
-reports byte-identical with the cache on and off — serially and across
-worker processes — for every registered task, and cover the cache's
+The cache is a pure memo: a no-memo fake that shares nothing between the
+views of a sweep (the ``no_memo_decode_cache`` fixture) decodes every
+label where it is read.  These tests pin the canonical reports
+byte-identical with the shared cache and the fake for every registered
+task -- the fake serially (it patches this process only), the shared
+cache serially and across worker processes -- and cover the cache's
 counters, the metrics export, and the runner's auto-serial heuristic.
 """
 
@@ -13,7 +14,8 @@ import pytest
 from repro.analysis.experiments import run_batch
 from repro.core.labels import Label
 from repro.core.network import path_graph
-from repro.core.protocol import DecodeCache, Interaction, decode_cache_disabled
+from repro.core.protocol import DecodeCache, Interaction
+from repro.core.views import build_views
 from repro.obs import metrics as obs_metrics
 from repro.runtime.registry import canonical_name, get_task, task_names
 from repro.runtime.runner import BatchRunner, _usable_cores
@@ -21,13 +23,7 @@ from repro.runtime.runner import BatchRunner, _usable_cores
 ALL_TASKS = sorted(task_names())
 
 
-def _canonical(task, *, workers, disabled, monkeypatch, n=24, runs=3, seed=11):
-    if disabled:
-        # worker processes fork/spawn from this process and inherit the
-        # environment, so the escape hatch reaches them too
-        monkeypatch.setenv("REPRO_DISABLE_DECODE_CACHE", "1")
-    else:
-        monkeypatch.delenv("REPRO_DISABLE_DECODE_CACHE", raising=False)
+def _canonical(task, *, workers=0, n=24, runs=3, seed=11):
     spec = get_task(task)
     runner = BatchRunner(spec.protocol(c=2), spec.yes_factory, workers=workers)
     return runner.run(runs, n, seed=seed).canonical_json()
@@ -35,25 +31,20 @@ def _canonical(task, *, workers, disabled, monkeypatch, n=24, runs=3, seed=11):
 
 class TestBitIdentity:
     @pytest.mark.parametrize("task", ALL_TASKS)
-    def test_cache_on_off_serial(self, task, monkeypatch):
-        on = _canonical(task, workers=0, disabled=False, monkeypatch=monkeypatch)
-        off = _canonical(task, workers=0, disabled=True, monkeypatch=monkeypatch)
-        assert on == off
+    def test_cache_on_off_serial(self, task, request):
+        on = _canonical(task)
+        request.getfixturevalue("no_memo_decode_cache")
+        assert _canonical(task) == on
 
     @pytest.mark.parametrize("task", ALL_TASKS)
-    def test_cache_on_off_two_workers(self, task, monkeypatch):
-        on = _canonical(task, workers=2, disabled=False, monkeypatch=monkeypatch)
-        off = _canonical(task, workers=2, disabled=True, monkeypatch=monkeypatch)
-        assert on == off
+    def test_cache_on_off_two_workers(self, task, request):
+        on = _canonical(task, workers=2)
+        request.getfixturevalue("no_memo_decode_cache")
+        assert _canonical(task) == on
 
-    def test_serial_matches_workers_with_cache(self, monkeypatch):
-        serial = _canonical(
-            "path_outerplanarity", workers=0, disabled=False, monkeypatch=monkeypatch
-        )
-        pooled = _canonical(
-            "path_outerplanarity", workers=2, disabled=False, monkeypatch=monkeypatch
-        )
-        assert serial == pooled
+    def test_serial_matches_workers_with_cache(self):
+        serial = _canonical("path_outerplanarity")
+        assert _canonical("path_outerplanarity", workers=2) == serial
 
 
 class TestDecodeCacheUnit:
@@ -93,28 +84,32 @@ class TestDecodeCacheUnit:
         ia.decide(lambda view: seen.append(view.decode_cache) or True)
         return seen
 
-    def test_decide_hands_one_cache_to_every_view(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_DECODE_CACHE", raising=False)
+    def test_decide_hands_one_cache_to_every_view(self):
         first, *rest = self._sweep_caches()
         assert isinstance(first, DecodeCache)
         assert all(c is first for c in rest)
         # a fresh cache per sweep: nothing outlives its decide
         assert self._sweep_caches()[0] is not first
-        monkeypatch.setenv("REPRO_DISABLE_DECODE_CACHE", "1")
-        assert self._sweep_caches() == [None] * 4
 
-    def test_disabled_env_hatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_DECODE_CACHE", raising=False)
-        assert not decode_cache_disabled()
-        monkeypatch.setenv("REPRO_DISABLE_DECODE_CACHE", "0")
-        assert not decode_cache_disabled()
-        monkeypatch.setenv("REPRO_DISABLE_DECODE_CACHE", "1")
-        assert decode_cache_disabled()
+    def test_build_views_without_a_cache_shares_a_fresh_one(self):
+        """Callers outside ``decide`` (tests, the wire differential) get a
+        cache too: ``NodeView.decode_cache`` is never None."""
+        ia = Interaction(path_graph(4))
+        ia.prover_round({v: Label() for v in range(4)})
+        views = build_views(ia.graph, ia.transcript)
+        caches = [views[v].decode_cache for v in range(4)]
+        assert isinstance(caches[0], DecodeCache)
+        assert all(c is caches[0] for c in caches)
+        again = build_views(ia.graph, ia.transcript)
+        assert again[0].decode_cache is not caches[0]
+        passed = DecodeCache()
+        views = build_views(ia.graph, ia.transcript, decode_cache=passed)
+        assert all(views[v].decode_cache is passed for v in range(4))
 
 
 class TestMetricsExport:
-    def test_counters_flow_to_registry(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_DECODE_CACHE", raising=False)
+    def test_counters_flow_to_registry(self, per_view_decide):
+        # the kernels decide this whole run; the cache serves view sweeps
         obs_metrics.enable()
         try:
             obs_metrics.REGISTRY.reset()

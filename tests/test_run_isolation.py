@@ -13,7 +13,8 @@ tracer must never record another run's rounds.  Three pins:
   runs;
 - an AST guard over ``src/repro``: the only ``global`` statements are the
   allowlisted process-wide ones, so per-run state cannot come back as a
-  module slot.
+  module slot, and no module reads the environment, so no setting can
+  come back as an env var.
 """
 
 import ast
@@ -35,9 +36,8 @@ WAIT_S = 60.0
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: the process-wide state that is allowed to live in module globals: the
-#: pool worker's batch spec, the metrics on/off switch, and the lazily
-#: probed numpy module
-ALLOWED_GLOBALS = {"_WORKER_SPEC", "_ENABLED", "_NP", "_NP_CHECKED"}
+#: pool worker's batch spec and the metrics on/off switch
+ALLOWED_GLOBALS = {"_WORKER_SPEC", "_ENABLED"}
 
 
 def _fuzzed_batch():
@@ -197,16 +197,35 @@ def test_many_threads_with_a_short_switch_interval_match_serial():
     assert results == serial
 
 
-def _global_names():
-    found = {}
+def _src_nodes():
+    """``(module path, AST node)`` for every node under ``src/repro``."""
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Global):
-                for name in node.names:
-                    found.setdefault(name, []).append(str(path.relative_to(SRC)))
-    return found
+            yield str(path.relative_to(SRC)), node
 
 
 def test_only_allowlisted_module_globals():
-    found = _global_names()
+    found = {}
+    for path, node in _src_nodes():
+        if isinstance(node, ast.Global):
+            for name in node.names:
+                found.setdefault(name, []).append(path)
     assert set(found) == ALLOWED_GLOBALS, found
+
+
+def test_no_module_reads_the_environment():
+    env = {"environ", "getenv"}
+    reads = []
+    for path, node in _src_nodes():
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in env
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and env & {alias.name for alias in node.names}
+        ):
+            reads.append((path, node.lineno))
+    assert reads == []

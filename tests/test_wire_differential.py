@@ -7,9 +7,10 @@ identical* for every registered task: canonical batch reports (which
 cover acceptance, proof-size bits, and rejection counts per run) must be
 byte-identical between serial runs and 2-worker runs, fuzz adversaries
 must mutate the same fields with the same outcomes and the same reported
-wire offsets, and the cross of {decode cache on, off} x {serial, 2
-workers} x {vector decide on, off} must collapse to a single canonical
-report.
+wire offsets, and the shared decode cache against a no-memo one and the
+columnar kernels against the per-view checker must collapse to a single
+canonical report.  The no-memo and per-view fakes patch this process
+only, so they run serially; the 2-worker legs run the default path.
 
 The worker legs matter most: shard results cross a process boundary, so
 they exercise the packed ``ProverRound`` blob transport end to end.
@@ -35,24 +36,6 @@ MUTATION_KEYS = (
 )
 
 
-def _set_mode(monkeypatch, *, cache=True, vector=None):
-    if cache:
-        monkeypatch.delenv("REPRO_DISABLE_DECODE_CACHE", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_DISABLE_DECODE_CACHE", "1")
-    if vector is None:
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-        monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
-    elif vector:
-        # the harness n sits below the default size floor: drop the gate
-        # so the kernels genuinely decide these runs
-        monkeypatch.delenv("REPRO_DISABLE_VECTOR_DECIDE", raising=False)
-        monkeypatch.setenv("REPRO_VECTOR_MIN_NODES", "2")
-    else:
-        monkeypatch.setenv("REPRO_DISABLE_VECTOR_DECIDE", "1")
-        monkeypatch.delenv("REPRO_VECTOR_MIN_NODES", raising=False)
-
-
 def _run(task, adversary=None, *, workers=0, n=24, runs=3, seed=11):
     spec = get_task(task)
     factory = spec.adversaries[adversary] if adversary else None
@@ -72,8 +55,7 @@ def _outcomes(report):
 
 class TestHonestDifferential:
     @pytest.mark.parametrize("task", ALL_TASKS)
-    def test_serial_vs_two_workers(self, task, monkeypatch):
-        _set_mode(monkeypatch)
+    def test_serial_vs_two_workers(self, task):
         serial = _run(task)
         pooled = _run(task, workers=2)
         assert pooled.canonical_json() == serial.canonical_json()
@@ -83,8 +65,7 @@ class TestHonestDifferential:
 class TestFuzzDifferential:
     @pytest.mark.parametrize("task", ALL_TASKS)
     @pytest.mark.parametrize("adversary", FUZZ_ADVERSARIES)
-    def test_serial_vs_two_workers(self, task, adversary, monkeypatch):
-        _set_mode(monkeypatch)
+    def test_serial_vs_two_workers(self, task, adversary):
         serial = _run(task, adversary)
         pooled = _run(task, adversary, workers=2)
         assert pooled.canonical_json() == serial.canonical_json()
@@ -99,38 +80,30 @@ class TestFuzzDifferential:
 
 
 class TestFullCross:
-    """{cache on, off} x {serial, 2 workers} -> one report."""
+    """Shared cache serially and on 2 workers, no-memo cache serially: one
+    report."""
 
     @pytest.mark.parametrize("task", ["lr_sorting", "path_outerplanarity"])
-    def test_four_way_cross_is_byte_identical(self, task, monkeypatch):
-        reports = {}
-        for cache in (True, False):
-            for workers in (0, 2):
-                _set_mode(monkeypatch, cache=cache)
-                reports[(cache, workers)] = _run(
-                    task, workers=workers
-                ).canonical_json()
-        baseline = reports[(True, 0)]
-        for combo, canonical in reports.items():
-            assert canonical == baseline, combo
+    def test_cache_cross_is_byte_identical(self, task, request):
+        baseline = _run(task).canonical_json()
+        assert _run(task, workers=2).canonical_json() == baseline, "workers"
+        request.getfixturevalue("no_memo_decode_cache")
+        assert _run(task).canonical_json() == baseline, "no-memo cache"
 
 
 class TestVectorDifferential:
-    """The third axis: vectorized columnar decide on vs. off.
+    """The columnar kernels against the per-view checker.
 
     Kernel verdicts must collapse to the per-view path's byte for byte --
-    honest and adversarial.  The vector-on legs force
-    ``REPRO_VECTOR_MIN_NODES=2`` so the kernels actually decide these
-    (deliberately small) runs instead of ducking under the size gate.
+    honest and adversarial.
     """
 
     @pytest.mark.parametrize("task", ALL_TASKS)
     @pytest.mark.parametrize("adversary", [None] + FUZZ_ADVERSARIES)
-    def test_vector_cross(self, task, adversary, monkeypatch):
-        reports = {}
-        for vector in (True, False):
-            _set_mode(monkeypatch, vector=vector)
-            reports[vector] = _run(task, adversary)
+    def test_vector_cross(self, task, adversary, request):
+        reports = {True: _run(task, adversary)}
+        request.getfixturevalue("per_view_decide")
+        reports[False] = _run(task, adversary)
         baseline = reports[False]
         base_json = baseline.canonical_json()
         for combo, report in reports.items():
@@ -145,19 +118,14 @@ class TestVectorDifferential:
                         assert extra_a.get(key) == extra_b.get(key), (combo, key)
 
     @pytest.mark.parametrize("task", ALL_TASKS)
-    def test_vector_cross_workers(self, task, monkeypatch):
-        """Vector on/off x {serial, 2 workers}: shard decides cross a
-        process boundary, so the kernels run on wire-backed labels there."""
-        reports = {}
-        for vector in (True, False):
-            for workers in (0, 2):
-                _set_mode(monkeypatch, vector=vector)
-                reports[(vector, workers)] = _run(
-                    task, workers=workers
-                ).canonical_json()
-        baseline = reports[(False, 0)]
-        for combo, canonical in reports.items():
-            assert canonical == baseline, combo
+    def test_vector_cross_workers(self, task, request):
+        """Kernels serial and on 2 workers, per-view serial: shard decides
+        cross a process boundary, so the kernels run on wire-backed labels
+        there."""
+        kernels = _run(task).canonical_json()
+        assert _run(task, workers=2).canonical_json() == kernels, "workers"
+        request.getfixturevalue("per_view_decide")
+        assert _run(task).canonical_json() == kernels, "per-view"
 
 
 def _tree_of(label):
