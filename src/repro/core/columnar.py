@@ -300,6 +300,7 @@ class ColumnarContext:
         self.fallback = np.zeros(self.n, dtype=bool)
         self._csr = None
         self._edge_rows: Dict[int, list] = {}
+        self._slot_keys: Optional[List[list]] = None
 
     # -- adjacency --------------------------------------------------------
 
@@ -347,12 +348,21 @@ class ColumnarContext:
         """Per-slot edge labels of prover round ``ridx`` (member keys)."""
         rows = self._edge_rows.get(ridx)
         if rows is None:
+            keys = self._slot_keys
+            if keys is None:
+                # each member's canonical edge key per slot, shared by rounds
+                keys = self._slot_keys = [
+                    [
+                        (v, u) if v <= u else (u, v)
+                        for v in range(g.n)
+                        for u in g.neighbors(v)
+                    ]
+                    for g, _ in self.members
+                ]
             rows = []
-            for (g, _), rounds in zip(self.members, self._prover_rounds):
+            for slot_keys, rounds in zip(keys, self._prover_rounds):
                 store = rounds[ridx].edge_labels if ridx < len(rounds) else {}
-                for v in range(g.n):
-                    for u in g.neighbors(v):
-                        rows.append(store.get((v, u) if v <= u else (u, v)))
+                rows += map(store.get, slot_keys)
             self._edge_rows[ridx] = rows
         return rows
 

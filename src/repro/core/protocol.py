@@ -388,6 +388,7 @@ class Interaction:
         protocol_name: str = "dip",
         meta: Optional[dict] = None,
         kernel_out=None,
+        sweep: Optional[Callable[..., list]] = None,
     ) -> RunResult:
         """Evaluate the local decision at every node and aggregate.
 
@@ -398,7 +399,10 @@ class Interaction:
         over packed-label columns; nodes the kernel marks as fallback --
         and every node when no kernel ran -- go through ``check``
         unchanged, so verdicts (and canonical reports) are identical
-        either way.
+        either way.  ``sweep(graph, transcript, inputs)``, when given,
+        returns the rejecting nodes of the whole run in one pass over its
+        labels, with the verdicts ``check`` gives node by node; no view is
+        built then.
         """
         if not self.transcript.ends_with_prover():
             raise ProtocolError("interaction must end with a prover round")
@@ -406,7 +410,9 @@ class Interaction:
         if kernel_out is not None:
             kernel_ok, kernel_fb = kernel_out
         cache = None
-        if kernel_ok is not None and not kernel_fb.any():
+        if sweep is not None:
+            rejecting = sweep(self.graph, self.transcript, inputs)
+        elif kernel_ok is not None and not kernel_fb.any():
             # fully covered: skip view construction entirely
             rejecting = [v for v in self.graph.nodes() if not kernel_ok[v]]
         else:

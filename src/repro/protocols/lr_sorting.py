@@ -41,9 +41,10 @@ Round 5 (prover).
     (j_v, phi^b_{j_v - 1}(r')) for nodes whose x1 bit is s).  The block's
     leftmost node compares the two full products.
 
-Every local decision is a pure function of a :class:`NodeView` -- see
-``_check_node``.  Soundness failures are random events in F_p / F_p2,
-giving the paper's 1/polylog n soundness error; completeness is perfect.
+Every local decision is a pure function of the node's coins and its own,
+neighbor and incident-edge labels -- see ``lr_check_node``.  Soundness
+failures are random events in F_p / F_p2, giving the paper's 1/polylog n
+soundness error; completeness is perfect.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Tuple
 
 from ..core.labels import EMPTY_LABEL, BitString, Label, field_elem_width, uint_width
@@ -532,14 +533,8 @@ class LRSortingProtocol(DIPProtocol):
         r3_nodes, r3_edges = prover.round3(coins2)
         emit_prover_round(r3_nodes, r3_edges, self._r3_node_label, self._r3_edge_label)
 
-        truncated = self.truncate_to_three_rounds
-        if truncated:
-            inputs = self._node_inputs(instance)
-            checker = _make_checker(pm, sessions=False)
-            return interaction.decide(
-                checker, inputs=inputs, protocol_name=self.name,
-                meta={"params": pm},
-            )
+        if self.truncate_to_three_rounds:
+            return self._decide(interaction, instance, pm, sessions=False)
 
         # round 4 (verifier): session points per block leader
         widths4 = (
@@ -560,12 +555,15 @@ class LRSortingProtocol(DIPProtocol):
         except (ValueError, KeyError) as exc:
             raise ProtocolError(f"malformed prover message: {exc}") from exc
         interaction.prover_round(labels5)
+        return self._decide(interaction, instance, pm, sessions=True)
 
-        inputs = self._node_inputs(instance)
-        checker = _make_checker(pm)
+    def _decide(self, interaction, instance, pm: LRParams, sessions: bool) -> RunResult:
         return interaction.decide(
-            checker, inputs=inputs, protocol_name=self.name,
+            _make_checker(pm, sessions),
+            inputs=self._node_inputs(instance),
+            protocol_name=self.name,
             meta={"params": pm},
+            sweep=partial(_decide_sweep, pm, sessions),
         )
 
     @staticmethod
@@ -592,83 +590,16 @@ class LRSortingProtocol(DIPProtocol):
 # ---------------------------------------------------------------------------
 # the local decision
 # ---------------------------------------------------------------------------
-
-
-class LRNodeSlice:
-    """Adapter: the LR-sorting slice of one node's view.
-
-    The standalone protocol builds it straight from a :class:`NodeView`;
-    composed protocols (path-outerplanarity and everything downstream)
-    build it from their own nested sub-labels and re-based coin offsets, so
-    the exact same local decision code runs in both settings.
-    """
-
-    def __init__(self, port_kinds, own_labels, neighbor_labels, edge_labels,
-                 coin2: int, coin4: int, decode_cache):
-        self.port_kinds = port_kinds
-        self._own = own_labels            # [r1, r3, r5] labels
-        self._neighbors = neighbor_labels  # [round][port]
-        self._edges = edge_labels          # [round][port]
-        self.coin2 = coin2                 # this node's LR coins (round 2)
-        self.coin4 = coin4                 # this node's LR coins (round 4)
-        self.decode_cache = decode_cache   # the sweep's, as on NodeView
-
-    @classmethod
-    def from_view(cls, view: NodeView) -> "LRNodeSlice":
-        # unwraps are pure per label and every round label is shared with
-        # all neighbors, so memoize them in the sweep's decode cache
-        cache = view.decode_cache
-        cget = cache.get
-        memo = cache.sub("lr_unwrap")
-
-        rounds = len(view.own_labels)
-        empty = EMPTY_LABEL
-
-        def own(i):
-            if i >= rounds:
-                return empty
-            lbl = view.own_labels[i]
-            return cget(memo, id(lbl), _unwrap_node, lbl)
-
-        def nbrs(i):
-            if i < rounds:
-                return [
-                    cget(memo, id(l), _unwrap_node, l)
-                    for l in view.neighbor_labels[i]
-                ]
-            return [empty] * view.degree
-
-        def edges(i):
-            if i < rounds:
-                return view.edge_labels[i]
-            return [empty] * view.degree
-
-        return cls(
-            view.input["port_kinds"],
-            [own(i) for i in range(3)],
-            [nbrs(i) for i in range(3)],
-            [edges(i) for i in range(3)],
-            view.coins[0].value,
-            view.coins[1].value if len(view.coins) > 1 else 0,
-            view.decode_cache,
-        )
-
-    def own(self, i: int) -> Label:
-        return self._own[i]
-
-    def neighbor(self, i: int, port: int) -> Label:
-        return self._neighbors[i][port]
-
-    def edge(self, i: int, port: int) -> Label:
-        return self._edges[i][port]
-
-
-def _make_checker(pm: LRParams, sessions: bool = True):
-    def check(view: NodeView) -> bool:
-        return lr_check_node(pm, LRNodeSlice.from_view(view), sessions=sessions)
-
-    return check
-
+#
+# ``lr_check_node`` evaluates the Section-4 predicates at one node over
+# *field rows*: each label decoded once into the tuple of its fields
+# (``_r1_fields`` etc.).  Three callers feed it.  The standalone protocol
+# decides a finished run in one sweep (``_decide_sweep``): every node and
+# edge label of the run is decoded once into a per-round table, and each
+# node reads its neighbors' rows straight from those tables.  The composed
+# protocols (path-outerplanarity and everything downstream) decode the rows
+# from the ``lr`` sub-labels of their own views.  ``_make_checker`` is the
+# per-view reference the sweep is tested against.
 
 _ABSENT = object()
 
@@ -678,17 +609,6 @@ def _unwrap_node(lbl: Label) -> Label:
     # "node" sub-label (next to the folded edge payloads)
     node = lbl.get("node", _ABSENT)
     return node if node is not _ABSENT else lbl
-
-
-def _get(label: Label, *names):
-    get = label.get
-    out = []
-    for name in names:
-        value = get(name, _ABSENT)
-        if value is _ABSENT:
-            return None
-        out.append(value)
-    return tuple(out)
 
 
 def _r1_fields(label: Label):
@@ -740,73 +660,109 @@ def _e3_fields(label: Label):
     return (label.get("jval", _ABSENT),)
 
 
-def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> bool:  # noqa: C901
+_NODE_FIELDS = (_r1_fields, _r3_fields, _r5_fields)
+_EDGE_FIELDS = (_e1_fields, _e3_fields)
+
+
+def _make_checker(pm: LRParams, sessions: bool = True):
+    """The per-view reference: rows decoded from one view, no sharing."""
+
+    def check(view: NodeView) -> bool:
+        rounds, deg = len(view.own_labels), view.degree
+        own, rows, edges = [], [], []
+        for i, fields in enumerate(_NODE_FIELDS):
+            if i < rounds:
+                own.append(fields(_unwrap_node(view.own_labels[i])))
+                rows.append([fields(_unwrap_node(l)) for l in view.neighbor_labels[i]])
+            else:
+                own.append(fields(EMPTY_LABEL))
+                rows.append([own[i]] * deg)
+        for i, fields in enumerate(_EDGE_FIELDS):
+            labels = view.edge_labels[i] if i < rounds else [EMPTY_LABEL] * deg
+            edges.append([fields(l) for l in labels])
+        coins = view.coins
+        return lr_check_node(
+            pm, view.input["port_kinds"], own, range(deg), rows, range(deg), edges,
+            coins[0].value, coins[1].value if len(coins) > 1 else 0, sessions,
+        )
+
+    return check
+
+
+def _decide_sweep(pm: LRParams, sessions: bool, graph: Graph, transcript, inputs):
+    """The rejecting nodes of a finished run, decided in one sweep.
+
+    Every node label of rounds 1/3/5 and every edge label of rounds 1/3 is
+    decoded once into a table; node ``v`` reaches the neighbor behind port
+    ``q`` as ``graph.neighbors(v)[q]`` (the port order of
+    :func:`~repro.core.views.build_views`) and the edge behind it by its
+    canonical key.  Verdicts equal the per-view reference node for node.
+    """
+    n = graph.n
+    prover_rounds = transcript.prover_rounds()
+    tables = []
+    for i, fields in enumerate(_NODE_FIELDS):
+        if i < len(prover_rounds):
+            get = prover_rounds[i].labels.get
+            tables.append([fields(_unwrap_node(get(v, EMPTY_LABEL))) for v in range(n)])
+        else:
+            tables.append([fields(EMPTY_LABEL)] * n)
+    edge_keys = graph.edges()
+    edge_tables = []
+    for i, fields in enumerate(_EDGE_FIELDS):
+        table = dict.fromkeys(edge_keys, fields(EMPTY_LABEL))
+        if i < len(prover_rounds):
+            for e, lbl in prover_rounds[i].edge_labels.items():
+                table[e] = fields(lbl)
+        edge_tables.append(table)
+    verifier_rounds = transcript.verifier_rounds()
+    coins2 = verifier_rounds[0].coins
+    coins4 = verifier_rounds[1].coins if len(verifier_rounds) > 1 else {}
+    t1, t3, t5 = tables
+    neighbors = graph.neighbors
+    rejecting = []
+    for v in range(n):
+        nbrs = neighbors(v)
+        c2, c4 = coins2.get(v), coins4.get(v)
+        if not lr_check_node(
+            pm,
+            inputs[v]["port_kinds"],
+            (t1[v], t3[v], t5[v]),
+            nbrs,
+            tables,
+            [(v, u) if v <= u else (u, v) for u in nbrs],
+            edge_tables,
+            c2.value if c2 is not None else 0,
+            c4.value if c4 is not None else 0,
+            sessions,
+        ):
+            rejecting.append(v)
+    return rejecting
+
+
+def lr_check_node(  # noqa: C901
+    pm: LRParams, kinds, own, ports, rows, eports, edges, coin2: int, coin4: int,
+    sessions: bool = True,
+) -> bool:
     """The complete local verification at one node (Section 4).
 
-    All label-field reads go through per-kind field-tuple extractors
-    (``_r1_fields`` etc.) memoized in the sweep's decode cache: a label
-    shared by several nodes (every neighbor label is) is decoded once per
-    run instead of once per reader.  Missing fields surface as ``_ABSENT``
-    slots, which compare unequal to every legal value, so most reads need
-    no explicit missing-check beyond the comparison itself.
+    ``kinds`` are the node's port kinds and ``own`` its rows of rounds
+    1/3/5.  ``rows`` are the round tables its neighbors' rows come from:
+    the neighbor behind port ``q`` has row ``rows[i][ports[q]]``.  Likewise
+    the incident edge behind port ``q`` has row ``edges[i][eports[q]]``
+    (rounds 1/3).  ``coin2``/``coin4`` are the node's LR coins of rounds 2
+    and 4.  Missing fields surface as ``_ABSENT`` slots, which compare
+    unequal to every legal value, so most reads need no explicit
+    missing-check beyond the comparison itself.
     """
-    kinds = view.port_kinds
     left_port = next((p for p, k in enumerate(kinds) if k == PATH_LEFT), None)
     right_port = next((p for p, k in enumerate(kinds) if k == PATH_RIGHT), None)
     if pm.n == 1:
         return True
 
-    cache = view.decode_cache
-    m1 = cache.sub("lr_f1")
-    m3 = cache.sub("lr_f3")
-    m5 = cache.sub("lr_f5")
-    me1 = cache.sub("lr_e1")
-    me3 = cache.sub("lr_e3")
-
-    # Raw memo-dict access rather than the counting ``cache.get``: these
-    # are the hottest reads in the tree and the extractors never return
-    # None, so a plain .get() miss-check suffices.  The lr_* kinds are
-    # therefore invisible to the hit/miss metrics; the counted kinds in
-    # the wrapping protocols still measure cache effectiveness.
-
-    def f1(lbl: Label, _m=m1):
-        k = id(lbl)
-        t = _m.get(k)
-        if t is None:
-            t = _m[k] = _r1_fields(lbl)
-        return t
-
-    def f3(lbl: Label, _m=m3):
-        k = id(lbl)
-        t = _m.get(k)
-        if t is None:
-            t = _m[k] = _r3_fields(lbl)
-        return t
-
-    def f5(lbl: Label, _m=m5):
-        k = id(lbl)
-        t = _m.get(k)
-        if t is None:
-            t = _m[k] = _r5_fields(lbl)
-        return t
-
-    def fe1(lbl: Label, _m=me1):
-        k = id(lbl)
-        t = _m.get(k)
-        if t is None:
-            t = _m[k] = _e1_fields(lbl)
-        return t
-
-    def fe3(lbl: Label, _m=me3):
-        k = id(lbl)
-        t = _m.get(k)
-        if t is None:
-            t = _m[k] = _e3_fields(lbl)
-        return t
-
-    nbrs1, nbrs3, nbrs5 = view._neighbors
-    edges1, edges3 = view._edges[0], view._edges[1]
-    own1 = f1(view._own[0])
+    rows1, rows3, rows5 = rows
+    edges1, edges3 = edges
+    own1 = own[0]
     idx = own1[0]
     if idx is _ABSENT:
         return False
@@ -819,7 +775,7 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
         return False
     right_idx = None
     if right_port is not None:
-        right_idx = f1(nbrs1[right_port])[0]
+        right_idx = rows1[ports[right_port]][0]
         if right_idx is _ABSENT:
             return False
         if right_idx == 1:
@@ -828,7 +784,7 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
         elif right_idx != idx + 1:
             return False
     if left_port is not None and idx > 1:
-        if f1(nbrs1[left_port])[0] != idx - 1:
+        if rows1[ports[left_port]][0] != idx - 1:
             return False
     same_block_right = right_port is not None and right_idx == idx + 1
     same_block_left = left_port is not None and idx > 1
@@ -836,7 +792,8 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
     if B == 1:
         # single block: only inner-block machinery applies
         return _check_inner_edges(
-            pm, view, kinds, idx, same_block_left, left_port, f1, f3, fe1
+            pm, kinds, idx, own[1], same_block_left, left_port, ports, rows1,
+            rows3, eports, edges1, coin2,
         )
 
     # ---- B. consecutive-numbers proof (x2 = x1 + 1) ----
@@ -853,13 +810,13 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
         if idx == L and side == 0:
             return False  # every block needs a v_b
         if same_block_right and idx + 1 <= L:
-            r_side = f1(nbrs1[right_port])[3]
+            r_side = rows1[ports[right_port]][3]
             if r_side is _ABSENT:
                 return False
             if side in (1, 2) and r_side != 2:
                 return False
         if same_block_left and idx - 1 <= L:
-            l_side = f1(nbrs1[left_port])[3]
+            l_side = rows1[ports[left_port]][3]
             if l_side is _ABSENT:
                 return False
             if side in (0, 1) and l_side != 0:
@@ -869,8 +826,7 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
             return False
 
     # ---- C. position streams over F_p ----
-    own3 = f3(view._own[1])
-    r, rp, rb, pfx2, sfx1, pfx1 = own3
+    r, rp, rb, pfx2, sfx1, pfx1 = own[1]
     if (
         r is _ABSENT
         or rp is _ABSENT
@@ -885,12 +841,12 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
     for port in (left_port, right_port):
         if port is None:
             continue
-        nb = f3(nbrs3[port])
+        nb = rows3[ports[port]]
         if nb[0] != r or nb[1] != rp:
             return False
     if left_port is None:
         # the leftmost path node anchors r, r' to its own coins
-        raw = view.coin2 >> pm.fw
+        raw = coin2 >> pm.fw
         if r != (raw & pm.fw_mask) % p:
             return False
         if rp != ((raw >> pm.fw) & pm.fw_mask) % p:
@@ -900,7 +856,7 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
     f1r = (idx - r) % p if (idx <= L and x1bit) else 1
     f1rp = (idx - rp) % p if (idx <= L and x1bit) else 1
     if same_block_left:
-        nb = f3(nbrs3[left_port])
+        nb = rows3[ports[left_port]]
         npfx2, npfx1 = nb[3], nb[5]
         if npfx2 is _ABSENT or npfx1 is _ABSENT:
             return False
@@ -910,7 +866,7 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
         if pfx2 != f2v % p or pfx1 != f1rp % p:
             return False
     if same_block_right:
-        nsfx = f3(nbrs3[right_port])[4]
+        nsfx = rows3[ports[right_port]][4]
         if nsfx is _ABSENT or sfx1 != nsfx * f1r % p:
             return False
     else:
@@ -918,12 +874,13 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
             return False
     # adjacent-block equality at the boundary
     if idx == 1 and left_port is not None:
-        if f3(nbrs3[left_port])[3] != sfx1:
+        if rows3[ports[left_port]][3] != sfx1:
             return False
 
     # ---- D. inner-block edges ----
     if not _check_inner_edges(
-        pm, view, kinds, idx, same_block_left, left_port, f1, f3, fe1
+        pm, kinds, idx, own[1], same_block_left, left_port, ports, rows1, rows3,
+        eports, edges1, coin2,
     ):
         return False
 
@@ -933,12 +890,12 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
     for port, kind in enumerate(kinds):
         if kind not in (OUT, IN):
             continue
-        inner, ival = fe1(edges1[port])
+        inner, ival = edges1[eports[port]]
         if inner is _ABSENT:
             return False
         if inner:
             continue
-        jval = fe3(edges3[port])[0]
+        jval = edges3[eports[port]][0]
         if ival is _ABSENT or jval is _ABSENT:
             return False
         if not 1 <= ival <= L or not 0 <= jval < p:
@@ -954,8 +911,7 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
         return True  # ablation: rounds 4-5 (the verification scheme) dropped
 
     # ---- session streams over F_p2 ----
-    own5 = f5(view._own[2])
-    rq0, rq1, a0, a1, b0, b1 = own5
+    rq0, rq1, a0, a1, b0, b1 = own[2]
     if (
         rq0 is _ABSENT
         or rq1 is _ABSENT
@@ -967,13 +923,13 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
         return False
     p2 = pm.p2
     if idx == 1:
-        raw = view.coin4
+        raw = coin4
         if rq0 != (raw & pm.fw2_mask) % p2:
             return False
         if rq1 != ((raw >> pm.fw2) & pm.fw2_mask) % p2:
             return False
     if same_block_left:
-        nb = f5(nbrs5[left_port])
+        nb = rows5[ports[left_port]]
         if nb[0] != rq0 or nb[1] != rq1:
             return False
     # own contribution terms
@@ -990,7 +946,7 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
             return False
         phi_prev = 1
         if idx > 1:
-            phi_prev = f3(nbrs3[left_port])[5]
+            phi_prev = rows3[ports[left_port]][5]
             if phi_prev is _ABSENT:
                 return False
         term_rq = rq1 if x1bit == 1 else rq0
@@ -1001,7 +957,7 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
             contrib_b0 = term
     # suffix recurrences
     if same_block_right:
-        nb = f5(nbrs5[right_port])
+        nb = rows5[ports[right_port]]
         na0, na1, nb0, nb1 = nb[2], nb[3], nb[4], nb[5]
         if na0 is _ABSENT or na1 is _ABSENT or nb0 is _ABSENT or nb1 is _ABSENT:
             return False
@@ -1018,41 +974,31 @@ def lr_check_node(pm: LRParams, view: LRNodeSlice, sessions: bool = True) -> boo
 
 
 def _check_inner_edges(
-    pm: LRParams,
-    view: LRNodeSlice,
-    kinds,
-    idx: int,
-    same_block_left: bool,
-    left_port,
-    f1,
-    f3,
-    fe1,
+    pm: LRParams, kinds, idx: int, own3, same_block_left: bool, left_port, ports,
+    rows1, rows3, eports, edges1, coin2: int,
 ) -> bool:
     """Inner-block edge checks + r_b distribution consistency."""
-    nbrs1, nbrs3 = view._neighbors[0], view._neighbors[1]
-    edges1 = view._edges[0]
-    rb = f3(view._own[1])[2]
+    rb = own3[2]
     if rb is _ABSENT:
         return False
     if idx == 1:
-        raw = view.coin2
-        if rb != (raw & pm.fw_mask) % pm.p:
+        if rb != (coin2 & pm.fw_mask) % pm.p:
             return False
     if same_block_left:
-        if f3(nbrs3[left_port])[2] != rb:
+        if rows3[ports[left_port]][2] != rb:
             return False
     for port, kind in enumerate(kinds):
         if kind not in (OUT, IN):
             continue
-        inner = fe1(edges1[port])[0]
+        inner = edges1[eports[port]][0]
         if inner is _ABSENT:
             return False
         if not inner:
             if pm.n_blocks == 1:
                 return False  # no outer edges can exist in a single block
             continue
-        nb_idx = f1(nbrs1[port])[0]
-        nb_rb = f3(nbrs3[port])[2]
+        nb_idx = rows1[ports[port]][0]
+        nb_rb = rows3[ports[port]][2]
         if nb_idx is _ABSENT or nb_rb is _ABSENT:
             return False
         if kind == OUT and not idx < nb_idx:

@@ -84,8 +84,12 @@ from .lr_sorting import (
     PATH_LEFT,
     PATH_RIGHT,
     HonestLRSortingProver,
-    LRNodeSlice,
     LRParams,
+    _e1_fields,
+    _e3_fields,
+    _r1_fields,
+    _r3_fields,
+    _r5_fields,
     lr_check_node,
 )
 
@@ -787,9 +791,19 @@ def _stv_fields(wrapped: Label, t: int):
     return stv_label_fields(stv, t)
 
 
-def _lr_fields(wrapped: Label) -> Optional[Label]:
-    """The ``lr`` sub of a (possibly wrapped) round label."""
-    return _sub(_unwrap(wrapped), "lr")
+def _lr_row(memo: dict, wrapped: Label, fields):
+    """``fields`` of the ``lr`` sub of a (possibly wrapped) round label,
+    memoized in ``memo`` by label; a missing sub reads as EMPTY_LABEL."""
+    k = id(wrapped)
+    row = memo.get(k)
+    if row is None:
+        lr = _sub(_unwrap(wrapped), "lr")
+        row = memo[k] = fields(EMPTY_LABEL if lr is None else lr)
+    return row
+
+
+#: (decode-cache kind, field extractor) of the LR rounds 1/3/5
+_LR_ROWS = (("po_lr1", _r1_fields), ("po_lr3", _r3_fields), ("po_lr5", _r5_fields))
 
 
 def _nest_fields(wrapped: Label):
@@ -833,13 +847,11 @@ def check_path_outerplanarity_node(  # noqa: C901
 
     own1 = view.own_labels[0]
     own3 = view.own_labels[1]
-    own5 = view.own_labels[2]
     nbr1 = view.neighbor_labels[0]
     nbr3 = view.neighbor_labels[1]
-    nbr5 = view.neighbor_labels[2]
 
     # ---- 1. decode the committed path ----
-    # raw memo-dict lookups (uncounted; see the lr_* kinds): _MISSING
+    # raw memo-dict lookups (uncounted, like the po_lr* kinds): _MISSING
     # memoizes a malformed decode, since None is not a stable dict value
     # to test against here
     k = id(own1)
@@ -910,43 +922,25 @@ def check_path_outerplanarity_node(  # noqa: C901
         kinds.append(OUT if i_am_tail else IN)
 
     # ---- 4. the LR-sorting stage over the committed path ----
-    # Raw memo-dict access (uncounted, like the lr_* kinds inside
-    # lr_check_node): these are the most frequent reads of the sweep.  A
-    # missing/non-Label ``lr`` sub is memoized as EMPTY_LABEL -- the
-    # EMPTY_LABEL object itself can never be a transcript sub-label, so
-    # the identity test below is equivalent to the None check.
-    m_lr = cache.sub("po_lr")
-
-    def flr(lbl: Label, _m=m_lr):
-        k = id(lbl)
-        t = _m.get(k)
-        if t is None:
-            t = _m[k] = _lr_fields(lbl) or EMPTY_LABEL
-        return t
-
-    lr1 = flr(own1)
-    lr3 = flr(own3)
-    lr5 = flr(own5)
-    if lr1 is EMPTY_LABEL or lr3 is EMPTY_LABEL:
-        return False
-    if pm.lr.n_blocks > 1 and lr5 is EMPTY_LABEL:
-        return False
-    lr_nbrs = [
-        [flr(l) for l in nbr1],
-        [flr(l) for l in nbr3],
-        [flr(l) for l in nbr5],
+    # The field rows of the ``lr`` sub-labels, memoized per label (raw
+    # memo-dict access: these are the most frequent reads of the sweep).
+    # A missing ``lr`` sub reads as an empty one: the owner's all-absent
+    # row makes lr_check_node reject it.
+    own, rows = [], []
+    for i, (kind, fields) in enumerate(_LR_ROWS):
+        memo = cache.sub(kind)
+        own.append(_lr_row(memo, view.own_labels[i], fields))
+        rows.append([_lr_row(memo, l, fields) for l in view.neighbor_labels[i]])
+    edges = [
+        [fields(l) for l in view.edge_labels[i]]
+        for i, fields in enumerate((_e1_fields, _e3_fields))
     ]
+    ports = range(view.degree)
     coin2 = view.coins[0].value >> pm.lr_shift
-    slice_ = LRNodeSlice(
-        tuple(kinds),
-        [lr1, lr3, lr5],
-        lr_nbrs,
-        view.edge_labels,
-        coin2,
+    if not lr_check_node(
+        pm.lr, kinds, own, ports, rows, ports, edges, coin2,
         view.coins[1].value,
-        view.decode_cache,
-    )
-    if not lr_check_node(pm.lr, slice_):
+    ):
         return False
 
     # ---- 5. nesting verification ----

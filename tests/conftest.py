@@ -56,13 +56,22 @@ def rng():
 @pytest.fixture
 def per_view_decide(monkeypatch):
     """Decide every node with the per-view checker, the reference the
-    columnar kernels are compared against: the batch's one kernel call
-    site decides nothing.  The patch lives in this process only, so a
-    differential run under it stays serial or on in-thread workers."""
+    columnar kernels and the LR-sorting sweep are compared against: the
+    batch's one kernel call site decides nothing, and ``decide`` drops its
+    ``sweep``.  The patch lives in this process only, so a differential
+    run under it stays serial or on in-thread workers."""
+    from repro.core.protocol import Interaction
+
     monkeypatch.setattr(
         "repro.core.protocol.run_columnar_kernel",
         lambda make_kernel, members: [None] * len(members),
     )
+    decide = Interaction.decide
+
+    def per_view(self, check, *args, sweep=None, **kwargs):
+        return decide(self, check, *args, **kwargs)
+
+    monkeypatch.setattr(Interaction, "decide", per_view)
 
 
 @pytest.fixture

@@ -29,17 +29,26 @@ def _canonical(task, *, workers=0, n=24, runs=3, seed=11):
     return runner.run(runs, n, seed=seed).canonical_json()
 
 
+def _no_memo_reference(task, request):
+    """Install the no-memo fake.  ``lr_sorting`` decides in one sweep that
+    reads no decode cache, so its reference is also the per-view checker
+    (``per_view_decide``): the comparison then pins the sweep too."""
+    request.getfixturevalue("no_memo_decode_cache")
+    if task == "lr_sorting":
+        request.getfixturevalue("per_view_decide")
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("task", ALL_TASKS)
     def test_cache_on_off_serial(self, task, request):
         on = _canonical(task)
-        request.getfixturevalue("no_memo_decode_cache")
+        _no_memo_reference(task, request)
         assert _canonical(task) == on
 
     @pytest.mark.parametrize("task", ALL_TASKS)
     def test_cache_on_off_two_workers(self, task, request):
         on = _canonical(task, workers=2)
-        request.getfixturevalue("no_memo_decode_cache")
+        _no_memo_reference(task, request)
         assert _canonical(task) == on
 
     def test_serial_matches_workers_with_cache(self):

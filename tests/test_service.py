@@ -29,6 +29,7 @@ from repro.service.client import (
 from repro.service.queue import FairQueue
 from repro.service.server import ProofServer
 from repro.service.wire import (
+    OP_ACK,
     OP_FAIL,
     OP_REQUEST,
     SERVICE_OPS,
@@ -701,26 +702,31 @@ class TestServeSigterm:
             addr = (host, int(port))
 
             client = ServiceClient(addr, client_id="op")
-            # a request big enough to still be running when SIGTERM lands
             req = client.build_request("lr_sorting", runs=120, n=32, seed=4,
                                        request_id="mid-stream")
-            outcome = {}
-            t = threading.Thread(
-                target=lambda: outcome.update(res=client.submit_request(req)))
-            t.start()
-            time.sleep(0.15)  # request is in flight now
-            proc.send_signal(signal.SIGTERM)
-            t.join(timeout=60.0)
-            assert not t.is_alive()
+            with socket.create_connection(addr, timeout=60.0) as sock:
+                send_frame(sock, OP_REQUEST, encode_message(req))
+                # the ACK means admitted: the idle lane starts it at once
+                op, _ = recv_frame(sock, known_ops=SERVICE_OPS)
+                assert op == OP_ACK
+                # no terminal frame yet: the request (tens of ms of work at
+                # least) is still executing when SIGTERM lands
+                sock.setblocking(False)
+                with pytest.raises(BlockingIOError):
+                    sock.recv(1, socket.MSG_PEEK)
+                proc.send_signal(signal.SIGTERM)
+                sock.settimeout(60.0)
+                res = client._read_outcome(sock, req["id"])
             rc = proc.wait(timeout=60.0)
             out = proc.stdout.read()
         finally:
             if proc.poll() is None:
                 proc.kill()
+                proc.wait(timeout=10.0)
+            proc.stdout.close()
         assert rc == 0, out
         assert "drained clean" in out
         # the in-flight request completed, byte-identical to one-shot
-        res = outcome["res"]
         ref = _reference("lr_sorting", runs=120, n=32, seed=4)
         assert res.canonical_json() == ref.canonical_json()
         # the journal was flushed, tagged with the request id
