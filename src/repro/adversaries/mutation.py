@@ -55,7 +55,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.labels import BitString, FieldPath, PackedLabel, leaf_value, wire_leaf_span
+from ..core.labels import FieldPath, leaf_value, wire_leaf_span
 from ..core.protocol import LabelTap
 
 MUTATION_OPS = ("bit_flip", "rerandomize", "swap_between_nodes", "zero_out")
@@ -79,9 +79,8 @@ class MutationRecord:
     partner: Any = None  #: the second owner of a swap, if any
     #: where the mutated leaf sits on the wire: absolute bit offset (from
     #: the most significant bit of the owner's packed label), the leaf's
-    #: wire width, and the owner label's total wire bits.  Derived from
-    #: the packed schema, so born-packed and generic-builder labels of
-    #: one layout report the same coordinates.
+    #: wire width, and the owner label's total wire bits, read from the
+    #: label's schema.
     wire_offset: Optional[int] = None
     wire_width: Optional[int] = None
     wire_label_bits: Optional[int] = None
@@ -203,38 +202,24 @@ class _Sites:
     order (node labels, then edge labels; each label's leaves in wire
     order): a sequence of ``(pool_kind, owner, path, kind, value, width)``.
 
-    A packed label's leaves come from its schema's leaf table, and an item
-    decodes its one leaf on demand; a generic-builder label is walked (its
-    values are at hand, and packing it would cost more than the walk).  A
-    ``maybe`` leaf is a site only while it holds a value (an absent one's
-    value width is not on the wire); ``maybe`` leaves report kind
-    ``"maybe"`` whatever their value type, like ``Label.walk``.
+    A label's leaves come from its schema's leaf table, and an item
+    decodes its one leaf on demand.  A ``maybe`` leaf is a site only while
+    it holds a value (an absent one's value width is not on the wire).
     """
 
     def __init__(self, tap: MutationTap, labels: Dict, edge_labels: Dict):
-        #: per label with sites: (pool_kind, owner, payload or None for a
-        #: walked label, its sites); a packed label's sites are ``(path,
-        #: schema kind, width, shift)``, a walked label's ``(path, kind,
-        #: width, value)``; ``ends`` counts the sites up to each label
+        #: per label with sites: (pool_kind, owner, payload, its leaves
+        #: ``(path, kind, width, shift)``); ``ends`` counts the sites up to
+        #: each label
         self.owners: List[Tuple] = []
         self.ends: List[int] = []
         total = 0
         for pool_kind, store in (("node", labels), ("edge", edge_labels)):
             for owner, label in store.items():
-                if isinstance(label, PackedLabel):
-                    schema, payload = label.pack()
-                    leaves, has_maybe = tap._leaf_table(schema)
-                    if has_maybe:
-                        leaves = tuple(leaf for leaf in leaves if _present(leaf, payload))
-                else:
-                    payload = None
-                    leaves = tuple(
-                        (path, kind, width, value)
-                        for path, kind, value, width in label.walk()
-                        if path[0] not in tap.exclude_prefixes
-                        and width > 0
-                        and not (kind == "maybe" and value is None)
-                    )
+                schema, payload = label.pack()
+                leaves, has_maybe = tap._leaf_table(schema)
+                if has_maybe:
+                    leaves = tuple(leaf for leaf in leaves if _present(leaf, payload))
                 if leaves:
                     total += len(leaves)
                     self.owners.append((pool_kind, owner, payload, leaves))
@@ -247,9 +232,8 @@ class _Sites:
     def __getitem__(self, k: int) -> Tuple:
         i = bisect_right(self.ends, k)
         pool_kind, owner, payload, leaves = self.owners[i]
-        leaf = leaves[k - (self.ends[i] - len(leaves))]
-        path, kind, value, width = _site(leaf, payload)
-        return (pool_kind, owner, path, kind, value, width)
+        path, kind, width, shift = leaves[k - (self.ends[i] - len(leaves))]
+        return (pool_kind, owner, path, kind, leaf_value(kind, payload, shift, width), width)
 
     def partners(self, pool_kind, owner, path, kind, old, width) -> List[Tuple]:
         """``(owner, value)`` of every other owner in the pool whose leaf at
@@ -259,25 +243,15 @@ class _Sites:
             leaf = next((leaf for leaf in leaves if leaf[0] == path), None)
             if pool != pool_kind or other == owner or leaf is None:
                 continue
-            _, leaf_kind, leaf_value, leaf_width = _site(leaf, payload)
-            if leaf_kind == kind and leaf_width == width and leaf_value != old:
-                out.append((other, leaf_value))
+            _, leaf_kind, leaf_width, shift = leaf
+            value = leaf_value(leaf_kind, payload, shift, leaf_width)
+            if leaf_kind == kind and leaf_width == width and value != old:
+                out.append((other, value))
         return out
 
 
-def _site(leaf, payload: Optional[int]) -> Tuple:
-    """``(path, kind, value, width)`` of a site (see :class:`_Sites`)."""
-    if payload is None:
-        path, kind, width, value = leaf
-        return path, kind, value, width
-    path, kind, width, shift = leaf
-    value = leaf_value(kind, payload, shift, width)
-    return path, "maybe" if kind == "maybe_b" else kind, value, width
-
-
 def _present(leaf, payload: int) -> bool:
-    """False for a ``maybe`` leaf without a value (presence bit clear; a
-    ``maybe_b`` leaf always decodes to a bitstring)."""
+    """False for a ``maybe`` leaf without a value (presence bit clear)."""
     _, kind, width, shift = leaf
     return kind != "maybe" or (payload >> (shift + width - 1)) & 1 == 1
 
@@ -291,22 +265,16 @@ def _zero_value(kind: str, old, width: int):
         return _UNCHANGED if old is False else False
     if kind == "maybe":
         return None  # always a change: None-valued maybes are not sites
-    if kind == "bits":
-        return _UNCHANGED if old.value == 0 else BitString(0, old.width)
     return _UNCHANGED if old == 0 else 0  # uint / felem
 
 
 def _flip_bit(rng: random.Random, kind: str, old, width: int):
     if kind == "flag":
         return not old
-    if kind == "bits":
-        return BitString(old.value ^ (1 << rng.randrange(old.width)), old.width)
     if kind == "maybe":
         vwidth = width - 1
         if vwidth <= 0:
             return None  # only the presence bit exists
-        if isinstance(old, BitString):
-            return BitString(old.value ^ (1 << rng.randrange(vwidth)), vwidth)
         return old ^ (1 << rng.randrange(vwidth))
     return old ^ (1 << rng.randrange(width))  # uint / felem
 
@@ -314,33 +282,20 @@ def _flip_bit(rng: random.Random, kind: str, old, width: int):
 def _rerandomize(rng: random.Random, kind: str, old, width: int):
     if kind == "flag":
         return not old
-    if kind == "bits":
-        new = old.value
-        while new == old.value:
-            new = rng.getrandbits(old.width)
-        return BitString(new, old.width)
     if kind == "maybe":
         vwidth = width - 1
         if vwidth <= 0:
             return None
-        raw = old.value if isinstance(old, BitString) else old
-        new = raw
-        while new == raw:
-            new = rng.getrandbits(vwidth)
-        return BitString(new, vwidth) if isinstance(old, BitString) else new
-    new = old
+        width = vwidth
+    new = old  # uint / felem, or a maybe's value
     while new == old:
         new = rng.getrandbits(width)
-    return new  # uint / felem
+    return new
 
 
 # ---------------------------------------------------------------------------
 # the prover wrapper
 # ---------------------------------------------------------------------------
-
-
-def _display(value) -> str:
-    return repr(value) if isinstance(value, BitString) else str(value)
 
 
 class MutatingProver:
@@ -404,12 +359,12 @@ class MutatingProver:
             round=rec.round,
             emission=rec.emission,
             site=rec.site_kind,
-            owner=_display(rec.owner),
+            owner=str(rec.owner),
             path=rec.path_str,
             stage=stage,
             applied_op=rec.applied_op,
-            old=_display(rec.old),
-            new=_display(rec.new),
+            old=str(rec.old),
+            new=str(rec.new),
             n_rejecting=len(result.rejecting_nodes),
             caught_by=self._caught_by(rec, result),
             wire_offset=rec.wire_offset,

@@ -15,7 +15,6 @@ from .protocol import (
     Interaction,
     ProtocolError,
     acceptance_rate,
-    merge_labels,
 )
 from .transcript import ProverRound, RunResult, Transcript, VerifierRound
 from .views import NodeView, build_views
@@ -37,7 +36,6 @@ __all__ = [
     "Interaction",
     "ProtocolError",
     "acceptance_rate",
-    "merge_labels",
     "ProverRound",
     "RunResult",
     "Transcript",

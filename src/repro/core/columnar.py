@@ -8,7 +8,7 @@ payload)``; this module turns one finished transcript into *columns*:
 
 - per prover round, one int64 array per requested field, extracted from
   the payload integers by the same shift/mask arithmetic that
-  ``wire_leaf_span`` / ``PackedLabel.get`` use (pinned equal by the
+  ``wire_leaf_span`` / ``Label.get`` use (pinned equal by the
   property suite), over all n nodes at once;
 - CSR neighbor/port index arrays derived from the :class:`Graph`
   adjacency, so "read the label behind port q" becomes a numpy gather.
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .labels import Label, LabelSchema, PackedLabel
+from .labels import Label, LabelSchema
 
 # ---------------------------------------------------------------------------
 # sentinels
@@ -81,12 +81,12 @@ class Uncoverable(Exception):
 #
 #   ("leaf", shift, mask)   uint/felem/flag value = (payload >> shift) & mask
 #   ("maybe", shift, width) presence bit + value bits, decoded like
-#                           PackedLabel.get
+#                           Label.get
 #   ("sub",)                the path names a present sub-label (presence
 #                           queries: the _sub/isinstance-Label idiom)
 #   ("missing",)            absent field, or a non-label on the descend path
-#   ("uncover",)            bits / maybe_b leaves (BitString values) or
-#                           widths beyond int64 -- per-row fallback
+#   ("uncover",)            a sub-label read as a value, or widths beyond
+#                           int64 -- per-row fallback
 
 _MISSING_SPEC = ("missing",)
 _SUB_SPEC = ("sub",)
@@ -134,8 +134,7 @@ def _resolve_spec(schema, path: tuple, unwrap: bool, want_sub: bool) -> tuple:
             if width - 1 > _MAX_LEAF_BITS:
                 return _UNCOVER_SPEC
             return ("maybe", shift + fshift, width)
-        # "bits" and "maybe_b" hold BitString values; "label" read as a
-        # value leaf has no integer form either
+        # a "label" read as a value leaf has no integer form
         return _UNCOVER_SPEC
     return _MISSING_SPEC  # empty path: nothing to extract
 
@@ -207,9 +206,7 @@ def extract_columns(np, rows: Sequence[Optional[Label]], specs: Sequence[ColumnS
     Each row's payload is laid out as little-endian 64-bit words (only
     the bits some column reads), and every (row, column) entry is read by
     one vectorized shift/mask, with the shift and mask of its row's
-    schema plan.  Born-packed and wire-decoded labels hand over
-    their payload as is; a generic-builder tree (a mutated label, an
-    adversary's) is packed on first read.
+    schema plan.  Every label hands over its stored payload as is.
     """
     plans = _PLANS.get(specs)
     if plans is None:
@@ -221,10 +218,8 @@ def extract_columns(np, rows: Sequence[Optional[Label]], specs: Sequence[ColumnS
     for lbl in rows:
         if lbl is None:
             schema, payload = None, 0
-        elif lbl.__class__ is PackedLabel:
-            schema, payload = lbl._schema, lbl._pv
         else:
-            schema, payload = lbl.pack()
+            schema, payload = lbl._schema, lbl._pv
         code = codes.get(schema)
         if code is None:
             plan = plans.get(schema)

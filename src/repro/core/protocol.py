@@ -8,8 +8,8 @@ functions over :class:`~repro.core.views.NodeView` objects.
 
 Protocols in this library run several logical *stages* in parallel inside
 the same interaction rounds (exactly as the paper does when counting to 5
-rounds); stage labels for a given round are merged into one node label as
-named sub-labels via :func:`merge_labels`.
+rounds); stage labels for a given round are nested into one node label as
+named sub-labels via :func:`~repro.core.labels.nest_labels`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional
 
 from .columnar import run_kernel as run_columnar_kernel
-from .labels import EMPTY_LABEL, BitString, Label
+from .labels import BitString, Label
 from .network import Graph
 from .transcript import RunResult, Transcript
 from .views import NodeView, build_views
@@ -34,18 +34,6 @@ from .views import NodeView, build_views
 
 class ProtocolError(Exception):
     """Raised when the referee detects a malformed execution."""
-
-
-def merge_labels(parts: Dict[str, Optional[Label]]) -> Label:
-    """Merge per-stage labels into a single round label (named sub-labels)."""
-    fields = {}
-    size = 0
-    for name, part in parts.items():
-        sub = part if part is not None else EMPTY_LABEL
-        width = sub.bit_size()
-        fields[name] = ("label", sub, width)
-        size += width
-    return Label._trusted(fields, size)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +160,7 @@ def run_context(
 # the GC pause: no cyclic collection while a run's heap is alive
 # ---------------------------------------------------------------------------
 #
-# A run builds O(n) label trees per prover round and its transcript keeps
+# A run builds O(n) label objects per prover round and its transcript keeps
 # them alive until decide, so CPython's cyclic collector would promote that
 # heap and rescan it, in full, over and over while it grows -- work that
 # finds nothing, because a run makes no cyclic garbage (no recursive

@@ -159,7 +159,7 @@ class EdgeLabelSimulation:
         encoding fails to decode (the node should reject).
         """
         degree = len(setup_neighbors)
-        out = [Label() for _ in range(degree)]
+        out = [EMPTY_LABEL] * degree
         for i, key in enumerate(FOREST_KEYS):
             if key not in setup_own:
                 return None

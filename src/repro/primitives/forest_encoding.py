@@ -141,8 +141,8 @@ def forest_labels(cols: ForestColumns) -> List[Label]:
     """The labels of encoding columns, one shared object per distinct label.
 
     There are at most ``MAX_COLORS^2 * 4`` distinct labels, and nodes with
-    equal fields can share one immutable label (adversarial edits go
-    through the copying ``with_value``); sharing lets the per-object
+    equal fields can share one frozen label (an adversarial edit is a new
+    label, spliced by ``with_value``); sharing lets the per-object
     decode caches collapse equal labels into one memo entry.
     """
     schemas, payloads = FOREST_FORMAT.pack_columns(cols)

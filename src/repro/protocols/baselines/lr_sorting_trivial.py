@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
-from ...core.labels import Label, uint_width
+from ...core.labels import LabelFormat, uint_width
 from ...core.protocol import DIPProtocol, Interaction
 from ...core.transcript import RunResult
 from ...core.views import NodeView
@@ -46,10 +46,8 @@ class TrivialLRSortingProtocol(DIPProtocol):
         prover = prover or self.honest_prover(instance)
         interaction = Interaction(g, rng)
         pw = uint_width(max(1, g.n - 1))
-        labels = {
-            v: Label().uint("pos", p, pw)
-            for v, p in prover.positions().items()
-        }
+        fmt = LabelFormat((("pos", "uint", pw),))
+        labels = {v: fmt.pack((p,)) for v, p in prover.positions().items()}
         interaction.prover_round(labels)
         inputs = LRSortingProtocol._node_inputs(instance)
         n = g.n

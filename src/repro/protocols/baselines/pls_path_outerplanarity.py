@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from ...core.labels import Label, uint_width
+from ...core.labels import Label, LabelFormat, uint_width
 from ...core.network import Graph, norm_edge
 from ...core.protocol import DIPProtocol, Interaction
 from ...core.transcript import RunResult
@@ -85,13 +85,12 @@ class PLSPathOuterplanarityProtocol(DIPProtocol):
         prover = prover or self.honest_prover(instance)
         interaction = Interaction(g, rng)
         pw = uint_width(max(1, g.n - 1))
+        fmt = LabelFormat((("pos", "uint", pw), ("above", "maybe", 2 * pw)))
         labels: Dict[int, Label] = {}
         for v, fields in prover.labels().items():
-            lbl = Label().uint("pos", fields["pos"], pw)
             above = fields["above"]
             packed = None if above is None else (above[0] << pw) | above[1]
-            lbl.maybe("above", packed, 2 * pw)
-            labels[v] = lbl
+            labels[v] = fmt.pack((fields["pos"], packed))
         interaction.prover_round(labels)
         n = g.n
 

@@ -52,10 +52,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Dict, List, Optional, Tuple
 
-from ..core.labels import EMPTY_LABEL, BitString, Label, field_elem_width, uint_width
+from ..core.labels import (
+    EMPTY_LABEL,
+    OMIT,
+    BitString,
+    Label,
+    LabelFormat,
+    PackedLabel,
+    field_elem_width,
+    nest_labels,
+    uint_width,
+)
 from ..core.network import Edge, Graph, norm_edge
 from ..core.protocol import DIPProtocol, Interaction, ProtocolError
 from ..core.transcript import RunResult
@@ -393,6 +403,96 @@ class HonestLRSortingProver(LRSortingProver):
 
 
 # ---------------------------------------------------------------------------
+# label formats (fixed layouts; malformed prover output rejects)
+# ---------------------------------------------------------------------------
+
+#: the round-5 node fields, in wire order
+R5_KEYS = ("rq0", "rq1", "A0", "A1", "B0", "B1")
+
+
+class LRFormats:
+    """The LR-sorting label layouts of one parameter set.
+
+    ``node1``/``node3``/``node5`` are the round-1/3/5 node labels (round 5
+    exists only with several blocks), ``edge1``/``edge3`` the round-1/3
+    edge labels.  Path-outerplanarity nests the same node layouts under its
+    ``lr`` sub-labels, so both protocols send one wire layout.
+    """
+
+    def __init__(self, iw: int, multi_block: bool, p: int, p2: int):
+        node1 = [("idx", "uint", iw)]
+        keys3: Tuple[str, ...] = ("rb",)
+        if multi_block:
+            node1 += [
+                ("x1bit", "uint", 1),
+                ("x2bit", "uint", 1),
+                ("side", "uint", 2),
+                ("M", "uint", iw),
+            ]
+            keys3 += ("r", "rp", "pfx2_r", "sfx1_r", "pfx1_rp")
+        self.multi_block = multi_block
+        self.keys3 = keys3
+        self.node1 = LabelFormat(node1, optional=("M",))
+        self.edge1 = LabelFormat((("inner", "flag", None), ("I", "uint", iw)), optional=("I",))
+        self.node3 = LabelFormat(tuple((key, "felem", p) for key in keys3))
+        self.edge3 = LabelFormat((("jval", "felem", p),))
+        self.node5 = (
+            LabelFormat(tuple((key, "felem", p2) for key in R5_KEYS)) if multi_block else None
+        )
+
+
+@lru_cache(maxsize=256)
+def lr_formats(iw: int, multi_block: bool, p: int, p2: int) -> LRFormats:
+    """The interned :class:`LRFormats` (``p2`` is 0 with one block)."""
+    return LRFormats(iw, multi_block, p, p2)
+
+
+# Each builder turns one round's field dicts (the prover's output, in node
+# or edge order) into its format's value columns: a missing field raises
+# KeyError here, and an out-of-range value ValueError in the pack; the
+# protocol turns both into a ProtocolError.
+
+
+def _r1_node_columns(fmts: LRFormats, rows: List[dict]):
+    cols = [[f["idx"] for f in rows]]
+    if fmts.multi_block:
+        cols += [[f.get(key, 0) for f in rows] for key in ("x1bit", "x2bit", "side")]
+        cols.append([f.get("M", OMIT) for f in rows])
+    return fmts.node1, cols
+
+
+def _r1_edge_columns(fmts: LRFormats, rows: List[dict]):
+    inner = [f["inner"] for f in rows]
+    return fmts.edge1, [inner, [OMIT if i else f["I"] for i, f in zip(inner, rows)]]
+
+
+def _r3_node_columns(fmts: LRFormats, rows: List[dict]):
+    return fmts.node3, [[f[key] for f in rows] for key in fmts.keys3]
+
+
+def _r3_edge_columns(fmts: LRFormats, rows: List[dict]):
+    return fmts.edge3, [[f["jval"] for f in rows]]
+
+
+def _r5_node_columns(fmts: LRFormats, rows: List[dict]):
+    return fmts.node5, [[f[key] for f in rows] for key in R5_KEYS]
+
+
+def _labels(fmts: LRFormats, columns, fields: dict) -> dict:
+    """The labels of one round's ``fields`` (owner -> field dict), packed
+    a format column at a time by ``columns``; a malformed field is a
+    ProtocolError."""
+    if not fields:
+        return {}
+    try:
+        fmt, cols = columns(fmts, list(fields.values()))
+        schemas, payloads = fmt.pack_columns(cols)
+    except (ValueError, KeyError) as exc:
+        raise ProtocolError(f"malformed prover message: {exc}") from exc
+    return dict(zip(fields, map(PackedLabel._from_payload, schemas, payloads)))
+
+
+# ---------------------------------------------------------------------------
 # the protocol
 # ---------------------------------------------------------------------------
 
@@ -427,43 +527,6 @@ class LRSortingProtocol(DIPProtocol):
     def honest_prover(self, instance: LRSortingInstance) -> LRSortingProver:
         return HonestLRSortingProver(instance)
 
-    # -- label construction (fixed formats; malformed prover output rejects) --
-
-    def _r1_node_label(self, pm: LRParams, fields: dict) -> Label:
-        lbl = Label().uint("idx", fields["idx"], pm.index_width)
-        if pm.n_blocks > 1:
-            lbl.uint("x1bit", fields.get("x1bit", 0), 1)
-            lbl.uint("x2bit", fields.get("x2bit", 0), 1)
-            lbl.uint("side", fields.get("side", 0), 2)
-            if "M" in fields:
-                lbl.uint("M", fields["M"], pm.index_width)
-        return lbl
-
-    def _r1_edge_label(self, pm: LRParams, fields: dict) -> Label:
-        lbl = Label().flag("inner", fields["inner"])
-        if not fields["inner"]:
-            lbl.uint("I", fields["I"], pm.index_width)
-        return lbl
-
-    def _r3_node_label(self, pm: LRParams, fields: dict) -> Label:
-        lbl = Label().field_elem("rb", fields["rb"], pm.p)
-        if pm.n_blocks > 1:
-            lbl.field_elem("r", fields["r"], pm.p)
-            lbl.field_elem("rp", fields["rp"], pm.p)
-            lbl.field_elem("pfx2_r", fields["pfx2_r"], pm.p)
-            lbl.field_elem("sfx1_r", fields["sfx1_r"], pm.p)
-            lbl.field_elem("pfx1_rp", fields["pfx1_rp"], pm.p)
-        return lbl
-
-    def _r3_edge_label(self, pm: LRParams, fields: dict) -> Label:
-        return Label().field_elem("jval", fields["jval"], pm.p)
-
-    def _r5_node_label(self, pm: LRParams, fields: dict) -> Label:
-        lbl = Label()
-        for key in ("rq0", "rq1", "A0", "A1", "B0", "B1"):
-            lbl.field_elem(key, fields[key], pm.p2)
-        return lbl
-
     # -- execution ---------------------------------------------------------
 
     def execute(
@@ -473,6 +536,8 @@ class LRSortingProtocol(DIPProtocol):
         rng: Optional[random.Random] = None,
     ) -> RunResult:
         pm = LRParams(instance.graph.n, self.c)
+        multi = pm.n_blocks > 1
+        fmts = lr_formats(pm.index_width, multi, pm.p, pm.p2 if multi else 0)
         prover = (prover or self.honest_prover(instance)).bind(pm)
         interaction = Interaction(instance.graph, rng)
         path = instance.path
@@ -486,14 +551,9 @@ class LRSortingProtocol(DIPProtocol):
 
         setup_emitted = [False]
 
-        def emit_prover_round(node_fields, edge_fields, node_builder, edge_builder):
-            try:
-                labels = {v: node_builder(pm, f) for v, f in node_fields.items()}
-                edge_labels = {
-                    e: edge_builder(pm, f) for e, f in (edge_fields or {}).items()
-                }
-            except (ValueError, KeyError) as exc:
-                raise ProtocolError(f"malformed prover message: {exc}") from exc
+        def emit_prover_round(node_fields, edge_fields, node_columns, edge_columns):
+            labels = _labels(fmts, node_columns, node_fields)
+            edge_labels = _labels(fmts, edge_columns, edge_fields)
             if sim is not None:
                 # Lemma 2.4: fold edge labels onto child endpoints; the
                 # first round also carries the forest-encoding advice.  The
@@ -509,17 +569,18 @@ class LRSortingProtocol(DIPProtocol):
                     setup = sim.setup_labels()
                     setup_emitted[0] = True
                 for v, extra in folded.items():
-                    merged = Label()
-                    merged.sub("node", labels.get(v, Label()))
-                    merged.sub("edges", extra)
-                    if setup is not None:
-                        merged.sub("forests", setup[v])
-                    labels[v] = merged
+                    node = labels.get(v, EMPTY_LABEL)
+                    if setup is None:
+                        labels[v] = nest_labels(("node", "edges"), (node, extra))
+                    else:
+                        labels[v] = nest_labels(
+                            ("node", "edges", "forests"), (node, extra, setup[v])
+                        )
             interaction.prover_round(labels, edge_labels)
 
         # round 1 (prover)
         r1_nodes, r1_edges = prover.round1()
-        emit_prover_round(r1_nodes, r1_edges, self._r1_node_label, self._r1_edge_label)
+        emit_prover_round(r1_nodes, r1_edges, _r1_node_columns, _r1_edge_columns)
 
         # round 2 (verifier): r, r' at the path's left end; r_b per block leader
         widths = {}
@@ -531,7 +592,7 @@ class LRSortingProtocol(DIPProtocol):
 
         # round 3 (prover)
         r3_nodes, r3_edges = prover.round3(coins2)
-        emit_prover_round(r3_nodes, r3_edges, self._r3_node_label, self._r3_edge_label)
+        emit_prover_round(r3_nodes, r3_edges, _r3_node_columns, _r3_edge_columns)
 
         if self.truncate_to_three_rounds:
             return self._decide(interaction, instance, pm, sessions=False)
@@ -545,16 +606,8 @@ class LRSortingProtocol(DIPProtocol):
         coins4 = interaction.verifier_round(widths4)
 
         # round 5 (prover)
-        r5_nodes = (
-            prover.round5(coins4) if pm.n_blocks > 1 else {v: None for v in range(0)}
-        )
-        try:
-            labels5 = {
-                v: self._r5_node_label(pm, f) for v, f in (r5_nodes or {}).items()
-            }
-        except (ValueError, KeyError) as exc:
-            raise ProtocolError(f"malformed prover message: {exc}") from exc
-        interaction.prover_round(labels5)
+        r5_nodes = prover.round5(coins4) if pm.n_blocks > 1 else {}
+        interaction.prover_round(_labels(fmts, _r5_node_columns, r5_nodes))
         return self._decide(interaction, instance, pm, sessions=True)
 
     def _decide(self, interaction, instance, pm: LRParams, sessions: bool) -> RunResult:

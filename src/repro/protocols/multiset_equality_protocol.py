@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..core.labels import BitString, Label, field_elem_width
+from ..core.labels import BitString, LabelFormat, field_elem_width
 from ..core.network import Graph, norm_edge
 from ..core.protocol import DIPProtocol, Interaction
 from ..core.transcript import RunResult
@@ -121,14 +121,8 @@ class MultisetEqualityProtocol(DIPProtocol):
 
         # round 2 (prover)
         values = prover.subtree_values(z)
-        labels = {}
-        for v, fields in values.items():
-            labels[v] = (
-                Label()
-                .field_elem("z", fields["z"], field.p)
-                .field_elem("phi1", fields["phi1"], field.p)
-                .field_elem("phi2", fields["phi2"], field.p)
-            )
+        fmt = LabelFormat(tuple((key, "felem", field.p) for key in ("z", "phi1", "phi2")))
+        labels = {v: fmt.pack((f["z"], f["phi1"], f["phi2"])) for v, f in values.items()}
         interaction.prover_round(labels)
 
         # inputs: tree ports + own multisets

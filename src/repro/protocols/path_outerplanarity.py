@@ -83,6 +83,7 @@ from .lr_sorting import (
     OUT,
     PATH_LEFT,
     PATH_RIGHT,
+    R5_KEYS,
     HonestLRSortingProver,
     LRParams,
     _e1_fields,
@@ -91,6 +92,7 @@ from .lr_sorting import (
     _r3_fields,
     _r5_fields,
     lr_check_node,
+    lr_formats,
 )
 
 
@@ -377,7 +379,7 @@ class HonestPathOuterplanarityProver(PathOuterplanarityProver):
     def round5(self, coins):
         lr_nodes = self.lr_prover.round5(coins)
         rows = [lr_nodes[v] for v in range(self.instance.graph.n)]
-        return RoundColumns({"lr": {key: [f[key] for f in rows] for key in _R5_LR_KEYS}})
+        return RoundColumns({"lr": {key: [f[key] for f in rows] for key in R5_KEYS}})
 
     def release(self) -> None:
         for name in self._ROUND_STATE:
@@ -388,7 +390,6 @@ class HonestPathOuterplanarityProver(PathOuterplanarityProver):
 # label formats
 # ---------------------------------------------------------------------------
 
-_R5_LR_KEYS = ("rq0", "rq1", "A0", "A1", "B0", "B1")
 _EMIT_KEYS = ("node", "edges")
 _EMIT_SETUP_KEYS = ("node", "edges", "forests")
 _EMPTY_SCHEMA = EMPTY_LABEL.pack()[0]
@@ -396,20 +397,12 @@ _EMPTY_SCHEMA = EMPTY_LABEL.pack()[0]
 
 class _POFormats:
     """The born-packed label layouts of one parameter set, and each
-    round's node sub-labels as ``(name, format)`` pairs in wire order."""
+    round's node sub-labels as ``(name, format)`` pairs in wire order.
+    The ``lr`` sub-labels are LR sorting's node layouts."""
 
     def __init__(self, iw: int, multi_block: bool, p: int, p2: int, w: int, t: int):
-        lr1 = [("idx", "uint", iw)]
-        keys3: Tuple[str, ...] = ("rb",)
-        if multi_block:
-            lr1 += [
-                ("x1bit", "uint", 1),
-                ("x2bit", "uint", 1),
-                ("side", "uint", 2),
-                ("M", "uint", iw),
-            ]
-            keys3 += ("r", "rp", "pfx2_r", "sfx1_r", "pfx1_rp")
-        self.lr1 = LabelFormat(lr1, optional=("M",))
+        lr = lr_formats(iw, multi_block, p, p2)
+        self.lr1, self.lr3, self.lr5 = lr.node1, lr.node3, lr.node5
         self.e1 = LabelFormat(
             (
                 ("inner", "flag", None),
@@ -420,7 +413,6 @@ class _POFormats:
             ),
             optional=("I",),
         )
-        self.lr3 = LabelFormat(tuple((key, "felem", p) for key in keys3))
         self.nest = LabelFormat(
             (
                 ("above", "maybe", 2 * w),
@@ -436,12 +428,6 @@ class _POFormats:
                 ("succ", "maybe", 2 * w),
             ),
             optional=("jval",),
-        )
-        #: round 5 exists only with several blocks (p2 is 0 otherwise)
-        self.lr5 = (
-            LabelFormat(tuple((key, "felem", p2) for key in _R5_LR_KEYS))
-            if multi_block
-            else None
         )
         self.node1 = (("commit", FOREST_FORMAT), ("lr", self.lr1))
         self.node3 = (("stv", round3_format(t)), ("lr", self.lr3), ("nest", self.nest))

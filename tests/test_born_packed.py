@@ -1,11 +1,12 @@
-"""Born-packed label formats equal the generic builder's trees.
+"""Born-packed label formats equal the chained builder's labels.
 
 The fixed layouts the columnar kernels read -- Lemma-2.3 forest
 encodings, the Lemma-2.4 setup and fold wrappers, the STV round-3
 labels, and every path-outerplanarity node, edge and wrapper format --
 are built as :class:`PackedLabel` at birth.  They may only exist
 because, for the values a prover can send, each one is the very label
-the generic ``Label()`` builder makes from the same values:
+the chained ``Label()`` builder makes from the same values, field by
+field:
 
 1. equal under ``==`` (both ways), ``hash``, ``pack()``, ``wire_bytes()``,
    ``bit_size()``, ``walk()`` and per-field ``get()`` / ``[]`` / ``in``,
@@ -52,9 +53,8 @@ PARAMS = {n: PathOuterplanarityParams(n) for n in NS}
 
 
 def assert_same(packed, tree):
-    """``packed`` (born packed) is ``tree`` (generic builder) in every view."""
-    assert type(packed) is PackedLabel and type(tree) is Label
-    # structural comparison first: ``tree.pack()`` below caches its wire
+    """``packed`` (born packed) is ``tree`` (chained builder) in every view."""
+    assert type(packed) is PackedLabel and isinstance(tree, Label)
     assert packed == tree and tree == packed
     assert hash(packed) == hash(tree)
     assert packed.bit_size() == tree.bit_size()
@@ -256,7 +256,7 @@ def emitted(node_formats, rc):
 
 
 def sent_tree(node_tree):
-    """The generic tree of a sent label with no edges and no setup."""
+    """The chained-builder form of a sent label with no edges and no setup."""
     return Label().sub("node", node_tree).sub("edges", Label())
 
 

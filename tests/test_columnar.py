@@ -5,9 +5,9 @@ because the column extraction is *provably* the same decode the per-view
 path performs:
 
 1. for every label the builders can produce, the shift/mask extraction
-   plan yields the same field values as ``PackedLabel``/tree decode,
-   field by field, on both packed and generic-builder (tree) rows
-   (Hypothesis drives this over random nested labels);
+   plan yields the same field values as the per-field decode, field by
+   field, on both chained-builder and wire-decoded rows (Hypothesis
+   drives this over random nested labels);
 2. the leaf shifts agree with :func:`wire_leaf_span` -- the columns read
    exactly the bits the mutation engine reports as the field's wire span;
 3. a degenerate member (one node, or no edge) never reaches a kernel,
@@ -39,7 +39,7 @@ from repro.core.columnar import (
     extract_columns,
     run_kernel,
 )
-from repro.core.labels import EMPTY_LABEL, BitString, PackedLabel, wire_leaf_span
+from repro.core.labels import EMPTY_LABEL, PackedLabel, wire_leaf_span
 from repro.core.network import Graph
 from repro.core.protocol import DecideBatch, run_context
 from repro.core.transcript import Transcript
@@ -56,62 +56,44 @@ from test_wire_format import labels, _rebuild
 
 def _specs_and_expected(lbl):
     """Every leaf/sub path of ``lbl`` as column specs, with the value the
-    per-view decode yields (and whether the leaf is uncoverable)."""
+    per-view decode yields."""
     specs = []
-    expected = []  # (column value, contributes to the row's uncover flag)
+    expected = []
 
     def walk(node, prefix):
         for name, kind, value, width in node.fields():
             path = prefix + (name,)
+            specs.append((path, kind == "label", False))
             if kind == "label":
-                specs.append((path, True, False))
-                expected.append((1, False))
+                expected.append(1)
                 walk(value, path)
-            elif kind in ("uint", "felem"):
-                specs.append((path, False, False))
-                expected.append((int(value), False))
             elif kind == "flag":
-                specs.append((path, False, False))
-                expected.append((1 if value else 0, False))
-            elif kind == "maybe":
-                specs.append((path, False, False))
-                if value is None:
-                    expected.append((NONE, False))
-                elif isinstance(value, BitString):
-                    expected.append((MISSING, True))
-                else:
-                    expected.append((int(value), False))
-            else:  # bits: BitString-valued, no int64 form
-                specs.append((path, False, False))
-                expected.append((MISSING, True))
+                expected.append(1 if value else 0)
+            else:  # uint / felem / maybe
+                expected.append(NONE if value is None else int(value))
 
     walk(lbl, ())
     # absent paths read as MISSING in both query modes
     specs.append((("__absent__",), False, False))
-    expected.append((MISSING, False))
+    expected.append(MISSING)
     specs.append((("__absent__",), True, False))
-    expected.append((MISSING, False))
+    expected.append(MISSING)
     return tuple(specs), expected
 
 
 def _check_extraction(lbl):
     specs, expected = _specs_and_expected(lbl)
-    # a fresh structural copy stays tree-backed (pack() would seal the
-    # original to its wire form, taking the packed-plan path instead)
-    tree_row = _rebuild(lbl)
+    built_row = _rebuild(lbl)  # appended field by field
     schema, payload = lbl.pack()
     wire_row = PackedLabel._from_payload(schema, payload)
-    rows = [tree_row, wire_row, None]
+    rows = [built_row, wire_row, None]
     cols, uncover = extract_columns(np, rows, specs)
     assert len(cols) == len(specs)
-    for j, (want, _) in enumerate(expected):
-        assert cols[j][0] == want, (specs[j], "tree")
+    for j, want in enumerate(expected):
+        assert cols[j][0] == want, (specs[j], "built")
         assert cols[j][1] == want, (specs[j], "wire")
         assert cols[j][2] == MISSING, (specs[j], "absent row")
-    want_bad = any(bad for _, bad in expected)
-    assert bool(uncover[0]) == want_bad
-    assert bool(uncover[1]) == want_bad
-    assert not uncover[2]
+    assert not uncover.any()
 
 
 class TestExtractionProperty:
@@ -132,11 +114,11 @@ class TestExtractionProperty:
             if kind in ("uint", "felem", "flag"):
                 assert spec == ("leaf", total - offset - width, (1 << width) - 1)
                 assert span_width == width
-            elif kind == "maybe" and not isinstance(value, BitString):
-                # span covers presence bit + value bits, like the spec
+            else:  # maybe: the span covers presence bit + value bits, like the spec
                 assert spec == ("maybe", total - offset - span_width, span_width)
-            else:  # bits: BitString-valued, per-row fallback
-                assert spec == ("uncover",)
+        for name, kind, _, _ in lbl.fields():
+            if kind == "label":  # a sub-label read as a value has no int64 form
+                assert columnar._resolve_spec(schema, (name,), False, False) == ("uncover",)
 
 
 # -- gates ------------------------------------------------------------------

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from repro.core.labels import BitString, Label
+from repro.core.labels import EMPTY_LABEL, BitString, Label, nest_labels
 from repro.core.network import Graph, path_graph
-from repro.core.protocol import DecodeCache, Interaction, ProtocolError, merge_labels
+from repro.core.protocol import DecodeCache, Interaction, ProtocolError
 from repro.core.transcript import Transcript
 from repro.core.views import build_views
 
@@ -112,12 +112,11 @@ class TestViews:
         assert isinstance(v1.decode_cache, DecodeCache)
         assert all(v.decode_cache is v1.decode_cache for v in views.values())
 
-    def test_merge_labels(self):
-        merged = merge_labels(
-            {"a": Label().flag("x", True), "b": None}
-        )
+    def test_nest_labels(self):
+        merged = nest_labels(("a", "b"), (Label().flag("x", True), EMPTY_LABEL))
         assert merged.bit_size() == 1
-        assert isinstance(merged["b"], Label)
+        assert merged["a"]["x"] is True
+        assert isinstance(merged["b"], Label) and merged["b"].bit_size() == 0
 
 
 class TestProverRoundDefaults:

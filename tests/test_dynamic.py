@@ -8,7 +8,7 @@ The load-bearing invariants:
 * every epoch's incremental certification equals a from-scratch
   re-proof of the same graph (``verify_full``);
 * applying a stream and then its inverse restores a byte-identical
-  certification (packed and object-tree label legs);
+  certification;
 * mutating a dynamic instance can never corrupt the shared instance
   cache (aliasing regression);
 * the hash-multiset signatures diff every epoch exactly like the

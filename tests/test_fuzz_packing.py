@@ -1,11 +1,10 @@
-"""The label tap packs nothing on its own, and a failed run leaves no tap.
+"""The label tap edits only what it mutates, and a failed run leaves no tap.
 
 Three pins around the fuzzing path through ``Interaction.prover_round``:
 
-- a pack-count guard: honest runs pack no label at all, and a fuzzed run
-  packs at most the mutated label's subtree (``wire_leaf_span`` needs the
-  schema of a generic-builder target to report the wire coordinates;
-  born-packed targets have it already), never whole prover rounds;
+- a build-count guard: every label of an honest run is born from a format
+  (no field is appended to a label afterwards), and a fuzzed run edits
+  one label's payload (two for a swap), never whole prover rounds;
 - golden fuzz records (``tests/data/fuzz_golden.json``): the canonical
   report and the per-run mutation records (owner, path, old/new values,
   wire offset/width) of every task x {fuzz_r1, fuzz_r3, fuzz_r5} at
@@ -36,16 +35,12 @@ GOLDEN_N = 16
 GOLDEN_SEED = 21
 COMPOSITE_GOLDEN_PATH = Path(__file__).parent / "data" / "fuzz_golden_composite.json"
 COMPOSITE_TASKS = ("outerplanarity", "series_parallel", "treewidth2")
-#: one label subtree: the mutated label and the sub-labels on the mutated
-#: field's path -- at most three levels (a round wrapper, its protocol
-#: sub-label, the field group), e.g. ``(node, edges, forests)`` ->
-#: ``forests`` -> ``forest0``.  A whole prover round is at least n labels,
-#: so any pack of a round breaks this bound at both sizes below
-MAX_FUZZ_PACKS = 3
-#: the tap must not pack a round at either size (n=256: 256+ labels)
-FUZZ_PACK_NS = (32, 256)
-#: tasks whose labels come from the generic (tree) builder
-TREE_BUILT_TASKS = ("lr_sorting",)
+#: a fired mutation edits one label, or two for a swap.  A whole prover
+#: round is at least n labels, so any rebuild of a round breaks this bound
+#: at both sizes below
+MAX_FUZZ_EDITS = 2
+#: the tap must not rebuild a round at either size (n=256: 256+ labels)
+FUZZ_EDIT_NS = (32, 256)
 
 
 def fuzz_records(task: str, adversary: str, n: int = GOLDEN_N, runs: int = 2) -> dict:
@@ -64,42 +59,41 @@ def fuzz_records(task: str, adversary: str, n: int = GOLDEN_N, runs: int = 2) ->
 
 
 @pytest.fixture
-def pack_calls(monkeypatch):
-    """Count every tree-to-wire packing (``Label.pack`` on a cold cache)."""
+def label_builds(monkeypatch):
+    """Count every label assembled after birth: a field appended by the
+    chained builder (``Label._put``) or an edit (``Label.with_value``)."""
     calls = []
-    real = labels._pack_fields
+    for name in ("_put", "with_value"):
+        real = getattr(labels.Label, name)
 
-    def counting(fields):
-        calls.append(1)
-        return real(fields)
+        def counting(self, *args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, *args)
 
-    monkeypatch.setattr(labels, "_pack_fields", counting)
+        monkeypatch.setattr(labels.Label, name, counting)
     return calls
 
 
 @pytest.mark.parametrize("task", task_names())
-def test_honest_run_packs_nothing(task, pack_calls):
+def test_honest_run_builds_no_label_after_birth(task, label_builds):
     spec = get_task(task)
     report = BatchRunner(spec.protocol(c=2), spec.yes_factory).run(1, 32, seed=4)
     assert report.acceptance_rate == 1.0
-    assert len(pack_calls) == 0
+    assert label_builds == []
 
 
-@pytest.mark.parametrize("n", FUZZ_PACK_NS)
+@pytest.mark.parametrize("n", FUZZ_EDIT_NS)
 @pytest.mark.parametrize("adversary", FUZZ)
 @pytest.mark.parametrize("task", task_names())
-def test_fuzzed_run_packs_only_the_mutated_label(task, adversary, n, pack_calls):
+def test_fuzzed_run_edits_only_the_mutated_labels(task, adversary, n, label_builds):
     spec = get_task(task)
     report = BatchRunner(
         spec.protocol(c=2), spec.yes_factory,
         prover_factory=spec.adversaries[adversary],
     ).run(1, n, seed=4)
     assert report.records[0].extra["mutated"]
-    assert len(pack_calls) <= MAX_FUZZ_PACKS
-    if task in TREE_BUILT_TASKS:
-        # a generic-builder target packs its subtree for wire_leaf_span;
-        # born-packed targets report their span without packing at all
-        assert pack_calls
+    assert "_put" not in label_builds
+    assert 1 <= len(label_builds) <= MAX_FUZZ_EDITS
 
 
 def test_golden_fuzz_records():

@@ -14,7 +14,7 @@ only, so they run serially; the 2-worker legs run the default path.
 
 The worker legs matter most: shard results cross a process boundary, so
 they exercise the packed ``ProverRound`` blob transport end to end.
-That born-packed labels equal the generic builder's trees field by field
+That born-packed labels equal the chained builder's labels field by field
 is pinned one layer down, in ``test_born_packed.py``.
 """
 

@@ -8,7 +8,7 @@ invariants hold *for every label the builders can produce*:
    (``bit_size()`` is the wire truth, not an estimate);
 3. byte-level equality of packed images coincides with structural
    ``Label`` equality (schema identity + payload equality), which is
-   what lets interning and shard dedup compare bytes instead of trees.
+   what lets interning and shard dedup compare bytes instead of fields.
 
 Hypothesis drives all three over randomized nested labels; a golden
 fixture (``tests/data/wire_golden.json``) additionally pins the exact
@@ -20,6 +20,7 @@ re-keying every shard buffer in the wild.
 import json
 import os
 import pickle
+import random
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.labels import (
-    BitString,
     Label,
     PackedLabel,
     schema_from_desc,
@@ -43,9 +43,7 @@ GOLDEN_SEED = 5
 
 # -- label strategy ---------------------------------------------------------
 
-_LEAF_KINDS = (
-    "uint", "flag", "bits", "felem", "maybe_none", "maybe_int", "maybe_bits",
-)
+_LEAF_KINDS = ("uint", "flag", "felem", "maybe_none", "maybe_int")
 
 
 @st.composite
@@ -61,9 +59,6 @@ def labels(draw, depth: int = 2) -> Label:
             lbl.uint(name, draw(st.integers(0, (1 << width) - 1)), width)
         elif kind == "flag":
             lbl.flag(name, draw(st.booleans()))
-        elif kind == "bits":
-            width = draw(st.integers(0, 12))
-            lbl.bits(name, BitString(draw(st.integers(0, (1 << width) - 1)), width))
         elif kind == "felem":
             p = draw(st.sampled_from([2, 3, 5, 7, 13, 257]))
             lbl.field_elem(name, draw(st.integers(0, p - 1)), p)
@@ -72,24 +67,26 @@ def labels(draw, depth: int = 2) -> Label:
         elif kind == "maybe_int":
             width = draw(st.integers(1, 8))
             lbl.maybe(name, draw(st.integers(0, (1 << width) - 1)), width)
-        elif kind == "maybe_bits":
-            width = draw(st.integers(1, 8))
-            lbl.maybe(
-                name, BitString(draw(st.integers(0, (1 << width) - 1)), width), width
-            )
         else:
             lbl.sub(name, draw(labels(depth=depth - 1)))
     return lbl
 
 
 def _rebuild(lbl: Label) -> Label:
-    """An independent structural copy (fresh field tuples, fresh dict)."""
+    """An independent copy: every field decoded, then appended again
+    through the public builders."""
     out = Label()
     for name, kind, value, width in lbl.fields():
         if kind == "label":
-            out._put(name, ("label", _rebuild(value), width))
+            out.sub(name, _rebuild(value))
+        elif kind == "uint":
+            out.uint(name, value, width)
+        elif kind == "felem":
+            out.field_elem(name, value, 1 << width)  # any p of this width
+        elif kind == "flag":
+            out.flag(name, value)
         else:
-            out._put(name, (kind, value, width))
+            out.maybe(name, value, width - 1)
     return out
 
 
@@ -99,13 +96,9 @@ def _leaf_wire_image(kind, value, width):
         return value
     if kind == "flag":
         return 1 if value else 0
-    if kind == "bits":
-        return value.value
     # maybe: presence bit in the MSB of the span, value bits below
     if value is None:
         return 0
-    if isinstance(value, BitString):
-        return (1 << (width - 1)) | value.value
     return (1 << (width - 1)) | value
 
 
@@ -127,9 +120,8 @@ class TestRoundTrip:
     def test_unpacked_view_repacks_to_same_bytes(self, lbl):
         schema, payload = lbl.pack()
         view = PackedLabel._from_payload(schema, payload)
-        # decode every field, then pack the decoded tree
-        fields = {name: (kind, value, width) for name, kind, value, width in view.fields()}
-        rs, rp = Label._trusted(fields, view.bit_size()).pack()
+        # decode every field, then build the decoded values again
+        rs, rp = _rebuild(view).pack()
         assert rs is schema and rp == payload
 
     @given(labels())
@@ -160,7 +152,7 @@ class TestRoundTrip:
             view.uint("extra", 0, 1)
         for path, kind, value, width in lbl.walk():
             edited = view.with_value(path, value)
-            assert type(edited) is Label and edited == lbl
+            assert type(edited) is PackedLabel and edited == lbl
             break
 
 
@@ -225,8 +217,6 @@ class TestByteEquality:
                 edited = lbl.with_value(path, value ^ 1)
             elif kind == "flag":
                 edited = lbl.with_value(path, not value)
-            elif kind == "bits" and width >= 1:
-                edited = lbl.with_value(path, BitString(value.value ^ 1, width))
             else:
                 continue
             assert edited != lbl
@@ -235,7 +225,29 @@ class TestByteEquality:
             return
 
 
-# -- 4. golden transcript fixtures ------------------------------------------
+# -- 4. the schema boundary ---------------------------------------------------
+
+class TestSchemaBoundary:
+    def test_unknown_kind_is_a_value_error(self):
+        for kind in ("bits", "maybe_b", "nope"):
+            with pytest.raises(ValueError, match="unknown label field kind"):
+                schema_from_desc((("f", kind, 3, None),))
+        with pytest.raises(ValueError, match="unknown label field kind"):
+            schema_from_desc((("s", "label", 3, (("f", "bits", 3, None),)),))
+
+    def test_transcript_with_an_unknown_kind_fails_to_unpickle(self):
+        spec = get_task("lr_sorting")
+        instance = spec.yes_factory(16, random.Random(1))
+        result = spec.protocol().execute(instance, rng=random.Random(2))
+        blob = pickle.dumps(result.transcript)
+        assert pickle.loads(blob).wire_hex() == result.transcript.wire_hex()
+        tampered = blob.replace(b"uint", b"bits")  # same length: a valid pickle
+        assert tampered != blob
+        with pytest.raises(ValueError, match="unknown label field kind 'bits'"):
+            pickle.loads(tampered)
+
+
+# -- 5. golden transcript fixtures ------------------------------------------
 
 def _golden_entry(task: str) -> dict:
     """One honest transcript per task at the pinned (n, seed)."""
