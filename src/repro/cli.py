@@ -576,10 +576,13 @@ def cmd_submit(args) -> int:
     if result.degraded:
         print(f"{len(result.failures)} of {request['runs']} runs failed "
               f"(policy {request['failure_policy']})")
+    if args.stream:
+        print(f"events:      {len(result.events)} streamed")
     if args.json:
         payload = {
             "request": request,
             "report": result.report,
+            "events": result.events,
             "ok": result.ok,
             "degraded": result.degraded,
             "failures": result.failures,
@@ -875,9 +878,12 @@ def main(argv=None) -> int:
     )
     p_submit.add_argument(
         "--stream", action="store_true",
-        help="also stream the per-run journal events back",
+        help="also stream the per-run journal events back (printed as a "
+             "count, saved under \"events\" with --json)",
     )
-    p_submit.add_argument("--json", help="write request + canonical report to this file")
+    p_submit.add_argument(
+        "--json", help="write request, canonical report and events to this file"
+    )
     _add_resilience_args(p_submit)
     p_submit.set_defaults(func=cmd_submit)
 

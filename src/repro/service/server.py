@@ -4,8 +4,14 @@
 protocol (:mod:`repro.service.wire`), executes them on a **warm**
 execution backend (serial / process pool / remote workers via
 ``resolve_backend``) with a process-local :class:`InstanceCache` kept
-hot across requests, and streams each request's journal events plus a
-canonical report back to the client.
+hot across requests, and answers each request with a canonical report.
+
+A request runs traced (a per-request journal, hence a tracer per run)
+only when something reads the trace: a ``stream`` request gets its
+journal events back as EVENT frames, and a server started with a
+journal path writes every request's events there.  Any other request
+runs untraced; its RESULT frame is the same either way, because the
+canonical report never depends on tracing.
 
 Correctness invariant (the reason this file can exist at all): a
 completed request's canonical report is **byte-identical** to the same
@@ -350,6 +356,11 @@ class ProofServer:
             self._cached_factories[key] = wrapped
         return wrapped
 
+    def _reads_events(self, req: Dict[str, Any]) -> bool:
+        """Whether anything reads this request's events: the client (a
+        ``stream`` request) or the server-wide journal."""
+        return req["stream"] or self._journal is not None
+
     def _execute(self, job: _Job) -> Tuple[List[Frame], bool]:
         """Run one request on the warm backend -> (frames, cli_ok)."""
         from ..analysis.experiments import run_batch
@@ -402,7 +413,9 @@ class ProofServer:
                     self._fail_frame(job.id, "bad-request",
                                      f"bad inject_faults spec: {exc}")
                 ], False
-        journal = Journal()  # in-memory; events stream back per request
+        # in-memory, and only when its events will be read (see the
+        # module docstring); without one the batch runs untraced
+        journal = Journal() if self._reads_events(req) else None
         try:
             report = run_batch(
                 spec.protocol(c=req["c"]),
@@ -429,7 +442,8 @@ class ProofServer:
                 else "execution-error"
             )
             return [self._fail_frame(job.id, fault, str(exc))], False
-        job.events = list(journal.events)
+        if journal is not None:
+            job.events = list(journal.events)
         frames: List[Frame] = []
         if req["stream"]:
             frames.extend(
@@ -564,7 +578,8 @@ class ProofServer:
         self._dynamic.move_to_end(req["target"])
         while len(self._dynamic) > self._dynamic_cache:
             self._dynamic.popitem(last=False)
-        job.events = [{"event": "epoch", **rec} for rec in records]
+        if self._reads_events(req):
+            job.events = [{"event": "epoch", **rec} for rec in records]
         obs_metrics.inc(
             "repro_dynamic_epochs_total", len(records),
             help="certified churn epochs", task=task, stream="service",

@@ -18,6 +18,8 @@ import pytest
 
 from repro.analysis.experiments import run_batch
 from repro.obs import metrics as obs_metrics
+from repro.obs.journal import Journal, strip_timing
+from repro.obs.tracer import Tracer
 from repro.runtime import registry
 from repro.runtime.remote import WireError
 from repro.service.chaos import run_chaos
@@ -176,10 +178,69 @@ class TestServiceExecution:
         ref = _reference("lr_sorting", runs=5, n=32, seed=11)
         assert res.canonical_json() == ref.canonical_json()
         assert res.ok and not res.degraded
-        # streamed events mirror the per-request journal shape
+        # streamed events are the one-shot journal's, up to timing
+        journal = Journal()
+        spec = registry.get_task("lr_sorting")
+        run_batch(spec.protocol(c=2), spec.yes_factory, n_runs=5, n=32,
+                  seed=11, journal=journal)
+        assert [strip_timing(e) for e in res.events] == [
+            strip_timing(e) for e in journal.events
+        ]
         kinds = [e["event"] for e in res.events]
         assert kinds[0] == "batch_start" and kinds[-1] == "batch_end"
-        assert kinds.count("run_end") == 5
+        assert kinds.count("trace_summary") == kinds.count("run_end") == 5
+
+    def test_unread_request_builds_no_tracer(self, monkeypatch):
+        """With no journal on the server, only a streamed request traces."""
+        begun = []
+        begin_run = Tracer.begin_run
+
+        def counting_begin_run(self, *args, **kwargs):
+            begun.append(1)
+            return begin_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tracer, "begin_run", counting_begin_run)
+        with service() as (server, addr):
+            client = ServiceClient(addr, client_id="t")
+            plain = client.submit("lr_sorting", runs=3, n=32, seed=4)
+            assert begun == [] and plain.events == []
+            assert server._jobs[plain.id].events == []
+            streamed = client.submit("lr_sorting", runs=3, n=32, seed=4,
+                                     request_id="streamed", stream=True)
+            assert len(begun) == 3
+        ref = _reference("lr_sorting", runs=3, n=32, seed=4)
+        assert plain.canonical_json() == ref.canonical_json()
+        assert streamed.canonical_json() == ref.canonical_json()
+        assert plain.summary.split("|")[:3] == streamed.summary.split("|")[:3]
+
+    def test_unstreamed_update_keeps_epoch_records(self):
+        """An UPDATE run without events certifies the same epochs as the
+        local churn campaign and as a streamed UPDATE of the same instance."""
+        from repro.dynamic import (
+            ChurnCampaignSpec,
+            campaign_stream,
+            initial_graph,
+            run_campaign,
+        )
+
+        spec = ChurnCampaignSpec(task="planarity", n=24, seed=7, n_updates=6)
+        updates = [u for u, _ in campaign_stream(spec, initial_graph(spec))]
+        local = [r.canonical_dict() for r in run_campaign(spec).records]
+        with service() as (server, addr):
+            client = ServiceClient(addr, client_id="t")
+            plain_target = client.submit("planarity", runs=1, n=24, seed=7)
+            streamed_target = client.submit("planarity", runs=1, n=24, seed=7,
+                                            request_id="second-target")
+            plain = client.submit_update(plain_target.id, updates)
+            streamed = client.submit_update(streamed_target.id, updates,
+                                            stream=True)
+            assert server._jobs[plain.id].events == []
+        assert plain.ok and streamed.ok
+        assert plain.report["epochs"] == streamed.report["epochs"] == local
+        assert plain.events == []
+        assert streamed.events == [
+            {"event": "epoch", **rec} for rec in local
+        ]
 
     def test_instance_cache_stays_warm_and_invisible(self):
         with service() as (server, addr):
@@ -266,6 +327,21 @@ class TestIdempotency:
             assert again.canonical_json() == first.canonical_json()
             assert server.stats["completed"] == 1  # executed exactly once
             assert server.stats["replayed"] == 1
+
+    def test_streamed_resubmit_replays_unstreamed_frames(self):
+        """``stream`` is a delivery preference: resending a finished
+        unstreamed id with ``stream=True`` replays the stored frames, which
+        hold no EVENT frame, and executes nothing."""
+        with service() as (server, addr):
+            client = ServiceClient(addr, client_id="t")
+            first = client.submit("lr_sorting", runs=3, n=32, seed=7,
+                                  request_id="once")
+            again = client.submit("lr_sorting", runs=3, n=32, seed=7,
+                                  request_id="once", stream=True)
+            assert again.ack_status == "replay"
+            assert again.events == [] == first.events
+            assert again.canonical_json() == first.canonical_json()
+            assert server.stats["completed"] == 1
 
     def test_same_id_different_params_is_id_conflict(self):
         with service() as (server, addr):
@@ -631,6 +707,26 @@ class TestCLI:
         assert payload["ok"] is True
         assert payload["request"]["task"] == "lr_sorting"
         assert len(payload["report"]["records"]) == 2
+        assert payload["events"] == []
+
+    def test_submit_stream_saves_events(self, tmp_path, capsys):
+        streamed = str(tmp_path / "s.json")
+        plain = str(tmp_path / "p.json")
+        with service() as (server, addr):
+            args = ("lr_sorting", "--runs", "3", "--n", "16", "--seed", "5")
+            assert self._submit(addr, *args, "--stream", "--json", streamed) == 0
+            assert "events:" in capsys.readouterr().out
+            assert self._submit(addr, *args, "--request-id", "plain",
+                                "--json", plain) == 0
+        s_payload = json.loads(open(streamed).read())
+        p_payload = json.loads(open(plain).read())
+        kinds = [e["event"] for e in s_payload["events"]]
+        assert kinds[0] == "batch_start" and kinds[-1] == "batch_end"
+        runs = [e["run_index"] for e in s_payload["events"]
+                if e["event"] == "trace_summary"]
+        assert runs == [0, 1, 2]
+        assert p_payload["events"] == []
+        assert p_payload["report"] == s_payload["report"]
 
     def test_submit_unknown_task_is_one(self, capsys):
         with service() as (server, addr):
