@@ -49,25 +49,25 @@ def main():
           f"fields p={pm.p}, p'={pm.p2}")
 
     prover = HonestLRSortingProver(inst).bind(pm)
-    r1_nodes, r1_edges = prover.round1()
+    r1 = prover.round1()  # value columns: one entry per node id
+    cols = r1.nodes
 
     print("\nround 1 -- block construction (first block, by path position):")
     print(f"  {'pos':>4} {'idx':>4} {'x1bit':>6} {'x2bit':>6} {'side':>5}")
     for q in range(pm.L):
         v = inst.path[q]
-        f = r1_nodes[v]
-        side = {0: "L", 1: "V", 2: "R"}[f.get("side", 0)]
-        print(f"  {q:>4} {f['idx']:>4} {f.get('x1bit', 0):>6} "
-              f"{f.get('x2bit', 0):>6} {side:>5}")
+        side = {0: "L", 1: "V", 2: "R"}[cols["side"][v]]
+        print(f"  {q:>4} {cols['idx'][v]:>4} {cols['x1bit'][v]:>6} "
+              f"{cols['x2bit'][v]:>6} {side:>5}")
     print("  (x1 = block position, x2 = x1+1; the L..V..R pattern proves it)")
 
-    outer = [(e, f) for e, f in r1_edges.items() if not f["inner"]]
-    inner = [(e, f) for e, f in r1_edges.items() if f["inner"]]
-    print(f"\nround 1 -- edge commitments: {len(inner)} inner-block, "
+    edges = list(zip(r1.edges, r1.edge_columns["inner"], r1.edge_columns["I"]))
+    outer = [(e, i) for e, inner, i in edges if not inner]
+    print(f"\nround 1 -- edge commitments: {len(edges) - len(outer)} inner-block, "
           f"{len(outer)} outer-block")
-    for e, f in outer[:4]:
+    for e, i in outer[:4]:
         t, h = inst.orientation[e]
-        print(f"  edge {t}->{h}: distinguishing index I={f['I']} "
+        print(f"  edge {t}->{h}: distinguishing index I={i} "
               f"(blocks {prover.block[t]} vs {prover.block[h]})")
 
     proto = LRSortingProtocol(c=2)

@@ -71,9 +71,8 @@ class InnerBlockLiarProver(HonestLRSortingProver):
     def _setup(self):
         super()._setup()
         for e in _violating_edges(self.instance):
-            if self.edge_kind.get(e) == "outer":
-                self.edge_kind[e] = "inner"
-                self.edge_index.pop(e, None)
+            if e in self.edge_index:
+                del self.edge_index[e]  # now typed inner-block
                 break
 
 
@@ -95,22 +94,22 @@ class StealthIndexLiarProver(HonestLRSortingProver):
         super()._setup()
         pm = self.params
         pos = self.instance.position()
-        for e, (t, h) in self.instance.orientation.items():
-            if self.edge_kind.get(e) != "outer" or pos[t] < pos[h]:
+        orientation = self.instance.orientation
+        for e, (t, h) in orientation.items():
+            if e not in self.edge_index or pos[t] < pos[h]:
                 continue
             used = {
-                self.edge_index[e2]
-                for e2, (t2, h2) in self.instance.orientation.items()
-                if e2 != e
-                and self.edge_kind.get(e2) == "outer"
-                and {t2, h2} & {t, h}
+                i2
+                for e2, i2 in self.edge_index.items()
+                if e2 != e and set(orientation[e2]) & {t, h}
             }
             bt, bh = self.block[t], self.block[h]
             best = None
             for i in range(1, pm.L + 1):
                 if i in used:
                     continue
-                score = (self.x1[bt][i - 1] == 0) + (self.x1[bh][i - 1] == 1)
+                shift = pm.L - i
+                score = ((bt >> shift) & 1 == 0) + ((bh >> shift) & 1 == 1)
                 if best is None or score > best[0]:
                     best = (score, i)
             if best is not None:
@@ -124,15 +123,13 @@ class IndexLiarProver(HonestLRSortingProver):
     the head's block, a lie for the tail's)."""
 
     def round3(self, coins):
-        node_fields, edge_fields = super().round3(coins)
+        rc = super().round3(coins)
         for e in _violating_edges(self.instance):
-            if self.edge_kind.get(e) != "outer":
+            if e not in self.edge_index:
                 continue
             t, h = self.instance.orientation[e]
             i = self.edge_index[e]
             # claim the value of the head block's prefix polynomial
-            edge_fields[e] = {
-                "jval": self._phi_prefix(self.block[h], i - 1, self.rp)
-            }
+            rc.edge_columns["jval"][rc.edges.index(e)] = self.phi[self.block[h]][i - 1]
             break
-        return node_fields, edge_fields
+        return rc

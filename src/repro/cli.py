@@ -578,11 +578,17 @@ def cmd_submit(args) -> int:
               f"(policy {request['failure_policy']})")
     if args.stream:
         print(f"events:      {len(result.events)} streamed")
+        if not result.events and result.ack_status == "replay":
+            # the id names a finished unstreamed job, whose frames replay
+            print(f"request {request['id']} replayed an earlier unstreamed "
+                  "run, so no events were kept; resubmit with a fresh "
+                  "--request-id to stream them")
     if args.json:
         payload = {
             "request": request,
             "report": result.report,
             "events": result.events,
+            "ack_status": result.ack_status,
             "ok": result.ok,
             "degraded": result.degraded,
             "failures": result.failures,

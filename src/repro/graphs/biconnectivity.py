@@ -70,9 +70,6 @@ def articulation_points(graph: Graph) -> Set[int]:
     """Nodes whose removal disconnects their component (cut nodes)."""
     counts: Dict[int, int] = {}
     for comp in biconnected_components(graph):
-        for edge in comp:
-            for v in edge:
-                pass
         for v in {x for e in comp for x in e}:
             counts[v] = counts.get(v, 0) + 1
     return {v for v, c in counts.items() if c > 1}

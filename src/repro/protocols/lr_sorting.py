@@ -51,9 +51,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.labels import (
     EMPTY_LABEL,
@@ -71,7 +72,6 @@ from ..core.protocol import DIPProtocol, Interaction, ProtocolError
 from ..core.transcript import RunResult
 from ..core.views import NodeView
 from ..primitives.fields import next_prime
-from ..primitives.polynomials import int_to_bits
 from .instances import LRSortingInstance
 
 PATH_LEFT = "path_left"
@@ -156,6 +156,22 @@ class LRParams:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class LRColumns:
+    """One LR prover message as value columns.
+
+    ``nodes`` maps each field of the round's node format to one value per
+    node id ``0..n-1``; ``order`` lists the nodes in the order their labels
+    are sent.  ``edges`` lists the labelled edges (in orientation order)
+    and ``edge_columns`` holds their fields, one value per listed edge.
+    """
+
+    order: Sequence[int]
+    nodes: Dict[str, list]
+    edges: Sequence[Edge] = ()
+    edge_columns: Dict[str, list] = field(default_factory=dict)
+
+
 class LRSortingProver:
     """Base prover: subclass and override rounds to cheat selectively."""
 
@@ -171,15 +187,13 @@ class LRSortingProver:
     def claimed_position(self) -> Dict[int, int]:
         return self.instance.position()
 
-    def round1(self) -> Tuple[Dict[int, dict], Dict[Edge, dict]]:
+    def round1(self) -> LRColumns:
         raise NotImplementedError
 
-    def round3(
-        self, coins: Dict[int, BitString]
-    ) -> Tuple[Dict[int, dict], Dict[Edge, dict]]:
+    def round3(self, coins: Dict[int, BitString]) -> LRColumns:
         raise NotImplementedError
 
-    def round5(self, coins: Dict[int, BitString]) -> Dict[int, dict]:
+    def round5(self, coins: Dict[int, BitString]) -> LRColumns:
         raise NotImplementedError
 
 
@@ -190,216 +204,164 @@ class HonestLRSortingProver(LRSortingProver):
     between blocks gets the distinguishing index of the *reversed* pair (a
     lie the verification scheme catches w.h.p.); a back edge inside a block
     keeps its truthful indices (caught deterministically).
+
+    Block positions are never expanded into bit lists: the x1 bit at index
+    ``j`` of block ``b`` is ``(b >> (L - j)) & 1`` (of ``b + 1`` for x2).
+    Round 1 reads the *claimed* block and index of each node; rounds 3 and
+    5 sweep the path one block at a time.  Round 3 records each block's
+    prefix table ``phi[b][i]`` (the i most significant x1 bits at r'),
+    which gives the outer-edge commitments and round 5's claimed pairs.
     """
 
     def _setup(self):
         pm = self.params
         inst = self.instance
-        pos = self.claimed_position()
-        self.pos = pos
-        self.block = {v: pm.block_of_position(pos[v]) for v in inst.graph.nodes()}
-        self.jdx = {v: pm.block_index(pos[v]) for v in inst.graph.nodes()}
-        self.x1 = {
-            b: int_to_bits(b, pm.L) for b in range(pm.n_blocks)
-        }
-        self.x2 = {
-            b: int_to_bits(b + 1, pm.L) for b in range(pm.n_blocks)
-        }
-        # edge classification under the claimed positions
-        self.edge_kind: Dict[Edge, str] = {}
+        L, B = pm.L, pm.n_blocks
+        #: claimed block and 1-based in-block index of every node
+        self.block = block = [0] * inst.graph.n
+        self.jdx = jdx = [0] * inst.graph.n
+        for v, q in self.claimed_position().items():
+            b = min(q // L, B - 1)
+            block[v] = b
+            jdx[v] = q - b * L + 1
+        #: outer edges (orientation order) -> distinguishing index; an edge
+        #: missing here is inner-block
         self.edge_index: Dict[Edge, int] = {}
         for e, (t, h) in inst.orientation.items():
-            bt, bh = self.block[t], self.block[h]
-            if bt == bh:
-                self.edge_kind[e] = "inner"
-            else:
-                self.edge_kind[e] = "outer"
-                self.edge_index[e] = self._distinguishing_index(bt, bh)
-
-    def _distinguishing_index(self, b_tail: int, b_head: int) -> int:
-        pm = self.params
-        lo, hi = (b_tail, b_head) if b_tail < b_head else (b_head, b_tail)
-        xl, xh = int_to_bits(lo, pm.L), int_to_bits(hi, pm.L)
-        for i in range(pm.L):
-            if xl[i] != xh[i]:
-                return i + 1  # 1-based
-        raise AssertionError("blocks are equal; no distinguishing index")
+            diff = block[t] ^ block[h]
+            if diff:
+                # the first (most significant) bit where the blocks differ
+                self.edge_index[e] = L - diff.bit_length() + 1
 
     def round1(self):
         pm = self.params
         self._setup()
-        inst = self.instance
-        node_fields: Dict[int, dict] = {}
-        # multiplicities: for side 1, count heads per (block, index);
-        # for side 0, count tails per (block, index) -- set semantics per node
-        count: Dict[Tuple[int, int, int], set] = {}
-        for e, (t, h) in inst.orientation.items():
-            if self.edge_kind[e] != "outer":
-                continue
-            i = self.edge_index[e]
-            count.setdefault((self.block[t], 0, i), set()).add(t)
-            count.setdefault((self.block[h], 1, i), set()).add(h)
-        self._mult = {key: len(endpoints) for key, endpoints in count.items()}
-        for v in inst.graph.nodes():
-            b, j = self.block[v], self.jdx[v]
-            fields = {"idx": j}
-            if pm.n_blocks > 1:
-                bit1 = self.x1[b][j - 1] if j <= pm.L else 0
-                bit2 = self.x2[b][j - 1] if j <= pm.L else 0
-                # v_b = largest index with x1 bit 0
-                jb = max(i + 1 for i, bit in enumerate(self.x1[b]) if bit == 0)
-                if j > pm.L:
-                    side = 2
-                elif j < jb:
-                    side = 0
-                elif j == jb:
-                    side = 1
-                else:
-                    side = 2
-                fields.update(x1bit=bit1, x2bit=bit2, side=side)
-                if j <= pm.L:
-                    side_bit = self.x1[b][j - 1]
-                    fields["M"] = len(count.get((b, side_bit, j), ()))
-            node_fields[v] = fields
-        edge_fields: Dict[Edge, dict] = {}
-        for e in inst.orientation:
-            if self.edge_kind[e] == "inner":
-                edge_fields[e] = {"inner": True}
-            else:
-                edge_fields[e] = {"inner": False, "I": self.edge_index[e]}
-        return node_fields, edge_fields
+        L = pm.L
+        block, jdx = self.block, self.jdx
+        nodes = {"idx": jdx}
+        if pm.n_blocks > 1:
+            # multiplicities: count the distinct tails (side 0) and heads
+            # (side 1) per (block, side, index)
+            orientation = self.instance.orientation
+            ends = set()
+            for e, i in self.edge_index.items():
+                t, h = orientation[e]
+                ends.add((t, 0, i))
+                ends.add((h, 1, i))
+            self._mult = Counter((block[v], side, i) for v, side, i in ends)
+            # v_b: the index of the least significant 0-bit of x1 = b
+            vb = [L - (~b & (b + 1)).bit_length() + 1 for b in range(pm.n_blocks)]
+            x1, x2, sides, mult = [], [], [], []
+            for b, j in zip(block, jdx):
+                if j > L:
+                    x1.append(0)
+                    x2.append(0)
+                    sides.append(2)
+                    mult.append(OMIT)
+                    continue
+                bit = (b >> (L - j)) & 1
+                x1.append(bit)
+                x2.append(((b + 1) >> (L - j)) & 1)
+                sides.append(0 if j < vb[b] else 1 if j == vb[b] else 2)
+                mult.append(self._mult.get((b, bit, j), 0))
+            nodes.update(x1bit=x1, x2bit=x2, side=sides, M=mult)
+        edges = list(self.instance.orientation)
+        index = [self.edge_index.get(e, OMIT) for e in edges]
+        return LRColumns(
+            range(len(jdx)), nodes, edges, {"inner": [i is OMIT for i in index], "I": index}
+        )
 
     def round3(self, coins):
         pm = self.params
-        inst = self.instance
-        path = inst.path
-        left_end = path[0]
-        # decode coins
-        r = rp = 0
-        if pm.n_blocks > 1:
-            value = coins[left_end].value >> pm.fw  # skip the r_b coin
-            r = (value & pm.fw_mask) % pm.p
-            rp = ((value >> pm.fw) & pm.fw_mask) % pm.p
-        self.r, self.rp = r, rp
-        rb: Dict[int, int] = {}
-        for b in range(pm.n_blocks):
-            leader = path[b * pm.L]
-            rb[b] = (coins[leader].value & pm.fw_mask) % pm.p
-        self.rb = rb
-        # polynomial streams along each block
-        node_fields: Dict[int, dict] = {}
-        self.pfx1_rp: Dict[int, int] = {}
-        for b in range(pm.n_blocks):
-            start = b * pm.L
-            end = (b + 1) * pm.L if b < pm.n_blocks - 1 else pm.n
-            block_nodes = path[start:end]
-            # prefix streams
-            pfx2 = pfx1 = 1
-            for offset, v in enumerate(block_nodes):
-                j = offset + 1
-                bit1 = self.x1[b][j - 1] if j <= pm.L else 0
-                bit2 = self.x2[b][j - 1] if j <= pm.L else 0
-                if bit2:
-                    pfx2 = pfx2 * (j - r) % pm.p
-                if bit1:
-                    pfx1 = pfx1 * (j - rp) % pm.p
-                node_fields[v] = {
-                    "r": r,
-                    "rp": rp,
-                    "rb": rb[b],
-                    "pfx2_r": pfx2,
-                    "pfx1_rp": pfx1,
-                }
-                self.pfx1_rp[v] = pfx1
+        path = self.instance.path
+        L, B, p, n = pm.L, pm.n_blocks, pm.p, pm.n
+        if B == 1:
+            return LRColumns(path, {"rb": [(coins[path[0]].value & pm.fw_mask) % p] * n})
+        rb = [0] * n
+        value = coins[path[0]].value >> pm.fw  # skip the r_b coin
+        r = (value & pm.fw_mask) % p
+        rp = ((value >> pm.fw) & pm.fw_mask) % p
+        pfx2, sfx1, pfx1 = [0] * n, [1] * n, [0] * n
+        nodes = {
+            "rb": rb, "r": [r] * n, "rp": [rp] * n,
+            "pfx2_r": pfx2, "sfx1_r": sfx1, "pfx1_rp": pfx1,
+        }
+        self.phi: List[List[int]] = []
+        # polynomial streams along each block; past index L the bits are 0
+        for b in range(B):
+            start = b * L
+            block_nodes = path[start:start + L if b < B - 1 else n]
+            rb_b = (coins[block_nodes[0]].value & pm.fw_mask) % p
+            table = []
+            acc2 = acc1 = 1
+            for j, v in enumerate(block_nodes[:L], 1):
+                table.append(acc1)
+                shift = L - j
+                if ((b + 1) >> shift) & 1:
+                    acc2 = acc2 * (j - r) % p
+                if (b >> shift) & 1:
+                    acc1 = acc1 * (j - rp) % p
+                rb[v], pfx2[v], pfx1[v] = rb_b, acc2, acc1
+            for v in block_nodes[L:]:
+                rb[v], pfx2[v], pfx1[v] = rb_b, acc2, acc1
+            self.phi.append(table)
             # suffix stream of x1 at r
-            sfx = 1
-            for offset in range(len(block_nodes) - 1, -1, -1):
-                v = block_nodes[offset]
-                j = offset + 1
-                bit1 = self.x1[b][j - 1] if j <= pm.L else 0
-                if bit1:
-                    sfx = sfx * (j - r) % pm.p
-                node_fields[v]["sfx1_r"] = sfx
-        # committed values on outer edges
-        edge_fields: Dict[Edge, dict] = {}
-        self.edge_jval: Dict[Edge, int] = {}
-        for e, (t, h) in inst.orientation.items():
-            if self.edge_kind[e] != "outer":
-                continue
-            i = self.edge_index[e]
-            jval = self._phi_prefix(self.block[t], i - 1, rp)
-            edge_fields[e] = {"jval": jval}
-            self.edge_jval[e] = jval
-        return node_fields, edge_fields
-
-    def _phi_prefix(self, b: int, i: int, z: int) -> int:
-        """phi of the i most significant bits of pos(b), evaluated at z."""
-        pm = self.params
-        acc = 1
-        for idx in range(i):
-            if self.x1[b][idx]:
-                acc = acc * (idx + 1 - z) % pm.p
-        return acc
+            acc = 1
+            for j in range(L, 0, -1):
+                if (b >> (L - j)) & 1:
+                    acc = acc * (j - r) % p
+                sfx1[block_nodes[j - 1]] = acc
+        # committed values on outer edges: phi of the tail block at I - 1
+        orientation, block, phi = self.instance.orientation, self.block, self.phi
+        edges = list(self.edge_index)
+        jval = [phi[block[orientation[e][0]]][i - 1] for e, i in self.edge_index.items()]
+        return LRColumns(path, nodes, edges, {"jval": jval})
 
     def round5(self, coins):
         pm = self.params
-        inst = self.instance
-        path = inst.path
-        # session points per block
-        rq: Dict[int, Tuple[int, int]] = {}
-        for b in range(pm.n_blocks):
-            leader = path[b * pm.L]
-            value = coins.get(leader)
-            raw = value.value if value is not None else 0
-            rq0 = (raw & pm.fw2_mask) % pm.p2
-            rq1 = ((raw >> pm.fw2) & pm.fw2_mask) % pm.p2
-            rq[b] = (rq0, rq1)
-        # per-node committed-pair sets C0 (tails) and C1 (heads)
-        c_pairs: Dict[Tuple[int, int], set] = {}
-        for e, (t, h) in inst.orientation.items():
-            if self.edge_kind[e] != "outer":
-                continue
-            pair = (self.edge_index[e], self.edge_jval[e])
-            c_pairs.setdefault((t, 0), set()).add(pair)
-            c_pairs.setdefault((h, 1), set()).add(pair)
-        node_fields: Dict[int, dict] = {}
-        for b in range(pm.n_blocks):
-            start = b * pm.L
-            end = (b + 1) * pm.L if b < pm.n_blocks - 1 else pm.n
-            block_nodes = path[start:end]
-            acc = {("A", 0): 1, ("A", 1): 1, ("B", 0): 1, ("B", 1): 1}
-            suffix: Dict[int, dict] = {}
-            for offset in range(len(block_nodes) - 1, -1, -1):
-                v = block_nodes[offset]
-                j = offset + 1
-                for side in (0, 1):
-                    for pair in sorted(c_pairs.get((v, side), ())):
-                        term = (pm.pair_encode(*pair) - rq[b][side]) % pm.p2
-                        acc[("A", side)] = acc[("A", side)] * term % pm.p2
-                if j <= pm.L and pm.n_blocks > 1:
-                    side = self.x1[b][j - 1]
-                    count_key = (b, side, j)
-                    mult = self._multiplicity(b, side, j)
+        path = self.instance.path
+        L, B, p2, n = pm.L, pm.n_blocks, pm.p2, pm.n
+        orientation, block, phi = self.instance.orientation, self.block, self.phi
+        # the distinct committed pairs (encoded in F_p2) at every node:
+        # C0 at tails, C1 at heads
+        c0: Dict[int, set] = {}
+        c1: Dict[int, set] = {}
+        for e, i in self.edge_index.items():
+            t, h = orientation[e]
+            pair = pm.pair_encode(i, phi[block[t]][i - 1])
+            c0.setdefault(t, set()).add(pair)
+            c1.setdefault(h, set()).add(pair)
+        cols = [[0] * n for _ in R5_KEYS]
+        rq0, rq1, a0c, a1c, b0c, b1c = cols
+        order = []
+        for b in range(B):
+            start = b * L
+            block_nodes = path[start:start + L if b < B - 1 else n]
+            coin = coins.get(block_nodes[0])
+            raw = coin.value if coin is not None else 0
+            rq = ((raw & pm.fw2_mask) % p2, ((raw >> pm.fw2) & pm.fw2_mask) % p2)
+            a0 = a1 = b0 = b1 = 1
+            table = phi[b]
+            # suffix products, right to left
+            for j in range(len(block_nodes), 0, -1):
+                v = block_nodes[j - 1]
+                for pair in c0.get(v, ()):
+                    a0 = a0 * ((pair - rq[0]) % p2) % p2
+                for pair in c1.get(v, ()):
+                    a1 = a1 * ((pair - rq[1]) % p2) % p2
+                if j <= L:
+                    side = (b >> (L - j)) & 1
+                    mult = self._mult.get((b, side, j), 0)
                     if mult:
-                        phi_prev = self._phi_prefix(b, j - 1, self.rp)
-                        term = (pm.pair_encode(j, phi_prev) - rq[b][side]) % pm.p2
-                        acc[("B", side)] = (
-                            acc[("B", side)] * pow(term, mult, pm.p2) % pm.p2
-                        )
-                suffix[v] = {
-                    "rq0": rq[b][0],
-                    "rq1": rq[b][1],
-                    "A0": acc[("A", 0)],
-                    "A1": acc[("A", 1)],
-                    "B0": acc[("B", 0)],
-                    "B1": acc[("B", 1)],
-                }
-            node_fields.update(suffix)
-        return node_fields
-
-    def _multiplicity(self, b: int, side: int, j: int) -> int:
-        """Honest M for the node at index j of block b (precomputed)."""
-        return self._mult.get((b, side, j), 0)
+                        term = pow((pm.pair_encode(j, table[j - 1]) - rq[side]) % p2, mult, p2)
+                        if side:
+                            b1 = b1 * term % p2
+                        else:
+                            b0 = b0 * term % p2
+                rq0[v], rq1[v] = rq
+                a0c[v], a1c[v], b0c[v], b1c[v] = a0, a1, b0, b1
+                order.append(v)
+        return LRColumns(order, dict(zip(R5_KEYS, cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +392,6 @@ class LRFormats:
                 ("M", "uint", iw),
             ]
             keys3 += ("r", "rp", "pfx2_r", "sfx1_r", "pfx1_rp")
-        self.multi_block = multi_block
-        self.keys3 = keys3
         self.node1 = LabelFormat(node1, optional=("M",))
         self.edge1 = LabelFormat((("inner", "flag", None), ("I", "uint", iw)), optional=("I",))
         self.node3 = LabelFormat(tuple((key, "felem", p) for key in keys3))
@@ -447,49 +407,20 @@ def lr_formats(iw: int, multi_block: bool, p: int, p2: int) -> LRFormats:
     return LRFormats(iw, multi_block, p, p2)
 
 
-# Each builder turns one round's field dicts (the prover's output, in node
-# or edge order) into its format's value columns: a missing field raises
-# KeyError here, and an out-of-range value ValueError in the pack; the
-# protocol turns both into a ProtocolError.
-
-
-def _r1_node_columns(fmts: LRFormats, rows: List[dict]):
-    cols = [[f["idx"] for f in rows]]
-    if fmts.multi_block:
-        cols += [[f.get(key, 0) for f in rows] for key in ("x1bit", "x2bit", "side")]
-        cols.append([f.get("M", OMIT) for f in rows])
-    return fmts.node1, cols
-
-
-def _r1_edge_columns(fmts: LRFormats, rows: List[dict]):
-    inner = [f["inner"] for f in rows]
-    return fmts.edge1, [inner, [OMIT if i else f["I"] for i, f in zip(inner, rows)]]
-
-
-def _r3_node_columns(fmts: LRFormats, rows: List[dict]):
-    return fmts.node3, [[f[key] for f in rows] for key in fmts.keys3]
-
-
-def _r3_edge_columns(fmts: LRFormats, rows: List[dict]):
-    return fmts.edge3, [[f["jval"] for f in rows]]
-
-
-def _r5_node_columns(fmts: LRFormats, rows: List[dict]):
-    return fmts.node5, [[f[key] for f in rows] for key in R5_KEYS]
-
-
-def _labels(fmts: LRFormats, columns, fields: dict) -> dict:
-    """The labels of one round's ``fields`` (owner -> field dict), packed
-    a format column at a time by ``columns``; a malformed field is a
-    ProtocolError."""
-    if not fields:
-        return {}
+def _pack(fmt: LabelFormat, cols: Dict[str, list]) -> list:
+    """One label per row of ``cols``; a malformed column is a ProtocolError."""
     try:
-        fmt, cols = columns(fmts, list(fields.values()))
-        schemas, payloads = fmt.pack_columns(cols)
+        schemas, payloads = fmt.pack_columns([cols[name] for name in fmt.names])
     except (ValueError, KeyError) as exc:
         raise ProtocolError(f"malformed prover message: {exc}") from exc
-    return dict(zip(fields, map(PackedLabel._from_payload, schemas, payloads)))
+    return list(map(PackedLabel._from_payload, schemas, payloads))
+
+
+def _labels(node_format: LabelFormat, edge_format, rc: LRColumns):
+    """The node labels (in ``rc.order``) and edge labels of one message."""
+    nodes = _pack(node_format, rc.nodes)
+    edges = dict(zip(rc.edges, _pack(edge_format, rc.edge_columns))) if rc.edges else {}
+    return {v: nodes[v] for v in rc.order}, edges
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +472,6 @@ class LRSortingProtocol(DIPProtocol):
         prover = (prover or self.honest_prover(instance)).bind(pm)
         interaction = Interaction(instance.graph, rng)
         path = instance.path
-        n = instance.graph.n
 
         sim = None
         if self.simulate_edge_labels:
@@ -551,9 +481,8 @@ class LRSortingProtocol(DIPProtocol):
 
         setup_emitted = [False]
 
-        def emit_prover_round(node_fields, edge_fields, node_columns, edge_columns):
-            labels = _labels(fmts, node_columns, node_fields)
-            edge_labels = _labels(fmts, edge_columns, edge_fields)
+        def emit_prover_round(rc: LRColumns, node_format, edge_format):
+            labels, edge_labels = _labels(node_format, edge_format, rc)
             if sim is not None:
                 # Lemma 2.4: fold edge labels onto child endpoints; the
                 # first round also carries the forest-encoding advice.  The
@@ -579,8 +508,7 @@ class LRSortingProtocol(DIPProtocol):
             interaction.prover_round(labels, edge_labels)
 
         # round 1 (prover)
-        r1_nodes, r1_edges = prover.round1()
-        emit_prover_round(r1_nodes, r1_edges, _r1_node_columns, _r1_edge_columns)
+        emit_prover_round(prover.round1(), fmts.node1, fmts.edge1)
 
         # round 2 (verifier): r, r' at the path's left end; r_b per block leader
         widths = {}
@@ -591,8 +519,7 @@ class LRSortingProtocol(DIPProtocol):
         coins2 = interaction.verifier_round(widths)
 
         # round 3 (prover)
-        r3_nodes, r3_edges = prover.round3(coins2)
-        emit_prover_round(r3_nodes, r3_edges, _r3_node_columns, _r3_edge_columns)
+        emit_prover_round(prover.round3(coins2), fmts.node3, fmts.edge3)
 
         if self.truncate_to_three_rounds:
             return self._decide(interaction, instance, pm, sessions=False)
@@ -606,8 +533,10 @@ class LRSortingProtocol(DIPProtocol):
         coins4 = interaction.verifier_round(widths4)
 
         # round 5 (prover)
-        r5_nodes = prover.round5(coins4) if pm.n_blocks > 1 else {}
-        interaction.prover_round(_labels(fmts, _r5_node_columns, r5_nodes))
+        r5_labels = {}
+        if pm.n_blocks > 1:
+            r5_labels, _ = _labels(fmts.node5, None, prover.round5(coins4))
+        interaction.prover_round(r5_labels)
         return self._decide(interaction, instance, pm, sessions=True)
 
     def _decide(self, interaction, instance, pm: LRParams, sessions: bool) -> RunResult:

@@ -83,7 +83,6 @@ from .lr_sorting import (
     OUT,
     PATH_LEFT,
     PATH_RIGHT,
-    R5_KEYS,
     HonestLRSortingProver,
     LRParams,
     _e1_fields,
@@ -295,26 +294,17 @@ class HonestPathOuterplanarityProver(PathOuterplanarityProver):
     # -- rounds --------------------------------------------------------------
 
     def round1(self, commit):
-        n = self.instance.graph.n
-        lr_nodes, lr_edges = self.lr_prover.round1()
-        rows = [lr_nodes[v] for v in range(n)]
-        lr = {"idx": [f["idx"] for f in rows]}
-        if self.params.lr.n_blocks > 1:
-            for key in ("x1bit", "x2bit", "side"):
-                lr[key] = [f[key] for f in rows]
-            lr["M"] = [f.get("M", OMIT) for f in rows]
-        edges = self.non_path
-        inner = [lr_edges[e]["inner"] for e in edges]
+        lr = self.lr_prover.round1()
+        edges = self.non_path  # the LR edges: orientation follows this order
         sim = self.sim
         accountable = sim.assignment if sim is not None else {}
         if commit is not None:
             commit = dict(zip(FOREST_FORMAT.names, commit))
         return RoundColumns(
-            {"commit": commit, "lr": lr},
+            {"commit": commit, "lr": lr.nodes},
             edges,
             {
-                "inner": inner,
-                "I": [OMIT if i else lr_edges[e]["I"] for e, i in zip(edges, inner)],
+                **lr.edge_columns,
                 "fwd": [
                     accountable.get(e, (0, e[0]))[1] == self.orientation[e][0]
                     for e in edges
@@ -339,7 +329,8 @@ class HonestPathOuterplanarityProver(PathOuterplanarityProver):
             v: BitString(*pm.lr_coin2(coins[v].value, coins[v].width))
             for v in range(n)
         }
-        lr_nodes, lr_edges = self.lr_prover.round3(lr_coins)
+        lr = self.lr_prover.round3(lr_coins)
+        jval = dict(zip(lr.edges, lr.edge_columns.get("jval", ())))
         w = pm.w
         orientation = self.orientation
 
@@ -354,13 +345,12 @@ class HonestPathOuterplanarityProver(PathOuterplanarityProver):
         for t, h in orientation.values():
             has_right[t] = True
             has_left[h] = True
-        rows = [lr_nodes[v] for v in range(n)]
         edges = self.non_path
         ends = [orientation[e] for e in edges]
         return RoundColumns(
             {
                 "stv": dict(zip(round3_format(pm.t).names, stv)),
-                "lr": {key: [f[key] for f in rows] for key in _po_formats(pm).lr3.names},
+                "lr": lr.nodes,
                 "nest": {
                     "above": [edge_name(self.above[v]) for v in range(n)],
                     "has_left": has_left,
@@ -369,7 +359,7 @@ class HonestPathOuterplanarityProver(PathOuterplanarityProver):
             },
             edges,
             {
-                "jval": [lr_edges[e]["jval"] if e in lr_edges else OMIT for e in edges],
+                "jval": [jval.get(e, OMIT) for e in edges],
                 "name_t": [names[t] for t, _ in ends],
                 "name_h": [names[h] for _, h in ends],
                 "succ": [edge_name(self.successor[e]) for e in edges],
@@ -377,9 +367,7 @@ class HonestPathOuterplanarityProver(PathOuterplanarityProver):
         )
 
     def round5(self, coins):
-        lr_nodes = self.lr_prover.round5(coins)
-        rows = [lr_nodes[v] for v in range(self.instance.graph.n)]
-        return RoundColumns({"lr": {key: [f[key] for f in rows] for key in R5_KEYS}})
+        return RoundColumns({"lr": self.lr_prover.round5(coins).nodes})
 
     def release(self) -> None:
         for name in self._ROUND_STATE:

@@ -708,6 +708,7 @@ class TestCLI:
         assert payload["request"]["task"] == "lr_sorting"
         assert len(payload["report"]["records"]) == 2
         assert payload["events"] == []
+        assert payload["ack_status"] == "queued"
 
     def test_submit_stream_saves_events(self, tmp_path, capsys):
         streamed = str(tmp_path / "s.json")
@@ -727,6 +728,24 @@ class TestCLI:
         assert runs == [0, 1, 2]
         assert p_payload["events"] == []
         assert p_payload["report"] == s_payload["report"]
+
+    def test_stream_after_plain_submit_says_it_replayed(self, tmp_path, capsys):
+        """A ``--stream`` submit whose default id names a finished plain
+        job replays that job: no events, and the CLI says why."""
+        artifact = str(tmp_path / "s.json")
+        with service() as (server, addr):
+            args = ("lr_sorting", "--runs", "2", "--n", "16", "--seed", "6")
+            assert self._submit(addr, *args) == 0
+            capsys.readouterr()
+            assert self._submit(addr, *args, "--stream", "--json", artifact) == 0
+        out = capsys.readouterr().out
+        assert "events:      0 streamed" in out
+        assert "replayed an earlier unstreamed run" in out
+        assert "--request-id" in out
+        with open(artifact) as f:
+            payload = json.load(f)
+        assert payload["ack_status"] == "replay"
+        assert payload["events"] == []
 
     def test_submit_unknown_task_is_one(self, capsys):
         with service() as (server, addr):
