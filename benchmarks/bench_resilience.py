@@ -2,9 +2,10 @@
 
 Measures, on one seed and one task (Theorem-1.2 path-outerplanarity):
 
-1. **engine overhead** — a fault-free batch through the resilient engine
-   (``failure_policy="retry"``) vs. the legacy strict fast path, with
-   byte-identical canonical reports asserted;
+1. **engine overhead** — a fault-free batch under the retry policy
+   (``failure_policy="retry"``) vs. the same batch under the default
+   strict policy of the one batch engine, with byte-identical canonical
+   reports asserted;
 2. **recovery overhead** — the same batch with transient ``raise``
    faults injected at rate 0.15 (each clears on its first retry),
    asserting the recovered report is *still* byte-identical to the
@@ -45,7 +46,7 @@ def _batch(**kwargs):
 
 
 def test_resilience_overhead_and_recovery():
-    reference = _batch()  # legacy strict fast path
+    reference = _batch()  # the engine's default strict policy
 
     fault_free = _batch(failure_policy="retry")
     assert fault_free.canonical_json() == reference.canonical_json()
@@ -74,7 +75,7 @@ def test_resilience_overhead_and_recovery():
             "platform": platform.platform(),
             "python": platform.python_version(),
         },
-        "legacy_strict_s": round(reference.wall_clock_total, 3),
+        "strict_s": round(reference.wall_clock_total, 3),
         "resilient_fault_free_s": round(fault_free.wall_clock_total, 3),
         "engine_overhead": round(
             fault_free.wall_clock_total / reference.wall_clock_total, 3

@@ -1,15 +1,15 @@
 """Pluggable execution backends for the batched runtime.
 
-:class:`~repro.runtime.runner.BatchRunner` historically hard-coded its
-two execution strategies — in-process serial and a local
-``ProcessPoolExecutor`` — into ``run()``.  This module extracts that
-choice behind one interface so a batch can execute anywhere shards can
-travel, without the canonical report noticing:
+A backend decides *where* the runs of a batch execute; *how* they
+execute is the same everywhere: each backend hands the batch to the one
+wave engine of :mod:`repro.runtime.resilience`, whose failure policy
+(``strict``, ``retry`` or ``degrade``) decides what a failed run does.
+The backends differ only in how one wave of shards executes:
 
-* :class:`SerialBackend` — the ``workers=0`` reference path, in process.
-* :class:`ProcessPoolBackend` — the local pool, including the
-  once-per-worker spec initializer (shards stay index lists on the wire)
-  and the ``BrokenProcessPool`` rebuild of the resilient engine.
+* :class:`SerialBackend` — in process, the ``workers=0`` reference path.
+* :class:`ProcessPoolBackend` — a local ``ProcessPoolExecutor``; each
+  shard submission carries the batch spec (a few hundred bytes), and a
+  pool broken by a dead or hung worker is terminated and rebuilt.
 * :class:`~repro.runtime.remote.RemoteWorkerBackend` — socket-dispatched
   agents started by ``repro worker --connect host:port`` (its own
   module; resolvable here by the ``remote:host:port`` spec string).
@@ -32,18 +32,19 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-try:
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover
-    BrokenProcessPool = None
+#: records + failures + cache-stats triple every batch execution returns
+BatchResult = Tuple[List[Any], List[Any], Optional[Dict[str, int]]]
 
-#: records + cache-stats pair every strict execution returns
-StrictResult = Tuple[List[Any], Optional[Dict[str, int]]]
-#: records + failures + cache-stats triple of the resilient engine
-ResilientResult = Tuple[List[Any], List[Any], Optional[Dict[str, int]]]
+
+def shard_size(
+    n_indices: int, *, workers: int = 1, chunk_size: Optional[int] = None
+) -> int:
+    """Runs per shard: ``chunk_size`` if given, else ~4 shards per worker."""
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    return chunk_size or max(1, math.ceil(n_indices / (max(1, workers) * 4)))
 
 
 def plan_shards(
@@ -65,9 +66,7 @@ def plan_shards(
     shards per worker, the historical ``BatchRunner`` heuristic.
     """
     indices = list(indices)
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    chunk = chunk_size or max(1, math.ceil(len(indices) / (max(1, workers) * 4)))
+    chunk = shard_size(len(indices), workers=workers, chunk_size=chunk_size)
     return [indices[lo : lo + chunk] for lo in range(0, len(indices), chunk)]
 
 
@@ -97,25 +96,19 @@ class ExecutionBackend(ABC):
         return {"backend": self.name}
 
     @abstractmethod
-    def run_strict(
-        self, spec, n_runs: int, *, chunk_size: Optional[int] = None
-    ) -> StrictResult:
-        """Execute the batch on the legacy strict path (first failure raises)."""
-
-    @abstractmethod
-    def run_resilient(
+    def run(
         self,
         spec,
         n_runs: int,
         *,
         chunk_size: Optional[int] = None,
-        failure_policy: str = "retry",
+        failure_policy: str = "strict",
         run_timeout: Optional[float] = None,
         max_retries: int = 2,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
-    ) -> ResilientResult:
-        """Execute the batch through the resilience engine."""
+    ) -> BatchResult:
+        """Execute the batch through the wave engine under ``failure_policy``."""
 
     def close(self) -> None:
         """Release backend resources (idempotent; serial/pool hold none)."""
@@ -132,17 +125,11 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def run_strict(self, spec, n_runs, *, chunk_size=None) -> StrictResult:
-        from .runner import _execute_runs
+    def run(self, spec, n_runs, *, chunk_size=None, **knobs) -> BatchResult:
+        from .resilience import _BatchExecution
 
         self.last_run_info = self.describe()
-        return _execute_runs(spec, range(n_runs))
-
-    def run_resilient(self, spec, n_runs, *, chunk_size=None, **knobs) -> ResilientResult:
-        from .resilience import _ResilientExecution
-
-        self.last_run_info = self.describe()
-        return _ResilientExecution(
+        return _BatchExecution(
             spec, n_runs, workers=0, chunk_size=chunk_size, **knobs
         ).run_serial()
 
@@ -150,10 +137,10 @@ class SerialBackend(ExecutionBackend):
 class ProcessPoolBackend(ExecutionBackend):
     """Local ``ProcessPoolExecutor`` sharding.
 
-    The strict path ships the batch spec once per worker through the
-    pool initializer (shard submissions stay bare index lists); the
-    resilient path delegates to the wave engine of
-    :mod:`repro.runtime.resilience`, which owns pool rebuilds after
+    Waves run on the pool side of the engine in
+    :mod:`repro.runtime.resilience`: each shard submission carries the
+    batch spec, a strict abort cancels the queued shards and terminates
+    the workers, and the engine owns pool rebuilds after
     ``BrokenProcessPool`` and the hung-worker backstop.
 
     ``workers`` is the *configured* width; the width actually spawned is
@@ -193,61 +180,12 @@ class ProcessPoolBackend(ExecutionBackend):
             info["clamped_to_cores"] = True
         self.last_run_info = info
 
-    def run_strict(self, spec, n_runs, *, chunk_size=None) -> StrictResult:
-        from .runner import _execute_shard, _init_worker
+    def run(self, spec, n_runs, *, chunk_size=None, **knobs) -> BatchResult:
+        from .resilience import _BatchExecution
 
         width = self.spawn_width()
         self._note_spawn(width)
-        shards = plan_shards(
-            range(n_runs), workers=width, chunk_size=chunk_size or self.chunk_size
-        )
-        records: List[Any] = []
-        cache_stats: Optional[Dict[str, int]] = None
-        with ProcessPoolExecutor(
-            max_workers=width,
-            initializer=_init_worker,
-            initargs=(spec,),
-        ) as pool:
-            futures = [pool.submit(_execute_shard, shard) for shard in shards]
-            try:
-                done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-                first_exc = None
-                for fut in done:
-                    exc = fut.exception()
-                    if exc is not None and first_exc is None:
-                        first_exc = exc
-                if first_exc is not None:
-                    raise first_exc
-                for fut in futures:
-                    shard_records, shard_stats = fut.result()
-                    records.extend(shard_records)
-                    if shard_stats is not None:
-                        if cache_stats is None:
-                            cache_stats = {"hits": 0, "misses": 0}
-                        cache_stats["hits"] += shard_stats["hits"]
-                        cache_stats["misses"] += shard_stats["misses"]
-            except BaseException as exc:
-                # cancel_futures drops every still-queued shard; a plain
-                # fut.cancel() loop would leave them to execute during the
-                # implicit shutdown below, delaying a strict abort
-                pool.shutdown(wait=False, cancel_futures=True)
-                if BrokenProcessPool is not None and isinstance(
-                    exc, BrokenProcessPool
-                ):
-                    raise RuntimeError(
-                        f"a worker process died while batching "
-                        f"{getattr(spec.protocol, 'name', '?')} "
-                        f"(n={spec.n}, seed={spec.master_seed})"
-                    ) from exc
-                raise
-        return records, cache_stats
-
-    def run_resilient(self, spec, n_runs, *, chunk_size=None, **knobs) -> ResilientResult:
-        from .resilience import _ResilientExecution
-
-        width = self.spawn_width()
-        self._note_spawn(width)
-        return _ResilientExecution(
+        return _BatchExecution(
             spec,
             n_runs,
             workers=width,

@@ -36,8 +36,7 @@ and worker assignment.
 
 A plan travels with its batch, never through a module slot: it rides on
 the batch spec (``spec.fault_plan``) that every worker receives, and the
-resilient execution path fires it per attempt with
-``spec.fault_plan.fire(...)``.
+batch engine fires it per attempt with ``spec.fault_plan.fire(...)``.
 """
 
 from __future__ import annotations
@@ -146,11 +145,11 @@ class FaultPlan:
     def fire(self, run_index: int, attempt: int, *, in_worker: bool) -> None:
         """Inject the planned fault for ``(run_index, attempt)``, if any.
 
-        Called by the resilient execution path at the top of every run
-        attempt.  ``in_worker`` distinguishes a disposable pool worker
-        (where ``kill`` really calls ``os._exit``) from the coordinating
-        process (where it degrades to a transient raise — killing the
-        caller's interpreter is never a useful experiment).
+        Called by the batch engine at the top of every run attempt.
+        ``in_worker`` distinguishes a disposable pool worker (where
+        ``kill`` really calls ``os._exit``) from the coordinating process
+        (where it degrades to a transient raise — killing the caller's
+        interpreter is never a useful experiment).
         """
         fault = self.fault_at(run_index)
         if fault is None or not fault.fires_on(attempt):

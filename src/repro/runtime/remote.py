@@ -19,7 +19,7 @@ Design lineage, deliberately:
   ships in the packed byte form automatically.
 * **Fault handling (PR 3).**  A dropped connection is a lost shard: the
   runs consume one attempt each, route through the shared
-  ``_ResilientExecution`` bookkeeping, and are resubmitted to surviving
+  ``_BatchExecution`` wave engine, and are resubmitted to surviving
   (or newly connecting) workers under the retry/degrade policies.  A
   worker hung past the coordinator backstop deadline is disconnected
   and treated the same way.  Successful retries are byte-identical to
@@ -54,10 +54,10 @@ import struct
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
-from .backends import ExecutionBackend, ResilientResult, StrictResult
+from .backends import BatchResult, ExecutionBackend
 
 PROTOCOL_VERSION = 1
 
@@ -401,50 +401,17 @@ class RemoteWorkerBackend(ExecutionBackend):
 
     # -- ExecutionBackend --------------------------------------------------
 
-    def run_strict(self, spec, n_runs, *, chunk_size=None) -> StrictResult:
-        records, failures, stats = self._execute(
-            spec,
-            n_runs,
-            chunk_size=chunk_size,
-            failure_policy="strict",
-            run_timeout=None,
-            max_retries=0,
-            backoff_base=0.0,
-            backoff_cap=0.0,
-        )
-        return records, stats
-
-    def run_resilient(self, spec, n_runs, *, chunk_size=None, **knobs) -> ResilientResult:
-        return self._execute(spec, n_runs, chunk_size=chunk_size, **knobs)
-
-    # -- the dispatch engine -----------------------------------------------
-
-    def _execute(
-        self,
-        spec,
-        n_runs: int,
-        *,
-        chunk_size: Optional[int],
-        failure_policy: str,
-        run_timeout: Optional[float],
-        max_retries: int,
-        backoff_base: float,
-        backoff_cap: float,
-    ) -> ResilientResult:
-        from .resilience import _ResilientExecution, _shard
+    def run(self, spec, n_runs, *, chunk_size=None, **knobs) -> BatchResult:
+        from .resilience import _BatchExecution
 
         if self._closed:
             raise RuntimeError("remote backend is closed")
-        state = _ResilientExecution(
+        state = _BatchExecution(
             spec,
             n_runs,
             workers=self.min_workers,
             chunk_size=chunk_size or self.chunk_size,
-            failure_policy=failure_policy,
-            run_timeout=run_timeout,
-            max_retries=max_retries,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
+            **knobs,
         )
         self._spec_counter += 1
         spec_id = self._spec_counter
@@ -459,26 +426,11 @@ class RemoteWorkerBackend(ExecutionBackend):
         )
         self.last_run_info = info
         self._wait_for_workers(self.min_workers)
-        cache_stats: Optional[Dict[str, int]] = None
-        wave = list(range(n_runs))
-        while wave:
-            outcomes, lost, stats_deltas = self._run_wave(
-                spec_id, spec_blob, _shard(wave, state.chunk), state, run_timeout, info
-            )
-            for delta in stats_deltas:
-                if cache_stats is None:
-                    cache_stats = {"hits": 0, "misses": 0}
-                cache_stats["hits"] += delta["hits"]
-                cache_stats["misses"] += delta["misses"]
-            retry = state.absorb_wave(
-                outcomes, lost, lost_detail="remote worker connection lost"
-            )
-            if retry:
-                state._backoff(retry)
-            wave = retry
+        result = state.run(
+            lambda shards: self._run_wave(spec_id, spec_blob, shards, state, info)
+        )
         info["workers_connected"] = self.workers_connected()
-        records, failures = state.results()
-        return records, failures, cache_stats
+        return result
 
     def _next_shard_id(self) -> int:
         self._shard_counter += 1
@@ -566,9 +518,8 @@ class RemoteWorkerBackend(ExecutionBackend):
         spec_blob: bytes,
         shards: List[List[int]],
         state,
-        run_timeout: Optional[float],
         info: Dict[str, Any],
-    ) -> Tuple[List[Any], List[Tuple[int, str]], List[Dict[str, int]]]:
+    ) -> None:
         """Dispatch one wave of shards across whoever is connected.
 
         Workers may join mid-wave (they are put to work immediately) and
@@ -576,13 +527,15 @@ class RemoteWorkerBackend(ExecutionBackend):
         each, and the wave goes on).  If every worker is gone and none
         returns within ``accept_timeout``, the remaining shards of the
         wave are recorded lost rather than stalling forever — the retry
-        policy decides what happens to them next.
+        policy decides what happens to them next.  Results are folded
+        into ``state`` once the wave is over, so a strict abort never
+        leaves a shard in flight on an agent the next batch reuses.
         """
+        run_timeout = state.run_timeout
         queue = deque((self._next_shard_id(), list(s)) for s in shards)
         active = {shard_id for shard_id, _ in queue}
-        outcomes: List[Any] = []
+        results: List[Tuple[List[Any], Optional[Dict[str, int]]]] = []
         lost: List[Tuple[int, str]] = []
-        stats_deltas: List[Dict[str, int]] = []
         starved_since: Optional[float] = None
 
         def in_flight() -> List[_WorkerConn]:
@@ -636,9 +589,7 @@ class RemoteWorkerBackend(ExecutionBackend):
                         conn.shard = None
                         conn.deadline = None
                         if shard_id in active:
-                            outcomes.extend(shard_outcomes)
-                            if delta is not None:
-                                stats_deltas.append(delta)
+                            results.append((shard_outcomes, delta))
                 elif op == OP_BYE:
                     self._note_loss(conn, "worker-lost", lost, info)
                     self._drop(conn)
@@ -648,7 +599,9 @@ class RemoteWorkerBackend(ExecutionBackend):
                     if conn.deadline is not None and now > conn.deadline:
                         self._note_loss(conn, "timeout", lost, info)
                         self._drop(conn)
-        return outcomes, lost, stats_deltas
+        for shard_outcomes, delta in results:
+            state.absorb(shard_outcomes, delta)
+        state.absorb_lost(lost, detail="remote worker connection lost")
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +733,9 @@ def _serve_connection(
                         f"shard {shard_id} references unknown spec {spec_id} "
                         "(coordinator must send SPEC first)"
                     )
-                from .resilience import _execute_resilient_shard
+                from .resilience import _run_shard
 
-                outcomes, stats = _execute_resilient_shard(
+                outcomes, stats = _run_shard(
                     spec, indices, attempts, run_timeout, in_worker=in_worker
                 )
                 send_frame(

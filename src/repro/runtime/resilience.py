@@ -1,10 +1,14 @@
-"""Resilient batch execution: per-run timeouts, retries, degraded reports.
+"""The one batch engine: waves of shards under a failure policy.
 
-PR 1's :class:`~repro.runtime.runner.BatchRunner` is deliberately brittle
-("an exception in any run aborts the batch").  This module is the layer
-that makes large Monte Carlo sweeps survive infrastructure faults — the
-injected ones of :mod:`repro.runtime.faults` and the real ones they
-model — without ever compromising the runtime's central invariant:
+Every batch a :class:`~repro.runtime.runner.BatchRunner` runs executes
+through :class:`_BatchExecution`, whichever backend it is on.  The
+engine owns one wave loop: tile the pending runs into shards, execute
+the wave, fold each outcome in as it arrives, and resubmit whatever the
+failure policy retries.  Backends differ only in how a wave of shards
+executes: in process (:meth:`_BatchExecution.run_serial`), on a local
+process pool (:meth:`_BatchExecution.run_pooled`), or over a socket
+(:class:`~repro.runtime.remote.RemoteWorkerBackend`).  The engine keeps
+the runtime's central invariant:
 
     **a run that succeeds after retries is byte-identical to its
     fault-free serial counterpart.**
@@ -20,8 +24,10 @@ times, exactly like ``RunRecord.extra``.
 Failure policies (:data:`FAILURE_POLICIES`):
 
 ``strict``
-    PR-1 semantics: the first failure aborts the batch and re-raises
-    (the original exception where it survived pickling).
+    the default: the first failure aborts the batch and re-raises (the
+    original exception where it survived pickling).  On the serial path
+    no later run starts; on a pool the queued shards are cancelled and
+    the workers terminated, so an abort never waits on a hung sibling.
 ``retry``
     each failed run is retried up to ``max_retries`` times with capped
     exponential backoff + deterministic jitter; a run that exhausts its
@@ -43,25 +49,23 @@ shards — each lost run consuming one attempt.
 
 from __future__ import annotations
 
-import math
 import pickle
 import signal
 import threading
 import time
+import traceback
 from collections import defaultdict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import metrics as obs_metrics
+from . import runner
+from .backends import BatchResult, plan_shards, shard_size
 from .faults import InjectedFault
 from .seeds import retry_jitter
-
-try:  # pragma: no cover - exercised only when a worker dies hard
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover
-    BrokenProcessPool = None
 
 FAILURE_POLICIES = ("strict", "retry", "degrade")
 
@@ -169,7 +173,17 @@ class _RunOutcome:
     fault: Optional[str] = None  #: FAULT_LABELS entry on failure
     error: Optional[str] = None  #: repr of the failure
     exc: Optional[BaseException] = None  #: original exception, if it pickles
-    elapsed: float = 0.0
+    elapsed: float = 0.0  #: seconds the failed attempt took
+    #: formatted traceback of a failure in a worker process, where the
+    #: exception itself crosses back without its frames
+    worker_traceback: Optional[str] = None
+
+
+class _RemoteTraceback(Exception):
+    """Carries a worker's formatted traceback as a re-raised error's cause."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 def _classify(exc: BaseException) -> str:
@@ -188,17 +202,32 @@ def _picklable_or_none(exc: BaseException) -> Optional[BaseException]:
         return None
 
 
-def _attempt_run(
-    spec, index: int, attempt: int, run_timeout: Optional[float], in_worker: bool
-) -> _RunOutcome:
-    from .runner import execute_one_run  # runner imports us lazily; avoid a cycle
+def _fire_and_run(spec, index: int, attempt: int, in_worker: bool):
+    if spec.fault_plan is not None:
+        spec.fault_plan.fire(index, attempt, in_worker=in_worker)
+    # looked up on the module at call time, so a wrapper installed there
+    # (a profiler's, a test's) sees every run
+    return runner.execute_one_run(spec, index)
 
+
+def _attempt_run(
+    spec,
+    index: int,
+    attempt: int,
+    run_timeout: Optional[float],
+    in_worker: bool,
+) -> _RunOutcome:
+    """One attempt of run ``index``; a failure becomes an outcome, not a raise.
+
+    Without a deadline the attempt enters no context manager.
+    """
     t0 = time.perf_counter()
     try:
-        with run_deadline(run_timeout):
-            if spec.fault_plan is not None:
-                spec.fault_plan.fire(index, attempt, in_worker=in_worker)
-            record = execute_one_run(spec, index)
+        if run_timeout is None:
+            record = _fire_and_run(spec, index, attempt, in_worker)
+        else:
+            with run_deadline(run_timeout):
+                record = _fire_and_run(spec, index, attempt, in_worker)
     except Exception as exc:
         return _RunOutcome(
             index=index,
@@ -206,11 +235,23 @@ def _attempt_run(
             error=repr(exc),
             exc=_picklable_or_none(exc) if in_worker else exc,
             elapsed=time.perf_counter() - t0,
+            worker_traceback=traceback.format_exc() if in_worker else None,
         )
-    return _RunOutcome(index=index, record=record, elapsed=time.perf_counter() - t0)
+    return _RunOutcome(index, record)
 
 
-def _execute_resilient_shard(
+def _stats_delta(cache, before: Optional[Dict[str, int]]) -> Optional[Dict[str, int]]:
+    """Instance-cache hits and misses since ``before`` (None without a cache)."""
+    if before is None:
+        return None
+    after = cache.stats()
+    return {
+        "hits": after["hits"] - before["hits"],
+        "misses": after["misses"] - before["misses"],
+    }
+
+
+def _run_shard(
     spec,
     indices: Sequence[int],
     attempts: Dict[int, int],
@@ -219,9 +260,9 @@ def _execute_resilient_shard(
 ) -> Tuple[List[_RunOutcome], Optional[Dict[str, int]]]:
     """Worker entry point: run a shard, catching per-run failures.
 
-    Unlike the legacy ``_execute_runs``, failures do not escape (except a
-    ``kill`` fault's ``os._exit``, which nothing can catch): each run
-    reports an outcome, so one bad run never poisons its shard-mates.
+    Failures do not escape (except a ``kill`` fault's ``os._exit``,
+    which nothing can catch): each run reports an outcome, so one bad
+    run never poisons its shard-mates.
 
     ``in_worker`` stays True in disposable pool/agent processes; the
     in-process remote worker harness of :mod:`repro.runtime.remote`
@@ -229,19 +270,12 @@ def _execute_resilient_shard(
     instead of taking down the hosting interpreter.
     """
     cache = getattr(spec.instance_factory, "cache", None)
-    stats_before = cache.stats() if cache is not None else None
+    before = cache.stats() if cache is not None else None
     outcomes = [
-        _attempt_run(spec, i, attempts.get(i, 0), run_timeout, in_worker=in_worker)
+        _attempt_run(spec, i, attempts.get(i, 0), run_timeout, in_worker)
         for i in indices
     ]
-    stats_delta = None
-    if stats_before is not None:
-        after = cache.stats()
-        stats_delta = {
-            "hits": after["hits"] - stats_before["hits"],
-            "misses": after["misses"] - stats_before["misses"],
-        }
-    return outcomes, stats_delta
+    return outcomes, _stats_delta(cache, before)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +286,6 @@ def _execute_resilient_shard(
 def _spec_context(spec) -> str:
     name = getattr(spec.protocol, "name", type(spec.protocol).__name__)
     return f"{name} (n={spec.n}, seed={spec.master_seed})"
-
-
-def _shard(indices: Sequence[int], chunk: int) -> List[List[int]]:
-    indices = list(indices)
-    return [indices[lo : lo + chunk] for lo in range(0, len(indices), chunk)]
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -275,8 +304,8 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-class _ResilientExecution:
-    """State machine for one resilient batch (serial or pooled)."""
+class _BatchExecution:
+    """State machine for one batch: the wave loop every backend shares."""
 
     def __init__(
         self,
@@ -284,19 +313,19 @@ class _ResilientExecution:
         n_runs: int,
         *,
         workers: int,
-        chunk_size: Optional[int],
-        failure_policy: str,
-        run_timeout: Optional[float],
-        max_retries: int,
-        backoff_base: float,
-        backoff_cap: float,
+        chunk_size: Optional[int] = None,
+        failure_policy: str = "strict",
+        run_timeout: Optional[float] = None,
+        max_retries: int = 2,
+        backoff_base: float = 0.05,
+        backoff_cap: float = 2.0,
     ):
         self.spec = spec
         self.n_runs = n_runs
         self.workers = workers
-        self.chunk = chunk_size or (
-            max(1, math.ceil(n_runs / (workers * 4))) if workers else n_runs
-        )
+        #: fixed for every wave, so a retry wave tiles its runs the way
+        #: the first wave did (a pool kill charges the same shard-mates)
+        self.chunk = shard_size(n_runs, workers=workers, chunk_size=chunk_size)
         self.policy = failure_policy
         self.run_timeout = run_timeout
         self.retries = 0 if failure_policy == "strict" else max_retries
@@ -306,16 +335,85 @@ class _ResilientExecution:
         self.elapsed: Dict[int, float] = defaultdict(float)
         self.records: Dict[int, Any] = {}
         self.failures: Dict[int, FailureRecord] = {}
+        self.cache_stats: Optional[Dict[str, int]] = None
+        self.retry: List[int] = []  #: runs the current wave resubmits
+        self.pool: Optional[ProcessPoolExecutor] = None
 
-    # -- shared failure bookkeeping ---------------------------------------
+    # -- the wave loop -----------------------------------------------------
+
+    def run(self, execute_wave: Callable[[List[List[int]]], None]) -> BatchResult:
+        """Execute the batch wave by wave until no run is left to retry.
+
+        ``execute_wave(shards)`` runs one wave and folds every outcome in
+        through :meth:`absorb` / :meth:`absorb_lost`, which raise under
+        the ``strict`` and exhausted-``retry`` policies.  Returns
+        ``(records, failures, cache_stats)`` sorted by run index.
+        """
+        wave = list(range(self.n_runs))
+        while wave:
+            self.retry = []
+            execute_wave(plan_shards(wave, chunk_size=self.chunk))
+            wave = sorted(self.retry)
+            if wave:
+                self._backoff(wave)
+        records = [self.records[i] for i in sorted(self.records)]
+        failures = [self.failures[i] for i in sorted(self.failures)]
+        return records, failures, self.cache_stats
+
+    # -- folding outcomes in -----------------------------------------------
+
+    def absorb(
+        self,
+        outcomes: Sequence[_RunOutcome],
+        stats: Optional[Dict[str, int]] = None,
+    ) -> None:
+        """Fold one shard's finished attempts and cache-stats delta in.
+
+        The policy semantics never depend on where the shard executed.
+        """
+        if stats is not None:
+            if self.cache_stats is None:
+                self.cache_stats = {"hits": 0, "misses": 0}
+            self.cache_stats["hits"] += stats["hits"]
+            self.cache_stats["misses"] += stats["misses"]
+        for outcome in outcomes:
+            self._absorb_one(outcome)
+
+    def _absorb_one(self, outcome: _RunOutcome) -> None:
+        """Keep a success; charge a failure one attempt and apply the policy.
+
+        Only failed attempts are counted: a run that succeeded never runs
+        again, so its count would never be read.  :meth:`_note_failure`
+        raises under ``strict`` and on an exhausted ``retry`` budget.
+        """
+        index = outcome.index
+        if outcome.record is not None:
+            self.records[index] = outcome.record
+            return
+        self.attempts[index] += 1
+        self.elapsed[index] += outcome.elapsed
+        exc = outcome.exc
+        if exc is not None and outcome.worker_traceback is not None:
+            exc.__cause__ = _RemoteTraceback(outcome.worker_traceback)
+        self._note_failure(index, outcome.fault, outcome.error, exc)
+
+    def absorb_lost(
+        self,
+        lost: Sequence[Tuple[int, str]],
+        detail: str = "worker died or hung",
+    ) -> None:
+        """Runs whose shard never reported back: one attempt each."""
+        for index, fault in lost:
+            self.attempts[index] += 1
+            self._note_failure(
+                index,
+                fault,
+                f"shard lost: {detail} while batching {_spec_context(self.spec)}",
+                None,
+            )
 
     def _note_failure(
-        self,
-        index: int,
-        fault: str,
-        error: str,
-        exc: Optional[BaseException],
-        retry_indices: List[int],
+        self, index: int, fault: str, error: str, exc: Optional[BaseException]
     ) -> None:
         """One attempt of ``index`` failed; decide retry / abort / degrade."""
         if fault == "timeout":
@@ -331,7 +429,7 @@ class _ResilientExecution:
                 f"[{fault}]: {error}"
             )
         if self.attempts[index] <= self.retries:
-            retry_indices.append(index)
+            self.retry.append(index)
             obs_metrics.inc(
                 "repro_run_retries_total",
                 help="run attempts resubmitted after a failure",
@@ -356,47 +454,6 @@ class _ResilientExecution:
             error=error,
         )
 
-    def absorb_wave(
-        self,
-        outcomes: Sequence[_RunOutcome],
-        lost: Sequence[Tuple[int, str]],
-        lost_detail: str = "worker died or hung",
-    ) -> List[int]:
-        """Fold one wave's outcomes and losses into the execution state.
-
-        Every outcome and loss consumes one attempt of its run; failures
-        route through :meth:`_note_failure` (which raises under strict /
-        exhausted-retry policies).  Returns the sorted run indices to
-        resubmit.  Shared by the pooled path and the remote coordinator —
-        the policy semantics must not depend on where shards executed.
-        """
-        retry: List[int] = []
-        for outcome in outcomes:
-            self.attempts[outcome.index] += 1
-            self.elapsed[outcome.index] += outcome.elapsed
-            if outcome.record is not None:
-                self.records[outcome.index] = outcome.record
-            else:
-                self._note_failure(
-                    outcome.index,
-                    outcome.fault,
-                    outcome.error,
-                    outcome.exc,
-                    retry,
-                )
-        for index, fault in lost:
-            self.attempts[index] += 1
-            self._note_failure(
-                index,
-                fault,
-                f"shard lost: {lost_detail} while batching "
-                f"{_spec_context(self.spec)}",
-                None,
-                retry,
-            )
-        retry.sort()
-        return retry
-
     def _backoff(self, retry_indices: Sequence[int]) -> None:
         delay = max(
             backoff_delay(
@@ -410,84 +467,53 @@ class _ResilientExecution:
         )
         time.sleep(delay)
 
-    def results(self) -> Tuple[List[Any], List[FailureRecord]]:
-        records = [self.records[i] for i in sorted(self.records)]
-        failures = [self.failures[i] for i in sorted(self.failures)]
-        return records, failures
+    # -- serial waves ------------------------------------------------------
 
-    # -- serial path -------------------------------------------------------
+    def run_serial(self) -> BatchResult:
+        return self.run(self._serial_wave)
 
-    def run_serial(self) -> Tuple[List[Any], List[FailureRecord], Optional[Dict[str, int]]]:
+    def _serial_wave(self, shards: List[List[int]]) -> None:
+        """Run a wave in process, absorbing each run before the next starts."""
         spec = self.spec
         cache = getattr(spec.instance_factory, "cache", None)
-        stats_before = cache.stats() if cache is not None else None
-        for i in range(self.n_runs):
-            while True:
-                outcome = _attempt_run(
-                    spec, i, self.attempts[i], self.run_timeout, in_worker=False
+        before = cache.stats() if cache is not None else None
+        for shard in shards:
+            for i in shard:
+                self._absorb_one(
+                    _attempt_run(
+                        spec,
+                        i,
+                        self.attempts.get(i, 0),
+                        self.run_timeout,
+                        in_worker=False,
+                    )
                 )
-                self.attempts[i] += 1
-                self.elapsed[i] += outcome.elapsed
-                if outcome.record is not None:
-                    self.records[i] = outcome.record
-                    break
-                retry: List[int] = []
-                self._note_failure(
-                    i, outcome.fault, outcome.error, outcome.exc, retry
-                )
-                if not retry:
-                    break  # degraded: recorded as a failure
-                self._backoff(retry)
-        stats = None
-        if stats_before is not None:
-            after = cache.stats()
-            stats = {
-                "hits": after["hits"] - stats_before["hits"],
-                "misses": after["misses"] - stats_before["misses"],
-            }
-        records, failures = self.results()
-        return records, failures, stats
+        self.absorb((), _stats_delta(cache, before))
 
-    # -- pooled path -------------------------------------------------------
+    # -- pooled waves ------------------------------------------------------
 
-    def run_pooled(self) -> Tuple[List[Any], List[FailureRecord], Optional[Dict[str, int]]]:
-        cache_stats: Optional[Dict[str, int]] = None
-        pool = ProcessPoolExecutor(max_workers=self.workers)
-        wave = _shard(range(self.n_runs), self.chunk)
+    def run_pooled(self) -> BatchResult:
+        self.pool = ProcessPoolExecutor(max_workers=self.workers)
         try:
-            while wave:
-                outcomes, lost, stats_deltas, pool = self._run_wave(pool, wave)
-                for delta in stats_deltas:
-                    if cache_stats is None:
-                        cache_stats = {"hits": 0, "misses": 0}
-                    cache_stats["hits"] += delta["hits"]
-                    cache_stats["misses"] += delta["misses"]
-                retry = self.absorb_wave(outcomes, lost)
-                if retry:
-                    self._backoff(retry)
-                    wave = _shard(retry, self.chunk)
-                else:
-                    wave = []
+            return self.run(self._pool_wave)
         finally:
-            _terminate_pool(pool)
-        records, failures = self.results()
-        return records, failures, cache_stats
+            _terminate_pool(self.pool)
 
-    def _run_wave(
-        self, pool: ProcessPoolExecutor, shards: List[List[int]]
-    ) -> Tuple[List[_RunOutcome], List[Tuple[int, str]], List[Dict[str, int]], ProcessPoolExecutor]:
-        """Submit one wave of shards; collect outcomes and lost runs.
+    def _pool_wave(self, shards: List[List[int]]) -> None:
+        """Run a wave on the pool, absorbing each shard as it lands.
 
-        Returns the (possibly rebuilt) pool: a ``kill`` fault breaks the
-        whole ``ProcessPoolExecutor``, and a worker hung past the
-        coordinator-side backstop deadline can only be reclaimed by
-        terminating the pool; either way the next wave gets a fresh one.
+        An abort (a raise out of :meth:`absorb`) leaves the queued and
+        in-flight shards to :meth:`run_pooled`, which terminates the
+        pool.  A ``kill`` fault breaks the whole ``ProcessPoolExecutor``,
+        and a worker hung past the coordinator-side backstop deadline can
+        only be reclaimed by terminating the pool; either way the next
+        wave gets a fresh one.
         """
         futures: Dict[Any, List[int]] = {}
         deadlines: Dict[Any, Optional[float]] = {}
         for shard in shards:
-            fut = pool.submit(
-                _execute_resilient_shard,
+            fut = self.pool.submit(
+                _run_shard,
                 self.spec,
                 shard,
                 {i: self.attempts[i] for i in shard},
@@ -501,9 +527,6 @@ class _ResilientExecution:
                 # earlier; this only triggers for alarm-immune hangs
                 else time.monotonic() + self.run_timeout * (3 * len(shard) + 2) + 1.0
             )
-        outcomes: List[_RunOutcome] = []
-        lost: List[Tuple[int, str]] = []
-        stats_deltas: List[Dict[str, int]] = []
         pending = set(futures)
         broken = False
         while pending:
@@ -512,21 +535,14 @@ class _ResilientExecution:
             for fut in done:
                 pending.discard(fut)
                 try:
-                    shard_outcomes, delta = fut.result()
-                except Exception as exc:
-                    if BrokenProcessPool is not None and isinstance(
-                        exc, BrokenProcessPool
-                    ):
-                        # every sibling future is (or is about to be)
-                        # failed by the executor; drain them via the loop
-                        broken = True
-                        lost.extend((i, "worker-lost") for i in futures[fut])
-                        continue
-                    raise
-                else:
-                    outcomes.extend(shard_outcomes)
-                    if delta is not None:
-                        stats_deltas.append(delta)
+                    outcomes, delta = fut.result()
+                except BrokenProcessPool:
+                    # every sibling future is (or is about to be) failed
+                    # by the executor; drain them via the loop
+                    broken = True
+                    self.absorb_lost([(i, "worker-lost") for i in futures[fut]])
+                    continue
+                self.absorb(outcomes, delta)
             if pending and self.run_timeout is not None:
                 now = time.monotonic()
                 overdue = {
@@ -535,51 +551,17 @@ class _ResilientExecution:
                     if deadlines[fut] is not None and now > deadlines[fut]
                 }
                 if overdue:
-                    _terminate_pool(pool)
-                    for fut in pending:
-                        label = "timeout" if fut in overdue else "worker-lost"
-                        lost.extend((i, label) for i in futures[fut])
-                    pending = set()
+                    _terminate_pool(self.pool)
                     broken = True
+                    lost = pending
+                    pending = set()
+                    for fut in lost:
+                        label = "timeout" if fut in overdue else "worker-lost"
+                        self.absorb_lost([(i, label) for i in futures[fut]])
         if broken:
-            _terminate_pool(pool)
-            pool = ProcessPoolExecutor(max_workers=self.workers)
+            _terminate_pool(self.pool)
+            self.pool = ProcessPoolExecutor(max_workers=self.workers)
             obs_metrics.inc(
                 "repro_pool_rebuilds_total",
                 help="process pools rebuilt after a lost or hung worker",
             )
-        return outcomes, lost, stats_deltas, pool
-
-
-def run_resilient(
-    spec,
-    n_runs: int,
-    *,
-    workers: int,
-    chunk_size: Optional[int],
-    failure_policy: str,
-    run_timeout: Optional[float],
-    max_retries: int,
-    backoff_base: float,
-    backoff_cap: float,
-) -> Tuple[List[Any], List[FailureRecord], Optional[Dict[str, int]]]:
-    """Execute a batch through the resilience layer.
-
-    Returns ``(records, failures, cache_stats)`` with records sorted by
-    run index; raises under ``strict`` (first failure) and ``retry``
-    (budget exhausted) policies.
-    """
-    execution = _ResilientExecution(
-        spec,
-        n_runs,
-        workers=workers,
-        chunk_size=chunk_size,
-        failure_policy=failure_policy,
-        run_timeout=run_timeout,
-        max_retries=max_retries,
-        backoff_base=backoff_base,
-        backoff_cap=backoff_cap,
-    )
-    if workers == 0:
-        return execution.run_serial()
-    return execution.run_pooled()

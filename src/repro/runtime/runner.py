@@ -1,8 +1,11 @@
 """BatchRunner: fan protocol executions across processes, reproducibly.
 
-The runner takes a protocol, an instance factory, and a run count, shards
-the runs over a ``ProcessPoolExecutor``, and aggregates per-run results
-into one :class:`BatchReport`.  Three invariants drive the design:
+The runner takes a protocol, an instance factory, and a run count, hands
+the runs to an execution backend (in process, a ``ProcessPoolExecutor``,
+or remote agents), and aggregates per-run results into one
+:class:`BatchReport`.  Every backend executes the batch through the one
+wave engine of :mod:`repro.runtime.resilience`.  Three invariants drive
+the design:
 
 1. **Determinism** — run ``i`` of a batch with master seed ``s`` derives
    all of its randomness from ``SeedSequence(s).child(i)`` (see
@@ -17,14 +20,15 @@ into one :class:`BatchReport`.  Three invariants drive the design:
    lambdas or closures.
 3. **Failure transparency** — under the default ``strict`` policy an
    exception in any run aborts the batch and re-raises the *original*
-   exception in the caller (no hangs, no swallowed stack traces); a
-   worker process dying outright surfaces as a ``RuntimeError`` naming
-   the batch.  The ``retry`` and ``degrade`` policies route execution
-   through :mod:`repro.runtime.resilience` instead: per-run wall-clock
-   timeouts, capped-exponential retries with deterministic jitter, pool
-   rebuilds after lost workers, and (``degrade``) partial reports whose
-   ``failures`` list records what could not be completed — all failure
-   metadata outside the canonical identity, like wall times.
+   exception in the caller (no hangs, no swallowed stack traces: a pool
+   worker's traceback rides along as the exception's cause); a worker
+   process dying outright surfaces as a ``RuntimeError`` naming the run
+   and the batch.  The ``retry`` and ``degrade`` policies of the same
+   engine add capped-exponential retries with deterministic jitter and
+   (``degrade``) partial reports whose ``failures`` list records what
+   could not be completed; per-run wall-clock timeouts and pool rebuilds
+   after lost workers work under every policy — all failure metadata
+   outside the canonical identity, like wall times.
 """
 
 from __future__ import annotations
@@ -34,11 +38,16 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.protocol import gc_paused, run_context
 from ..obs import metrics as obs_metrics
-from .backends import ExecutionBackend, ProcessPoolBackend, resolve_backend
+from .backends import (
+    ExecutionBackend,
+    ProcessPoolBackend,
+    SerialBackend,
+    resolve_backend,
+)
 from .cache import CachedFactory
 from .seeds import SeedSequence
 
@@ -237,8 +246,8 @@ class _BatchSpec:
     prover_factory: Optional[Callable]
     n: int
     master_seed: int
-    #: deterministic chaos plan (see :mod:`repro.runtime.faults`); only
-    #: consulted by the resilient execution path
+    #: deterministic chaos plan (see :mod:`repro.runtime.faults`), fired
+    #: at the top of every run attempt
     fault_plan: Optional[Any] = None
     #: run each run under a fresh :class:`repro.obs.tracer.Tracer` and ship
     #: the per-run trace summary back on ``RunRecord.extra["trace"]``
@@ -259,10 +268,10 @@ def _build_instance(spec: _BatchSpec, instance_seed: int):
 def execute_one_run(spec: _BatchSpec, i: int) -> RunRecord:
     """Execute run ``i`` of a batch, from its own positional seed streams.
 
-    The atom both execution paths (legacy strict and resilient) share:
-    every call rebuilds the instance, prover, and protocol RNG from
-    ``SeedSequence(master_seed).child(i)``, so re-executing a run — e.g.
-    a retry after a transient fault — reproduces it exactly.  The whole
+    The atom of the batch engine: every call rebuilds the instance,
+    prover, and protocol RNG from ``SeedSequence(master_seed).child(i)``,
+    so re-executing a run — e.g. a retry after a transient fault —
+    reproduces it exactly.  The whole
     call runs under the GC pause, so the run's heap is freed before
     cyclic collection resumes and only the small record survives it.
     """
@@ -312,44 +321,6 @@ def execute_one_run(spec: _BatchSpec, i: int) -> RunRecord:
         wall_time=time.perf_counter() - t0,
         extra=extra,
     )
-
-
-def _execute_runs(spec: _BatchSpec, indices: Sequence[int]) -> Tuple[List[RunRecord], Optional[Dict[str, int]]]:
-    """Execute the given run indices; the unit of work a worker receives."""
-    cache = getattr(spec.instance_factory, "cache", None)
-    stats_before = cache.stats() if cache is not None else None
-    records = [execute_one_run(spec, i) for i in indices]
-    stats_delta = None
-    if stats_before is not None:
-        after = cache.stats()
-        stats_delta = {
-            "hits": after["hits"] - stats_before["hits"],
-            "misses": after["misses"] - stats_before["misses"],
-        }
-    return records, stats_delta
-
-
-#: the batch spec installed in each worker process by the pool initializer.
-#: Shipping the spec once per *worker* (instead of pickling it into every
-#: shard submission) keeps shard messages down to a list of run indices —
-#: the fix for the parallel path previously running slower than serial.
-#: It stays a module global because the initializer sets it once for each
-#: worker process, and each process runs only that one batch.
-_WORKER_SPEC: Optional[_BatchSpec] = None
-
-
-def _init_worker(spec: _BatchSpec) -> None:
-    """ProcessPoolExecutor initializer: unpickle the spec once per worker."""
-    global _WORKER_SPEC
-    _WORKER_SPEC = spec
-
-
-def _execute_shard(indices: Sequence[int]) -> Tuple[List[RunRecord], Optional[Dict[str, int]]]:
-    """Worker-side shard entry point: indices in, records out."""
-    spec = _WORKER_SPEC
-    if spec is None:  # pragma: no cover - the initializer always ran first
-        raise RuntimeError("worker received a shard before its initializer ran")
-    return _execute_runs(spec, indices)
 
 
 def _usable_cores() -> int:
@@ -402,10 +373,10 @@ class BatchRunner:
     Neither knob touches the canonical report: traced and untraced
     batches have byte-identical ``canonical_json()``.
 
-    With all knobs at their defaults the runner takes the legacy strict
-    fast path, byte-for-byte as before; engaging any knob routes through
-    the resilient engine.  Either way, runs that succeed are identical
-    to the ``workers=0`` fault-free reference.
+    Every batch executes through the one wave engine; the knobs only
+    choose its failure policy, deadline and fault plan.  Whatever they
+    are, runs that succeed are identical to the ``workers=0`` fault-free
+    reference.
     """
 
     def __init__(
@@ -505,15 +476,6 @@ class BatchRunner:
         )
         return self._backend
 
-    @property
-    def _resilient(self) -> bool:
-        """Whether any resilience knob routes us off the legacy fast path."""
-        return (
-            self.failure_policy != "strict"
-            or self.run_timeout is not None
-            or self.fault_plan is not None
-        )
-
     # -- execution --------------------------------------------------------
 
     def run(self, n_runs: int, n: int, seed: int = 0) -> BatchReport:
@@ -529,34 +491,27 @@ class BatchRunner:
             trace=self.trace,
         )
         t0 = time.perf_counter()
-        failures: List[Any] = []
         backend = self.backend
         auto_serial: Optional[str] = None
-        if isinstance(backend, ProcessPoolBackend) and not self._resilient:
+        if isinstance(backend, ProcessPoolBackend):
             # the pool is the only backend worth second-guessing: serial
             # has no spawn cost and remote workers may sit on wider boxes
             auto_serial = self._auto_serial_reason(n_runs)
+            if auto_serial is not None:
+                backend = SerialBackend()
+        records, failures, cache_stats = backend.run(
+            spec,
+            n_runs,
+            chunk_size=self.chunk_size,
+            failure_policy=self.failure_policy,
+            run_timeout=self.run_timeout,
+            max_retries=self.max_retries,
+            backoff_base=self.backoff_base,
+            backoff_cap=self.backoff_cap,
+        )
+        backend_info = backend.last_run_info
         if auto_serial is not None:
-            records, cache_stats = _execute_runs(spec, range(n_runs))
-            backend_info = {"backend": "serial", "auto_serial": True}
-        elif self._resilient:
-            records, failures, cache_stats = backend.run_resilient(
-                spec,
-                n_runs,
-                chunk_size=self.chunk_size,
-                failure_policy=self.failure_policy,
-                run_timeout=self.run_timeout,
-                max_retries=self.max_retries,
-                backoff_base=self.backoff_base,
-                backoff_cap=self.backoff_cap,
-            )
-            backend_info = backend.last_run_info
-        else:
-            records, cache_stats = backend.run_strict(
-                spec, n_runs, chunk_size=self.chunk_size
-            )
-            backend_info = backend.last_run_info
-        records.sort(key=lambda r: r.index)
+            backend_info = dict(backend_info, auto_serial=True)
         report = BatchReport(
             protocol_name=getattr(self.protocol, "name", type(self.protocol).__name__),
             n=n,
@@ -604,11 +559,18 @@ class BatchRunner:
 
         Returns None (use the pool) unless ``min_runs_per_shard`` is set
         and the batch is too small — or the box too narrow — for process
-        parallelism to pay for its spawn-and-pickle overhead.  Only the
-        strict path is eligible: the resilient engine owns its own pool
-        (it needs one even for tiny batches, to survive worker loss).
+        parallelism to pay for its spawn-and-pickle overhead.  Only a
+        batch with no resilience knob set is eligible: a ``kill`` fault,
+        an alarm-immune hang past ``run_timeout`` or a retry that must
+        survive worker loss needs a real pool, which the engine can
+        terminate and rebuild, even for a tiny batch.
         """
-        if self.min_runs_per_shard is None or self._resilient:
+        if (
+            self.min_runs_per_shard is None
+            or self.failure_policy != "strict"
+            or self.run_timeout is not None
+            or self.fault_plan is not None
+        ):
             return None
         if n_runs < self.min_runs_per_shard * self.workers:
             return (

@@ -462,7 +462,7 @@ class TestRemoteLifecycle:
         backend.close()
         backend.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
-            backend.run_strict(object(), 1)
+            backend.run(object(), 1)
 
     def test_worker_exits_cleanly_on_bye(self):
         backend = RemoteWorkerBackend(min_workers=1, accept_timeout=10.0)

@@ -75,6 +75,32 @@ def _crash_run0_or_sleep(n, rng):
     return path_outerplanarity_yes(n, rng)
 
 
+def _crash_run0_or_hang(n, rng):
+    """With master seed 11 and 4 runs, run 0 crashes instantly; every
+    other run sleeps 20s, far past any bound a strict abort may take."""
+    if rng.getrandbits(64) % 5 == 0:
+        raise ValueError("intentional crash beside hung shards")
+    time.sleep(20)
+    return path_outerplanarity_yes(n, rng)
+
+
+class _CountingFactory:
+    """Builds path-outerplanarity instances in call order; the call for
+    run ``fail_at`` raises.  Serial runs build in index order, so
+    ``built`` is the number of runs that started."""
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.built = 0
+
+    def __call__(self, n, rng):
+        index = self.built
+        self.built += 1
+        if index == self.fail_at:
+            raise ValueError(f"intentional crash at run {index}")
+        return path_outerplanarity_yes(n, rng)
+
+
 class TestFaultPlan:
     def test_assignment_is_deterministic(self):
         a = FaultPlan(7, rate=0.4)
@@ -334,6 +360,38 @@ class TestPoolRecovery:
         with pytest.raises(ValueError, match="intentional crash"):
             runner.run(12, N, seed=2)
         assert time.perf_counter() - t0 < 2.0
+
+    def test_strict_abort_terminates_hung_sibling_shards(self):
+        # run 0 raises while its sibling shard sleeps 20s: the abort must
+        # neither wait for that shard nor leave its worker alive, where it
+        # would hold the interpreter's exit until the sleep ended
+        import multiprocessing
+        from multiprocessing.connection import wait as wait_for_sentinels
+
+        before = set(multiprocessing.active_children())
+        spec = get_task("path_outerplanarity")
+        runner = BatchRunner(
+            spec.protocol(c=2), _crash_run0_or_hang, workers=2, chunk_size=1
+        )
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="intentional crash"):
+            runner.run(4, N, seed=11)
+        assert time.perf_counter() - t0 < 5.0
+        workers = [p for p in multiprocessing.active_children() if p not in before]
+        pending = [proc.sentinel for proc in workers]
+        deadline = time.monotonic() + 5.0
+        while pending and time.monotonic() < deadline:
+            ready = wait_for_sentinels(pending, timeout=deadline - time.monotonic())
+            pending = [s for s in pending if s not in ready]
+        assert pending == []
+
+    def test_strict_serial_abort_starts_no_later_run(self):
+        spec = get_task("path_outerplanarity")
+        factory = _CountingFactory(fail_at=1)
+        runner = BatchRunner(spec.protocol(c=2), factory, workers=0)
+        with pytest.raises(ValueError, match="intentional crash at run 1"):
+            runner.run(6, N, seed=2)
+        assert factory.built == 2  # runs 0 and 1; nothing above 1
 
 
 class TestValidation:

@@ -36,8 +36,8 @@ WAIT_S = 60.0
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: the process-wide state that is allowed to live in module globals: the
-#: pool worker's batch spec and the metrics on/off switch
-ALLOWED_GLOBALS = {"_WORKER_SPEC", "_ENABLED"}
+#: metrics on/off switch
+ALLOWED_GLOBALS = {"_ENABLED"}
 
 
 def _fuzzed_batch():
