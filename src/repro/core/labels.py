@@ -734,6 +734,94 @@ def wire_leaf_span(label: Label, path: FieldPath) -> Tuple[int, int]:
     raise ValueError("empty field path")
 
 
+# -- row reader ---------------------------------------------------------------
+
+#: row-decode plans by ``(schema, names, within)``: interned schemas key
+#: them, so there is at most one plan per layout and field tuple
+_ROW_PLANS: Dict[tuple, tuple] = {}
+
+
+def _row_plan(schema: LabelSchema, names: Tuple[str, ...], within: Optional[str]) -> tuple:
+    """``(nested, steps)`` of :func:`read_rows` for one schema.
+
+    ``nested`` says the fields are read from the ``within`` sub-label; each
+    step is ``(shift, mask, is_flag)`` for a uint/felem/flag leaf (the shift
+    counts from the right of the outer payload), False for a missing field
+    and None for a field read through :meth:`Label.get`.
+    """
+    key = (schema, names, within)
+    plan = _ROW_PLANS.get(key)
+    if plan is None:
+        base, nested = 0, False
+        entry = schema.index.get(within) if within is not None else None
+        if entry is not None and entry[1] == _SUB:
+            base, schema, nested = entry[2], entry[4], True
+        steps = []
+        for name in names:
+            entry = schema.index.get(name)
+            if entry is None:
+                steps.append(False)
+            elif entry[1] == _INT or entry[1] == _FLAG:
+                steps.append((base + entry[2], entry[3], entry[1] == _FLAG))
+            else:
+                steps.append(None)
+        plan = _ROW_PLANS.setdefault(key, (nested, tuple(steps)))
+    return plan
+
+
+def _decode_rows(labels: Sequence[Label], plan: tuple, names, missing, within) -> list:
+    """The rows of ``labels``, which all share the schema of ``plan``."""
+    nested, steps = plan
+    pvs = [lbl._pv for lbl in labels]
+    cols = []
+    for name, step in zip(names, steps):
+        if step is False:
+            cols.append([missing] * len(pvs))
+        elif step is None:
+            subs = [lbl.get(within) for lbl in labels] if nested else labels
+            cols.append([sub.get(name, missing) for sub in subs])
+        elif step[2]:
+            shift = step[0]
+            cols.append([(pv >> shift) & 1 == 1 for pv in pvs])
+        else:
+            shift, mask, _ = step
+            cols.append([(pv >> shift) & mask for pv in pvs])
+    return list(zip(*cols))
+
+
+def read_rows(
+    labels: Sequence[Label], names: Tuple[str, ...], missing, within: Optional[str] = None
+) -> List[tuple]:
+    """The fields ``names`` of every label, one tuple per label.
+
+    Row ``i`` holds ``labels[i].get(name, missing)`` for each name, read
+    from the label's ``within`` sub-label when it has one.  The labels are
+    grouped by schema and each group is decoded column by column through
+    one shift/mask plan per ``(schema, names, within)``; a field that is
+    not a uint/felem/flag leaf (a ``maybe`` value, a sub-label) is read
+    through :meth:`Label.get`.
+    """
+    if not labels:
+        return []
+    schemas = [lbl._schema for lbl in labels]
+    first = schemas[0]
+    if schemas.count(first) == len(schemas):
+        return _decode_rows(labels, _row_plan(first, names, within), names, missing, within)
+    groups: Dict[LabelSchema, List[int]] = {}
+    for i, schema in enumerate(schemas):
+        group = groups.get(schema)
+        if group is None:
+            group = groups[schema] = []
+        group.append(i)
+    rows: List[tuple] = [()] * len(labels)
+    for schema, members in groups.items():
+        plan = _row_plan(schema, names, within)
+        decoded = _decode_rows([labels[i] for i in members], plan, names, missing, within)
+        for i, row in zip(members, decoded):
+            rows[i] = row
+    return rows
+
+
 #: the shared 0-bit label
 EMPTY_LABEL = PackedLabel._from_payload(_EMPTY_SCHEMA, 0)
 

@@ -15,8 +15,7 @@ from ...core.labels import LabelFormat, uint_width
 from ...core.protocol import DIPProtocol, Interaction
 from ...core.transcript import RunResult
 from ...core.views import NodeView
-from ..instances import LRSortingInstance
-from ..lr_sorting import IN, OUT, PATH_LEFT, PATH_RIGHT, LRSortingProtocol
+from ..instances import IN, OUT, PATH_LEFT, PATH_RIGHT, LRSortingInstance
 
 
 class TrivialLRSortingProver:
@@ -49,7 +48,7 @@ class TrivialLRSortingProtocol(DIPProtocol):
         fmt = LabelFormat((("pos", "uint", pw),))
         labels = {v: fmt.pack((p,)) for v, p in prover.positions().items()}
         interaction.prover_round(labels)
-        inputs = LRSortingProtocol._node_inputs(instance)
+        inputs = instance.ports.inputs
         n = g.n
 
         def check(view: NodeView) -> bool:

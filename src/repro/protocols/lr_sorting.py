@@ -60,11 +60,11 @@ from ..core.labels import (
     EMPTY_LABEL,
     OMIT,
     BitString,
-    Label,
     LabelFormat,
     PackedLabel,
     field_elem_width,
     nest_labels,
+    read_rows,
     uint_width,
 )
 from ..core.network import Edge, Graph, norm_edge
@@ -72,12 +72,7 @@ from ..core.protocol import DIPProtocol, Interaction, ProtocolError
 from ..core.transcript import RunResult
 from ..core.views import NodeView
 from ..primitives.fields import next_prime
-from .instances import LRSortingInstance
-
-PATH_LEFT = "path_left"
-PATH_RIGHT = "path_right"
-OUT = "out"
-IN = "in"
+from .instances import LRPorts, LRSortingInstance
 
 
 @dataclass(frozen=True)
@@ -540,33 +535,14 @@ class LRSortingProtocol(DIPProtocol):
         return self._decide(interaction, instance, pm, sessions=True)
 
     def _decide(self, interaction, instance, pm: LRParams, sessions: bool) -> RunResult:
+        ports = instance.ports
         return interaction.decide(
             _make_checker(pm, sessions),
-            inputs=self._node_inputs(instance),
+            inputs=ports.inputs,
             protocol_name=self.name,
             meta={"params": pm},
-            sweep=partial(_decide_sweep, pm, sessions),
+            sweep=partial(_decide_sweep, pm, sessions, ports),
         )
-
-    @staticmethod
-    def _node_inputs(instance: LRSortingInstance) -> Dict[int, dict]:
-        """Port-kind inputs: which incident edge is which, per node."""
-        pos = instance.position()
-        inputs: Dict[int, dict] = {}
-        path_edges = instance.path_edge_set()
-        direction: Dict[Edge, Tuple[int, int]] = dict(instance.orientation)
-        for v in instance.graph.nodes():
-            nbrs = instance.graph.neighbors(v)
-            kinds = []
-            for u in nbrs:
-                e = norm_edge(u, v)
-                if e in path_edges:
-                    kinds.append(PATH_RIGHT if pos[u] > pos[v] else PATH_LEFT)
-                else:
-                    t, h = direction[e]
-                    kinds.append(OUT if t == v else IN)
-            inputs[v] = {"port_kinds": tuple(kinds)}
-        return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -574,76 +550,28 @@ class LRSortingProtocol(DIPProtocol):
 # ---------------------------------------------------------------------------
 #
 # ``lr_check_node`` evaluates the Section-4 predicates at one node over
-# *field rows*: each label decoded once into the tuple of its fields
-# (``_r1_fields`` etc.).  Three callers feed it.  The standalone protocol
-# decides a finished run in one sweep (``_decide_sweep``): every node and
-# edge label of the run is decoded once into a per-round table, and each
-# node reads its neighbors' rows straight from those tables.  The composed
-# protocols (path-outerplanarity and everything downstream) decode the rows
-# from the ``lr`` sub-labels of their own views.  ``_make_checker`` is the
-# per-view reference the sweep is tested against.
+# *field rows*: each label decoded once into the tuple of its fields named
+# in ``NODE_FIELDS``/``EDGE_FIELDS``, by :func:`~repro.core.labels.read_rows`
+# (one shift/mask plan per label schema, each round's labels decoded as
+# value columns).  Three callers feed it.  The standalone protocol decides a
+# finished run in one sweep (``_decide_sweep``): every node and edge label
+# of the run is decoded once into a per-round table, and each node reads
+# its neighbors' rows straight from those tables.  The composed protocols
+# (path-outerplanarity and everything downstream) decode the rows from the
+# ``lr`` sub-labels of their own views.  ``_make_checker`` is the per-view
+# reference the sweep is tested against.  Missing fields read as
+# ``_ABSENT``; in simulated-edge-label mode the protocol fields sit under a
+# ``node`` sub-label (next to the folded edge payloads) and are read there.
 
 _ABSENT = object()
 
-
-def _unwrap_node(lbl: Label) -> Label:
-    # in simulated-edge-label mode the protocol fields are nested under a
-    # "node" sub-label (next to the folded edge payloads)
-    node = lbl.get("node", _ABSENT)
-    return node if node is not _ABSENT else lbl
-
-
-def _r1_fields(label: Label):
-    """Round-1 payload ``(idx, x1bit, x2bit, side, M)``; missing -> _ABSENT."""
-    get = label.get
-    return (
-        get("idx", _ABSENT),
-        get("x1bit", _ABSENT),
-        get("x2bit", _ABSENT),
-        get("side", _ABSENT),
-        get("M", _ABSENT),
-    )
-
-
-def _r3_fields(label: Label):
-    """Round-3 payload ``(r, rp, rb, pfx2_r, sfx1_r, pfx1_rp)``."""
-    get = label.get
-    return (
-        get("r", _ABSENT),
-        get("rp", _ABSENT),
-        get("rb", _ABSENT),
-        get("pfx2_r", _ABSENT),
-        get("sfx1_r", _ABSENT),
-        get("pfx1_rp", _ABSENT),
-    )
-
-
-def _r5_fields(label: Label):
-    """Round-5 payload ``(rq0, rq1, A0, A1, B0, B1)``."""
-    get = label.get
-    return (
-        get("rq0", _ABSENT),
-        get("rq1", _ABSENT),
-        get("A0", _ABSENT),
-        get("A1", _ABSENT),
-        get("B0", _ABSENT),
-        get("B1", _ABSENT),
-    )
-
-
-def _e1_fields(label: Label):
-    """Round-1 edge payload ``(inner, I)``."""
-    get = label.get
-    return (get("inner", _ABSENT), get("I", _ABSENT))
-
-
-def _e3_fields(label: Label):
-    """Round-3 edge payload ``(jval,)``."""
-    return (label.get("jval", _ABSENT),)
-
-
-_NODE_FIELDS = (_r1_fields, _r3_fields, _r5_fields)
-_EDGE_FIELDS = (_e1_fields, _e3_fields)
+#: the field names of the round-1/3/5 node rows and the round-1/3 edge rows
+NODE_FIELDS = (
+    ("idx", "x1bit", "x2bit", "side", "M"),
+    ("r", "rp", "rb", "pfx2_r", "sfx1_r", "pfx1_rp"),
+    R5_KEYS,
+)
+EDGE_FIELDS = (("inner", "I"), ("jval",))
 
 
 def _make_checker(pm: LRParams, sessions: bool = True):
@@ -652,67 +580,72 @@ def _make_checker(pm: LRParams, sessions: bool = True):
     def check(view: NodeView) -> bool:
         rounds, deg = len(view.own_labels), view.degree
         own, rows, edges = [], [], []
-        for i, fields in enumerate(_NODE_FIELDS):
+        for i, names in enumerate(NODE_FIELDS):
             if i < rounds:
-                own.append(fields(_unwrap_node(view.own_labels[i])))
-                rows.append([fields(_unwrap_node(l)) for l in view.neighbor_labels[i]])
+                labels = [view.own_labels[i], *view.neighbor_labels[i]]
             else:
-                own.append(fields(EMPTY_LABEL))
-                rows.append([own[i]] * deg)
-        for i, fields in enumerate(_EDGE_FIELDS):
+                labels = [EMPTY_LABEL] * (deg + 1)
+            own_row, *nbr_rows = read_rows(labels, names, _ABSENT, "node")
+            own.append(own_row)
+            rows.append(nbr_rows)
+        for i, names in enumerate(EDGE_FIELDS):
             labels = view.edge_labels[i] if i < rounds else [EMPTY_LABEL] * deg
-            edges.append([fields(l) for l in labels])
+            edges.append(read_rows(labels, names, _ABSENT))
         coins = view.coins
         return lr_check_node(
-            pm, view.input["port_kinds"], own, range(deg), rows, range(deg), edges,
+            pm, view.input["port_roles"], own, range(deg), rows, range(deg), edges,
             coins[0].value, coins[1].value if len(coins) > 1 else 0, sessions,
         )
 
     return check
 
 
-def _decide_sweep(pm: LRParams, sessions: bool, graph: Graph, transcript, inputs):
+def _decide_sweep(
+    pm: LRParams, sessions: bool, ports: LRPorts, graph: Graph, transcript, inputs
+):
     """The rejecting nodes of a finished run, decided in one sweep.
 
     Every node label of rounds 1/3/5 and every edge label of rounds 1/3 is
     decoded once into a table; node ``v`` reaches the neighbor behind port
     ``q`` as ``graph.neighbors(v)[q]`` (the port order of
     :func:`~repro.core.views.build_views`) and the edge behind it by its
-    canonical key.  Verdicts equal the per-view reference node for node.
+    canonical key, both from the instance's ``ports`` (``inputs`` is their
+    per-view form, unused here).  Verdicts equal the per-view reference
+    node for node.
     """
     n = graph.n
     prover_rounds = transcript.prover_rounds()
     tables = []
-    for i, fields in enumerate(_NODE_FIELDS):
+    for i, names in enumerate(NODE_FIELDS):
         if i < len(prover_rounds):
             get = prover_rounds[i].labels.get
-            tables.append([fields(_unwrap_node(get(v, EMPTY_LABEL))) for v in range(n)])
+            labels = [get(v, EMPTY_LABEL) for v in range(n)]
         else:
-            tables.append([fields(EMPTY_LABEL)] * n)
-    edge_keys = graph.edges()
+            labels = [EMPTY_LABEL] * n
+        tables.append(read_rows(labels, names, _ABSENT, "node"))
     edge_tables = []
-    for i, fields in enumerate(_EDGE_FIELDS):
-        table = dict.fromkeys(edge_keys, fields(EMPTY_LABEL))
+    for i, names in enumerate(EDGE_FIELDS):
+        table = dict.fromkeys(graph.edges(), (_ABSENT,) * len(names))
         if i < len(prover_rounds):
-            for e, lbl in prover_rounds[i].edge_labels.items():
-                table[e] = fields(lbl)
+            labels = prover_rounds[i].edge_labels
+            table.update(zip(labels, read_rows(list(labels.values()), names, _ABSENT)))
         edge_tables.append(table)
     verifier_rounds = transcript.verifier_rounds()
     coins2 = verifier_rounds[0].coins
     coins4 = verifier_rounds[1].coins if len(verifier_rounds) > 1 else {}
     t1, t3, t5 = tables
     neighbors = graph.neighbors
+    roles, edge_keys = ports.roles, ports.edge_keys
     rejecting = []
     for v in range(n):
-        nbrs = neighbors(v)
         c2, c4 = coins2.get(v), coins4.get(v)
         if not lr_check_node(
             pm,
-            inputs[v]["port_kinds"],
+            roles[v],
             (t1[v], t3[v], t5[v]),
-            nbrs,
+            neighbors(v),
             tables,
-            [(v, u) if v <= u else (u, v) for u in nbrs],
+            edge_keys[v],
             edge_tables,
             c2.value if c2 is not None else 0,
             c4.value if c4 is not None else 0,
@@ -723,22 +656,22 @@ def _decide_sweep(pm: LRParams, sessions: bool, graph: Graph, transcript, inputs
 
 
 def lr_check_node(  # noqa: C901
-    pm: LRParams, kinds, own, ports, rows, eports, edges, coin2: int, coin4: int,
+    pm: LRParams, roles, own, ports, rows, eports, edges, coin2: int, coin4: int,
     sessions: bool = True,
 ) -> bool:
     """The complete local verification at one node (Section 4).
 
-    ``kinds`` are the node's port kinds and ``own`` its rows of rounds
-    1/3/5.  ``rows`` are the round tables its neighbors' rows come from:
-    the neighbor behind port ``q`` has row ``rows[i][ports[q]]``.  Likewise
-    the incident edge behind port ``q`` has row ``edges[i][eports[q]]``
-    (rounds 1/3).  ``coin2``/``coin4`` are the node's LR coins of rounds 2
-    and 4.  Missing fields surface as ``_ABSENT`` slots, which compare
-    unequal to every legal value, so most reads need no explicit
-    missing-check beyond the comparison itself.
+    ``roles`` are the node's port roles ``(left_port, right_port,
+    out_ports, in_ports)`` (see :class:`~repro.protocols.instances.LRPorts`)
+    and ``own`` its rows of rounds 1/3/5.  ``rows`` are the round tables
+    its neighbors' rows come from: the neighbor behind port ``q`` has row
+    ``rows[i][ports[q]]``.  Likewise the incident edge behind port ``q``
+    has row ``edges[i][eports[q]]`` (rounds 1/3).  ``coin2``/``coin4`` are
+    the node's LR coins of rounds 2 and 4.  Missing fields surface as
+    ``_ABSENT`` slots, which compare unequal to every legal value, so most
+    reads need no explicit missing-check beyond the comparison itself.
     """
-    left_port = next((p for p, k in enumerate(kinds) if k == PATH_LEFT), None)
-    right_port = next((p for p, k in enumerate(kinds) if k == PATH_RIGHT), None)
+    left_port, right_port, out_ports, in_ports = roles
     if pm.n == 1:
         return True
 
@@ -774,8 +707,8 @@ def lr_check_node(  # noqa: C901
     if B == 1:
         # single block: only inner-block machinery applies
         return _check_inner_edges(
-            pm, kinds, idx, own[1], same_block_left, left_port, ports, rows1,
-            rows3, eports, edges1, coin2,
+            pm, out_ports, in_ports, idx, own[1], same_block_left, left_port, ports,
+            rows1, rows3, eports, edges1, coin2,
         )
 
     # ---- B. consecutive-numbers proof (x2 = x1 + 1) ----
@@ -861,31 +794,29 @@ def lr_check_node(  # noqa: C901
 
     # ---- D. inner-block edges ----
     if not _check_inner_edges(
-        pm, kinds, idx, own[1], same_block_left, left_port, ports, rows1, rows3,
-        eports, edges1, coin2,
+        pm, out_ports, in_ports, idx, own[1], same_block_left, left_port, ports,
+        rows1, rows3, eports, edges1, coin2,
     ):
         return False
 
     # ---- E. outer-block commitments ----
     c0: Dict[int, int] = {}
     c1: Dict[int, int] = {}
-    for port, kind in enumerate(kinds):
-        if kind not in (OUT, IN):
-            continue
-        inner, ival = edges1[eports[port]]
-        if inner is _ABSENT:
-            return False
-        if inner:
-            continue
-        jval = edges3[eports[port]][0]
-        if ival is _ABSENT or jval is _ABSENT:
-            return False
-        if not 1 <= ival <= L or not 0 <= jval < p:
-            return False
-        store = c0 if kind == OUT else c1
-        if ival in store and store[ival] != jval:
-            return False  # same index, different value
-        store[ival] = jval
+    for store, lateral in ((c0, out_ports), (c1, in_ports)):
+        for port in lateral:
+            inner, ival = edges1[eports[port]]
+            if inner is _ABSENT:
+                return False
+            if inner:
+                continue
+            jval = edges3[eports[port]][0]
+            if ival is _ABSENT or jval is _ABSENT:
+                return False
+            if not 1 <= ival <= L or not 0 <= jval < p:
+                return False
+            if ival in store and store[ival] != jval:
+                return False  # same index, different value
+            store[ival] = jval
     if set(c0) & set(c1):
         return False  # an index cannot be 0-side and 1-side at once
 
@@ -956,8 +887,8 @@ def lr_check_node(  # noqa: C901
 
 
 def _check_inner_edges(
-    pm: LRParams, kinds, idx: int, own3, same_block_left: bool, left_port, ports,
-    rows1, rows3, eports, edges1, coin2: int,
+    pm: LRParams, out_ports, in_ports, idx: int, own3, same_block_left: bool,
+    left_port, ports, rows1, rows3, eports, edges1, coin2: int,
 ) -> bool:
     """Inner-block edge checks + r_b distribution consistency."""
     rb = own3[2]
@@ -969,24 +900,21 @@ def _check_inner_edges(
     if same_block_left:
         if rows3[ports[left_port]][2] != rb:
             return False
-    for port, kind in enumerate(kinds):
-        if kind not in (OUT, IN):
-            continue
-        inner = edges1[eports[port]][0]
-        if inner is _ABSENT:
-            return False
-        if not inner:
-            if pm.n_blocks == 1:
-                return False  # no outer edges can exist in a single block
-            continue
-        nb_idx = rows1[ports[port]][0]
-        nb_rb = rows3[ports[port]][2]
-        if nb_idx is _ABSENT or nb_rb is _ABSENT:
-            return False
-        if kind == OUT and not idx < nb_idx:
-            return False
-        if kind == IN and not nb_idx < idx:
-            return False
-        if nb_rb != rb:
-            return False
+    for out, lateral in ((True, out_ports), (False, in_ports)):
+        for port in lateral:
+            inner = edges1[eports[port]][0]
+            if inner is _ABSENT:
+                return False
+            if not inner:
+                if pm.n_blocks == 1:
+                    return False  # no outer edges can exist in a single block
+                continue
+            nb_idx = rows1[ports[port]][0]
+            nb_rb = rows3[ports[port]][2]
+            if nb_idx is _ABSENT or nb_rb is _ABSENT:
+                return False
+            if not (idx < nb_idx if out else nb_idx < idx):
+                return False
+            if nb_rb != rb:
+                return False
     return True

@@ -44,6 +44,7 @@ from ..core.labels import (
     LabelFormat,
     LabelSchema,
     PackedLabel,
+    read_rows,
     uint_width,
     wrapper_schema,
 )
@@ -77,19 +78,13 @@ from ..primitives.spanning_tree_verification import (
     round3_format,
     stv_label_fields,
 )
-from .instances import PathOuterplanarInstance
+from .instances import IN, OUT, PATH_LEFT, PATH_RIGHT, PathOuterplanarInstance
 from .lr_sorting import (
-    IN,
-    OUT,
-    PATH_LEFT,
-    PATH_RIGHT,
+    EDGE_FIELDS,
+    NODE_FIELDS,
     HonestLRSortingProver,
     LRParams,
-    _e1_fields,
-    _e3_fields,
-    _r1_fields,
-    _r3_fields,
-    _r5_fields,
+    _ABSENT,
     lr_check_node,
     lr_formats,
 )
@@ -765,19 +760,21 @@ def _stv_fields(wrapped: Label, t: int):
     return stv_label_fields(stv, t)
 
 
-def _lr_row(memo: dict, wrapped: Label, fields):
-    """``fields`` of the ``lr`` sub of a (possibly wrapped) round label,
-    memoized in ``memo`` by label; a missing sub reads as EMPTY_LABEL."""
-    k = id(wrapped)
-    row = memo.get(k)
-    if row is None:
-        lr = _sub(_unwrap(wrapped), "lr")
-        row = memo[k] = fields(EMPTY_LABEL if lr is None else lr)
-    return row
+def _lr_rows(memo: dict, labels: Sequence[Label], names: Tuple[str, ...]) -> list:
+    """The ``names`` rows of the ``lr`` subs of (possibly wrapped) round
+    labels, memoized in ``memo`` by label; a missing sub reads as
+    EMPTY_LABEL.  The labels not seen yet are decoded in one call."""
+    fresh = [lbl for lbl in labels if id(lbl) not in memo]
+    if fresh:
+        subs = [_sub(_unwrap(lbl), "lr") for lbl in fresh]
+        rows = read_rows([EMPTY_LABEL if lr is None else lr for lr in subs], names, _ABSENT)
+        for lbl, row in zip(fresh, rows):
+            memo[id(lbl)] = row
+    return [memo[id(lbl)] for lbl in labels]
 
 
-#: (decode-cache kind, field extractor) of the LR rounds 1/3/5
-_LR_ROWS = (("po_lr1", _r1_fields), ("po_lr3", _r3_fields), ("po_lr5", _r5_fields))
+#: decode-cache kinds of the LR rounds 1/3/5
+_LR_MEMOS = ("po_lr1", "po_lr3", "po_lr5")
 
 
 def _nest_fields(wrapped: Label):
@@ -875,6 +872,8 @@ def check_path_outerplanarity_node(  # noqa: C901
     # path-internal nodes (the common case) never pay for it
     forest_views: object = _MISSING
     kinds: List[str] = []
+    out_ports: List[int] = []
+    in_ports: List[int] = []
     edge1 = view.edge_labels[0]
     for port in range(view.degree):
         if port == left_port:
@@ -894,6 +893,7 @@ def check_path_outerplanarity_node(  # noqa: C901
             return False  # edge not covered by the arboricity partition
         i_am_tail = (fwd and accountable_is_me) or (not fwd and not accountable_is_me)
         kinds.append(OUT if i_am_tail else IN)
+        (out_ports if i_am_tail else in_ports).append(port)
 
     # ---- 4. the LR-sorting stage over the committed path ----
     # The field rows of the ``lr`` sub-labels, memoized per label (raw
@@ -901,18 +901,17 @@ def check_path_outerplanarity_node(  # noqa: C901
     # A missing ``lr`` sub reads as an empty one: the owner's all-absent
     # row makes lr_check_node reject it.
     own, rows = [], []
-    for i, (kind, fields) in enumerate(_LR_ROWS):
-        memo = cache.sub(kind)
-        own.append(_lr_row(memo, view.own_labels[i], fields))
-        rows.append([_lr_row(memo, l, fields) for l in view.neighbor_labels[i]])
-    edges = [
-        [fields(l) for l in view.edge_labels[i]]
-        for i, fields in enumerate((_e1_fields, _e3_fields))
-    ]
+    for i, names in enumerate(NODE_FIELDS):
+        labels = [view.own_labels[i], *view.neighbor_labels[i]]
+        own_row, *nbr_rows = _lr_rows(cache.sub(_LR_MEMOS[i]), labels, names)
+        own.append(own_row)
+        rows.append(nbr_rows)
+    edges = [read_rows(view.edge_labels[i], names, _ABSENT) for i, names in enumerate(EDGE_FIELDS)]
     ports = range(view.degree)
     coin2 = view.coins[0].value >> pm.lr_shift
+    roles = (left_port, right_port, out_ports, in_ports)
     if not lr_check_node(
-        pm.lr, kinds, own, ports, rows, ports, edges, coin2,
+        pm.lr, roles, own, ports, rows, ports, edges, coin2,
         view.coins[1].value,
     ):
         return False

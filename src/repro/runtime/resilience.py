@@ -288,20 +288,36 @@ def _spec_context(spec) -> str:
     return f"{name} (n={spec.n}, seed={spec.master_seed})"
 
 
+#: how long a terminated worker, then the pool's manager thread, may take
+#: to exit before a worker is killed or the manager is left behind
+_REAP_S = 5.0
+
+
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Shut a pool down hard: cancel queued work and kill its processes.
 
-    The processes are taken before ``shutdown``, which drops the pool's
-    reference to them; a hung worker left alive would hold the
-    interpreter's exit until its hang ended.
+    The processes and the pool's manager thread are taken before
+    ``shutdown``, which drops the pool's references to them; a hung worker
+    left alive would hold the interpreter's exit until its hang ended.
+    The workers are then reaped (killed if they outlive SIGTERM) and the
+    manager thread joined, so nothing is left to write to the pool's
+    closed wakeup pipe when the interpreter exits.
     """
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in processes:  # pragma: no branch
         try:
             proc.terminate()
         except Exception:  # pragma: no cover - already dead
             pass
+    for proc in processes:
+        proc.join(_REAP_S)
+        if proc.exitcode is None:  # pragma: no cover - ignored SIGTERM
+            proc.kill()
+            proc.join()
+    if manager is not None:
+        manager.join(_REAP_S)
 
 
 class _BatchExecution:

@@ -84,6 +84,10 @@ def _crash_run0_or_hang(n, rng):
     return path_outerplanarity_yes(n, rng)
 
 
+def _always_crash(n, rng):
+    raise ValueError("intentional crash on every run")
+
+
 class _CountingFactory:
     """Builds path-outerplanarity instances in call order; the call for
     run ``fail_at`` raises.  Serial runs build in index order, so
@@ -384,6 +388,33 @@ class TestPoolRecovery:
             ready = wait_for_sentinels(pending, timeout=deadline - time.monotonic())
             pending = [s for s in pending if s not in ready]
         assert pending == []
+
+    def test_strict_abort_reaps_workers_and_manager_thread(self, monkeypatch):
+        # after the abort nothing of the pool may still run: a live manager
+        # thread would be woken at interpreter exit through the wakeup pipe
+        # the terminated pool already closed ("Bad file descriptor")
+        from repro.runtime import resilience
+
+        reaped = []
+        terminate = resilience._terminate_pool
+
+        def watching(pool):
+            reaped.append((
+                list(pool._processes.values()) if pool._processes else [],
+                pool._executor_manager_thread,
+            ))
+            terminate(pool)
+
+        monkeypatch.setattr(resilience, "_terminate_pool", watching)
+        spec = get_task("path_outerplanarity")
+        runner = BatchRunner(spec.protocol(c=2), _always_crash, workers=2, chunk_size=1)
+        with pytest.raises(ValueError, match="intentional crash on every run"):
+            runner.run(4, N, seed=3)
+        assert reaped
+        for workers, manager in reaped:
+            assert workers and manager is not None
+            assert not manager.is_alive()
+            assert all(proc.exitcode is not None for proc in workers)
 
     def test_strict_serial_abort_starts_no_later_run(self):
         spec = get_task("path_outerplanarity")
