@@ -306,28 +306,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_batch(args) -> int:
     try:
-        spec = registry.get_task(args.task)
-    except KeyError as exc:
-        print(exc.args[0])
+        named = registry.resolve_batch(
+            args.task, no_instance=args.no_instance, adversary=args.adversary or None
+        )
+    except registry.UnnamedBatchError as exc:
+        print(exc)
         return 2
-    if args.no_instance or args.adversary:
-        factory = spec.no_factory if args.no_instance else spec.yes_factory
-        if factory is None:
-            print(f"no built-in no-instance generator for {args.task}")
-            return 2
-        expect_accept = False
-    else:
-        factory = spec.yes_factory
-        expect_accept = True
-    prover_factory = None
-    if args.adversary:
-        if args.adversary not in spec.adversaries:
-            print(
-                f"unknown adversary {args.adversary!r} for {args.task}; "
-                f"choose from {sorted(spec.adversaries)}"
-            )
-            return 2
-        prover_factory = spec.adversaries[args.adversary]
     plan, plan_err = _parse_fault_plan(args)
     if plan_err:
         print(plan_err)
@@ -339,12 +323,12 @@ def cmd_batch(args) -> int:
     journal = _open_journal(args)
     try:
         report = run_batch(
-            spec.protocol(c=args.c),
-            factory,
+            named.spec.protocol(c=args.c),
+            named.factory,
             n_runs=args.runs,
             n=args.n,
             seed=args.seed,
-            prover_factory=prover_factory,
+            prover_factory=named.prover_factory,
             workers=args.workers,
             failure_policy=args.failure_policy,
             run_timeout=args.run_timeout,
@@ -388,7 +372,7 @@ def cmd_batch(args) -> int:
         print(f"report:      {args.json}")
     if journal is not None:
         _print_journal_tables(journal)
-    if expect_accept:
+    if named.expect_accept:
         return 0 if report.acceptance_rate == 1.0 else 1
     return 0
 

@@ -136,10 +136,16 @@ def initial_graph(spec: ChurnCampaignSpec, factory: Optional[CachedFactory] = No
     return task_spec.yes_factory(spec.n, random.Random(seed)).graph.copy()
 
 
+@gc_paused
 def campaign_stream(
     spec: ChurnCampaignSpec, graph: Graph
 ) -> List[Tuple[EdgeUpdate, bool]]:
-    """The campaign's full update stream (pure function of the spec)."""
+    """The campaign's full update stream (pure function of the spec).
+
+    Generated under the GC pause, like every epoch: its planarity tests
+    of insert candidates make no cyclic garbage, so collection would
+    only rescan live graphs.
+    """
     return generate_stream(
         spec.task, graph, spec.n_updates, stream_rng(spec.seed), kind=spec.stream
     )

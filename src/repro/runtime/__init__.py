@@ -16,7 +16,9 @@ The pieces, bottom-up:
   backend and aggregating ``BatchReport`` objects whose canonical
   payload is byte-identical for serial and parallel execution.
 * :mod:`~repro.runtime.registry` — named, picklable task specs (protocol +
-  instance factories + adversaries) for the CLI, benchmarks, and examples.
+  instance factories + adversaries) for the CLI, benchmarks, and examples,
+  and the mapping between a batch and its names that the proof server
+  and remote workers build batches from.
 * :mod:`~repro.runtime.faults` — ``FaultPlan``, seeded deterministic
   injection of infrastructure faults (transient raises, hangs past the
   deadline, hard worker kills).

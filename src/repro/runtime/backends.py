@@ -11,8 +11,9 @@ The backends differ only in how one wave of shards executes:
   shard submission carries the batch spec (a few hundred bytes), and a
   pool broken by a dead or hung worker is terminated and rebuilt.
 * :class:`~repro.runtime.remote.RemoteWorkerBackend` — socket-dispatched
-  agents started by ``repro worker --connect host:port`` (its own
-  module; resolvable here by the ``remote:host:port`` spec string).
+  agents started by ``repro worker --connect host:port``, which run
+  batches the registry can name (its own module; resolvable here by the
+  ``remote:host:port`` spec string).
 
 The load-bearing invariant is inherited from
 :mod:`repro.runtime.seeds` and restated here because every backend must
@@ -73,7 +74,8 @@ def plan_shards(
 class ExecutionBackend(ABC):
     """Where (and how) the runs of one batch execute.
 
-    A backend receives a pickled-or-picklable ``_BatchSpec`` plus a run
+    A backend receives a ``_BatchSpec`` (the pool pickles it into each
+    shard; the remote backend sends its registry names) plus a run
     count and returns per-run records; it owns worker lifecycle, shard
     dispatch, and transport.  Determinism is not its job — the spec's
     seed streams guarantee byte-identical records on every backend — but

@@ -234,6 +234,22 @@ class FaultPlan:
             overrides=overrides,
         )
 
+    def to_spec(self) -> str:
+        """The spec string :meth:`from_spec` parses back into this plan."""
+        parts = [
+            f"seed={self.plan_seed}",
+            f"rate={self.rate!r}",
+            "kinds=" + "|".join(self.kinds),
+            f"fires={self.fires}",
+            f"hang={self.hang_s!r}",
+        ]
+        if self.overrides:
+            parts.append("at=" + "+".join(
+                f"{index}:{kind}:{fires}"
+                for index, (kind, fires) in sorted(self.overrides.items())
+            ))
+        return ",".join(parts)
+
     def __repr__(self) -> str:
         return (
             f"FaultPlan(seed={self.plan_seed}, rate={self.rate}, "

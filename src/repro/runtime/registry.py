@@ -13,6 +13,11 @@ Everything here is resolvable by name::
     runner = BatchRunner(spec.protocol(), spec.no_factory, workers=4)
 
 Names accept both underscore and hyphen forms (``path-outerplanarity``).
+
+A whole batch is nameable too: :func:`resolve_batch` maps ``(task,
+instance kind, adversary, fault spec)`` to the factories a batch runs,
+and :func:`batch_identity` maps a batch spec back to those names.  The
+proof server and the remote workers build batches from names only.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..adversaries import (
     ForcedWitnessProver,
@@ -63,6 +68,8 @@ from ..protocols.planar_embedding import PlanarEmbeddingProtocol, PlanarEmbeddin
 from ..protocols.planarity import PlanarityProtocol, PlanarityProver
 from ..protocols.series_parallel import SeriesParallelProtocol, SeriesParallelProver
 from ..protocols.treewidth2 import Treewidth2Protocol, Treewidth2Prover
+from .cache import CachedFactory
+from .faults import FaultPlan
 
 # -- yes-instance factories (all deterministic in (n, rng state)) ----------
 
@@ -347,3 +354,136 @@ def conformance_cases() -> Tuple[Tuple[str, Optional[str]], ...]:
             if adv.startswith("fuzz_r"):
                 cases.append((name, adv))
     return tuple(cases)
+
+
+# -- batches by name --------------------------------------------------------
+
+
+class UnnamedBatchError(ValueError):
+    """A batch the registry cannot name, or a name the registry lacks."""
+
+
+@dataclass(frozen=True)
+class NamedBatch:
+    """The factories a batch's registry names stand for."""
+
+    spec: TaskSpec
+    kind: str  #: "yes" or "no": which instance factory
+    factory: Callable[[int, random.Random], object]
+    prover_factory: Optional[Callable]
+    fault_plan: Optional[FaultPlan]
+
+    @property
+    def expect_accept(self) -> bool:
+        """Whether every run should accept: honest runs on yes-instances."""
+        return self.kind == "yes" and self.prover_factory is None
+
+
+def resolve_batch(
+    task: str,
+    *,
+    no_instance: bool = False,
+    adversary: Optional[str] = None,
+    inject_faults: Optional[str] = None,
+) -> NamedBatch:
+    """The batch a task, instance kind, adversary and fault spec name.
+
+    Raises :class:`UnnamedBatchError` with an operator-readable message
+    for an unknown task or adversary, a task without a no-instance
+    generator, or a fault spec :meth:`FaultPlan.from_spec` refuses.
+    """
+    try:
+        spec = get_task(task)
+    except KeyError as exc:
+        raise UnnamedBatchError(exc.args[0]) from None
+    factory = spec.no_factory if no_instance else spec.yes_factory
+    if factory is None:
+        raise UnnamedBatchError(f"no built-in no-instance generator for {task}")
+    prover_factory = None
+    if adversary is not None:
+        prover_factory = spec.adversaries.get(adversary)
+        if prover_factory is None:
+            raise UnnamedBatchError(
+                f"unknown adversary {adversary!r} for {task}; "
+                f"choose from {sorted(spec.adversaries)}"
+            )
+    fault_plan = None
+    if inject_faults is not None:
+        try:
+            fault_plan = FaultPlan.from_spec(inject_faults)
+        except ValueError as exc:
+            raise UnnamedBatchError(f"bad inject_faults spec: {exc}") from None
+    return NamedBatch(
+        spec, "no" if no_instance else "yes", factory, prover_factory, fault_plan
+    )
+
+
+def _protocol_state(obj: Any) -> Any:
+    """A protocol's attributes, its sub-protocols' included."""
+    if callable(getattr(obj, "execute", None)) and hasattr(obj, "__dict__"):
+        return type(obj), {k: _protocol_state(v) for k, v in vars(obj).items()}
+    return obj
+
+
+def batch_identity(batch) -> Dict[str, Any]:
+    """The registry names of a batch spec, as a JSON-safe dict.
+
+    :func:`resolve_batch` maps the names back to the same factories, so
+    the names rebuild a batch whose runs match the original's.  Raises
+    :class:`UnnamedBatchError` for a batch the names cannot rebuild:
+    a protocol that is not a registry task's, a protocol parameter
+    other than ``c`` off its default, an instance factory that is
+    neither of the task's generators (a :class:`CachedFactory` counts
+    as its builder), an unregistered adversary, or a fault plan that is
+    not a :class:`FaultPlan`.
+    """
+    protocol = batch.protocol
+    spec = next((s for s in _TASKS.values() if type(protocol) is s.protocol), None)
+    if spec is None:
+        raise UnnamedBatchError(
+            f"protocol {protocol!r} is not the protocol of a registry task"
+        )
+    c = getattr(protocol, "c", None)
+    if type(c) is not int or _protocol_state(protocol) != _protocol_state(
+        spec.protocol(c=c)
+    ):
+        raise UnnamedBatchError(
+            f"{spec.name}: a protocol parameter other than c is off its default"
+        )
+    cached = isinstance(batch.instance_factory, CachedFactory)
+    factory = batch.instance_factory.builder if cached else batch.instance_factory
+    if factory is spec.yes_factory:
+        no_instance = False
+    elif factory is not None and factory is spec.no_factory:
+        no_instance = True
+    else:
+        raise UnnamedBatchError(
+            f"{spec.name}: instance factory {factory!r} is not a registry generator"
+        )
+    adversary = None
+    if batch.prover_factory is not None:
+        adversary = next(
+            (k for k, v in spec.adversaries.items() if v is batch.prover_factory),
+            None,
+        )
+        if adversary is None:
+            raise UnnamedBatchError(
+                f"{spec.name}: prover factory {batch.prover_factory!r} "
+                "is not a registry adversary"
+            )
+    plan = batch.fault_plan
+    if plan is not None and not isinstance(plan, FaultPlan):
+        raise UnnamedBatchError(f"fault plan {plan!r} is not a FaultPlan")
+    if type(batch.n) is not int or type(batch.master_seed) is not int:
+        raise UnnamedBatchError("n and the master seed must be ints")
+    return {
+        "task": spec.name,
+        "c": c,
+        "no_instance": no_instance,
+        "adversary": adversary,
+        "n": batch.n,
+        "seed": batch.master_seed,
+        "faults": None if plan is None else plan.to_spec(),
+        "trace": bool(batch.trace),
+        "cached": cached,
+    }

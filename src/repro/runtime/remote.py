@@ -1,79 +1,78 @@
 """Socket-dispatched remote workers: scale a batch past one box.
 
-The coordinator side is :class:`RemoteWorkerBackend` — an
+:class:`RemoteWorkerBackend` is an
 :class:`~repro.runtime.backends.ExecutionBackend` that listens on a TCP
-port instead of spawning processes.  Workers are started *by the
-operator* (``repro worker --connect host:port``, any machine that can
-reach the coordinator) and register themselves; the backend dispatches
-shards to whoever is connected and idle, exactly like the local pool
-dispatches to its processes.
+port; worker agents (``repro worker --connect host:port``, on any box
+that reaches it) register, and it dispatches shards to whoever is
+connected and idle, as the local pool does to its processes.
 
-Design lineage, deliberately:
+A shard names its batch by registry identity and the worker rebuilds
+the batch spec with :func:`~repro.runtime.registry.resolve_batch`, the
+mapping the proof server uses, so no code or object graph crosses the
+socket.  :meth:`RemoteWorkerBackend.run` refuses a batch the registry
+cannot name (a custom protocol, a non-default protocol parameter, an
+unregistered factory or adversary) before any frame, with
+:class:`~repro.runtime.registry.UnnamedBatchError`.
 
-* **Spec-once protocol (PR 5).**  The batch spec crosses the wire once
-  per worker per batch (one ``SPEC`` frame); every subsequent ``SHARD``
-  frame carries only run indices and attempt counts — the same economy
-  that took the local pool from 0.865x to parity.
-* **Packed blob transport (PR 6).**  Frames are pickled payloads, so
-  every label inside a spec (witness paths, pinned adversary state)
-  ships in the packed byte form automatically.
-* **Fault handling (PR 3).**  A dropped connection is a lost shard: the
-  runs consume one attempt each, route through the shared
-  ``_BatchExecution`` wave engine, and are resubmitted to surviving
-  (or newly connecting) workers under the retry/degrade policies.  A
-  worker hung past the coordinator backstop deadline is disconnected
-  and treated the same way.  Successful retries are byte-identical to
-  the fault-free serial reference — seed streams are keyed by run
-  index, never by which worker executed it.
+Wire protocol (version 2): frames are a one-byte opcode, a big-endian
+uint32 payload length and a JSON payload, the proof service's codec::
 
-Wire protocol (version 1): length-prefixed frames, one-byte opcode plus
-a big-endian uint32 payload length::
+    HELLO  "H"  worker -> coordinator  {version, pid}
+    SHARD  "W"  coordinator -> worker  {shard, indices, attempts, run_timeout,
+                                        batch: {task, c, no_instance, adversary,
+                                                n, seed, faults, trace, cached}}
+    RESULT "R"  worker -> coordinator  {shard, stats, outcomes: [a RunRecord's
+                                        fields, or {index, fault, error,
+                                        elapsed, traceback}]}
+    BYE    "B"  either direction       empty
 
-    HELLO  "H"  worker -> coordinator   json {"version": 1, "pid": ...}
-    SPEC   "S"  coordinator -> worker   pickle (spec_id, _BatchSpec)
-    SHARD  "W"  coordinator -> worker   pickle (spec_id, shard_id,
-                                               indices, attempts, run_timeout)
-    RESULT "R"  worker -> coordinator   pickle (shard_id, outcomes, stats)
-    BYE    "B"  either direction        empty
+Every field is checked at its receiver: a frame that is not JSON, holds
+a field of the wrong type, names what the registry lacks, or answers a
+shard never sent raises :class:`WireError` / :class:`RemoteProtocolError`,
+the peer is dropped, and no run executes for it.  A dropped or hung
+worker's shard is lost: its runs are charged one attempt each, and the
+shared ``_BatchExecution`` wave engine resubmits them under the
+retry/degrade policies; seed streams are keyed by run index, so retried
+runs match the serial reference byte for byte.  A failed run comes back
+as its fault, error and traceback, never as an exception object.
 
-The agent loop is :func:`serve_worker`; :class:`InProcessWorker` runs it
-on a thread of the current process for tests and benchmarks (kill
-faults degrade to raises there).  Threaded workers need no lock around
-shard execution: a run's tap and tracer live in that thread's run
-context, and the decode cache rides on the views of one decide sweep.
+:func:`serve_worker` is the agent loop; :class:`InProcessWorker` runs it
+on a thread of this process for tests and benchmarks (kill faults
+degrade to raises there).  Threaded workers need no lock: a run's tap
+and tracer live in its thread's run context.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import pickle
 import selectors
 import socket
 import struct
 import threading
 import time
 from collections import deque
+from contextlib import suppress
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
 from .backends import BatchResult, ExecutionBackend
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct(">cI")
 HEADER_SIZE = _HEADER.size
 
 OP_HELLO = b"H"
-OP_SPEC = b"S"
 OP_SHARD = b"W"
 OP_RESULT = b"R"
 OP_BYE = b"B"
 
-_KNOWN_OPS = frozenset((OP_HELLO, OP_SPEC, OP_SHARD, OP_RESULT, OP_BYE))
+_KNOWN_OPS = frozenset((OP_HELLO, OP_SHARD, OP_RESULT, OP_BYE))
 
 #: refuse frames past this size — a corrupt length prefix must fail fast,
-#: not allocate gigabytes (largest legitimate frame is a batch spec)
+#: not allocate gigabytes (the largest legitimate frame is a traced RESULT)
 MAX_FRAME_BYTES = 1 << 30
 
 
@@ -138,9 +137,7 @@ def _recv_exact(sock: socket.socket, size: int) -> bytes:
 
 
 def recv_frame(
-    sock: socket.socket,
-    *,
-    max_frame_bytes: Optional[int] = None,
+    sock: socket.socket, *, max_frame_bytes: Optional[int] = None,
     known_ops: Optional[frozenset] = None,
 ) -> Tuple[bytes, bytes]:
     """Blocking read of one complete frame -> ``(op, payload)``."""
@@ -153,9 +150,7 @@ def recv_frame(
 
 
 def _parse_header(
-    header: bytes,
-    *,
-    max_frame_bytes: Optional[int] = None,
+    header: bytes, *, max_frame_bytes: Optional[int] = None,
     known_ops: Optional[frozenset] = None,
 ) -> Tuple[bytes, int]:
     op, length = _HEADER.unpack(header)
@@ -173,9 +168,7 @@ class _FrameBuffer:
     """Incremental frame parser over a non-blocking byte stream."""
 
     def __init__(
-        self,
-        *,
-        max_frame_bytes: Optional[int] = None,
+        self, *, max_frame_bytes: Optional[int] = None,
         known_ops: Optional[frozenset] = None,
     ) -> None:
         self._buf = bytearray()
@@ -205,6 +198,142 @@ class _FrameBuffer:
 
 
 # ---------------------------------------------------------------------------
+# the JSON codec and the frame schemas
+# ---------------------------------------------------------------------------
+
+
+def encode_message(obj: Dict[str, Any]) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def decode_message(payload: bytes) -> Dict[str, Any]:
+    try:
+        obj = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WireError(f"frame payload is not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise WireError("frame payload must be a JSON object")
+    return obj
+
+
+_NULL, _INT, _NUM, _BOOL = type(None), (int,), (float, int), (bool,)
+_NAME = (str, _NULL)
+#: field -> accepted JSON types, for each part of a frame
+_HELLO = {"version": _INT, "pid": _INT}
+_BATCH = {"task": (str,), "c": _INT, "no_instance": _BOOL, "adversary": _NAME,
+          "n": _INT, "seed": _INT, "faults": _NAME, "trace": _BOOL, "cached": _BOOL}
+_SHARD = {"shard": _INT, "batch": (dict,), "indices": (list,), "attempts": (list,),
+          "run_timeout": _NUM + (_NULL,)}
+_RESULT = {"shard": _INT, "outcomes": (list,), "stats": (dict, _NULL)}
+_STATS = {"hits": _INT, "misses": _INT}
+#: a run that succeeded: the RunRecord fields
+_RECORD = {"index": _INT, "accepted": _BOOL, "proof_size_bits": _INT, "n_rounds": _INT,
+           "n_rejecting": _INT, "wall_time": _NUM, "extra": (dict, _NULL)}
+_FAILURE = {"index": _INT, "fault": (str,), "error": (str,), "elapsed": _NUM,
+            "traceback": _NAME}
+
+
+def _fields(obj: Any, schema: Dict[str, tuple], what: str) -> List[Any]:
+    """``obj``'s values in ``schema`` order, each of one of its types.
+
+    ``obj`` must hold exactly the schema's keys.  A bool never passes for
+    an int; an int passes for a float, and becomes one.
+    """
+    if not isinstance(obj, dict) or obj.keys() != schema.keys():
+        raise RemoteProtocolError(f"{what}: want exactly the fields {sorted(schema)}")
+    values = []
+    for key, kinds in schema.items():
+        value = obj[key]
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise RemoteProtocolError(
+                f"{what}: field {key!r} may not be a {type(value).__name__}"
+            )
+        values.append(float(value) if float in kinds and type(value) is int else value)
+    return values
+
+
+def decode_hello(payload: bytes) -> Dict[str, Any]:
+    """A worker's HELLO, refused unless it speaks :data:`PROTOCOL_VERSION`."""
+    version, pid = _fields(decode_message(payload), _HELLO, "HELLO")
+    if version != PROTOCOL_VERSION:
+        raise RemoteProtocolError(f"HELLO speaks version {version}, not {PROTOCOL_VERSION}")
+    return {"version": version, "pid": pid}
+
+
+def decode_shard(payload: bytes):
+    """A SHARD frame -> ``(shard_id, spec, indices, attempts, run_timeout)``.
+
+    The batch spec is rebuilt from the frame's registry names; a name
+    the registry lacks is a :class:`RemoteProtocolError`.
+    """
+    from .cache import CachedFactory
+    from .registry import UnnamedBatchError, resolve_batch
+    from .runner import _BatchSpec
+
+    shard_id, batch, indices, attempts, run_timeout = _fields(
+        decode_message(payload), _SHARD, "SHARD"
+    )
+    if not all(type(i) is int and i >= 0 for i in indices + attempts):
+        raise RemoteProtocolError("SHARD: indices and attempts must be ints >= 0")
+    if len(attempts) != len(indices) or not (run_timeout is None or run_timeout > 0):
+        raise RemoteProtocolError("SHARD: want an attempt count per index, timeout > 0")
+    task, c, no_instance, adversary, n, seed, faults, trace, cached = _fields(
+        batch, _BATCH, "SHARD batch"
+    )
+    try:
+        named = resolve_batch(
+            task, no_instance=no_instance, adversary=adversary, inject_faults=faults
+        )
+    except UnnamedBatchError as exc:
+        raise RemoteProtocolError(f"SHARD batch: {exc}") from None
+    factory = named.factory
+    if cached:
+        factory = CachedFactory(f"{named.spec.name}:{named.kind}", factory)
+    spec = _BatchSpec(named.spec.protocol(c=c), factory, named.prover_factory, n, seed,
+                      fault_plan=named.fault_plan, trace=trace)
+    return shard_id, spec, indices, dict(zip(indices, attempts)), run_timeout
+
+
+def encode_result(shard_id: int, outcomes, stats: Optional[Dict[str, int]]) -> bytes:
+    return encode_message({"shard": shard_id, "stats": stats, "outcomes": [
+        vars(o.record) if o.record is not None else {
+            "index": o.index, "fault": o.fault, "error": o.error,
+            "elapsed": o.elapsed, "traceback": o.worker_traceback,
+        } for o in outcomes
+    ]})
+
+
+def decode_result(payload: bytes, shard_id: int, indices: List[int]):
+    """A RESULT answering shard ``shard_id`` -> ``(outcomes, stats)``.
+
+    The frame must name that shard and answer exactly its runs, in order.
+    """
+    from .resilience import FAULT_LABELS, _RunOutcome
+    from .runner import RunRecord
+
+    got, raw, stats = _fields(decode_message(payload), _RESULT, "RESULT")
+    if got != shard_id:
+        raise RemoteProtocolError(f"RESULT for shard {got}; shard {shard_id} was sent")
+    if stats is not None:
+        stats = dict(zip(_STATS, _fields(stats, _STATS, "RESULT stats")))
+    outcomes = []
+    for obj in raw:
+        if isinstance(obj, dict) and "fault" in obj:
+            index, fault, error, elapsed, tb = _fields(obj, _FAILURE, "RESULT failure")
+            if fault not in FAULT_LABELS:
+                raise RemoteProtocolError(f"RESULT failure: unknown fault {fault!r}")
+            outcomes.append(_RunOutcome(
+                index, fault=fault, error=error, elapsed=elapsed, worker_traceback=tb
+            ))
+        else:
+            record = RunRecord(**dict(zip(_RECORD, _fields(obj, _RECORD, "RESULT record"))))
+            outcomes.append(_RunOutcome(record.index, record))
+    if [o.index for o in outcomes] != indices:
+        raise RemoteProtocolError(f"RESULT for shard {shard_id} must answer runs {indices}")
+    return outcomes, stats
+
+
+# ---------------------------------------------------------------------------
 # coordinator side
 # ---------------------------------------------------------------------------
 
@@ -212,14 +341,10 @@ class _FrameBuffer:
 class _WorkerConn:
     """Coordinator-side state of one connected worker."""
 
-    def __init__(
-        self, sock: socket.socket, addr, *, max_frame_bytes: Optional[int] = None
-    ) -> None:
+    def __init__(self, sock: socket.socket, max_frame_bytes: Optional[int]) -> None:
         self.sock = sock
-        self.addr = addr
         self.frames = _FrameBuffer(max_frame_bytes=max_frame_bytes)
         self.hello: Optional[Dict[str, Any]] = None
-        self.spec_sent: Optional[int] = None  #: spec_id this conn holds
         self.shard: Optional[Tuple[int, List[int]]] = None  #: in flight
         self.deadline: Optional[float] = None  #: backstop for the shard
 
@@ -234,15 +359,11 @@ class RemoteWorkerBackend(ExecutionBackend):
     The backend binds ``(host, port)`` at construction (``port=0`` picks
     an ephemeral port; read :attr:`address` before starting agents) and
     keeps the listener open across batches, so one set of agents can
-    serve a whole campaign — each batch re-ships its spec once per
-    worker, nothing else.  Workers may connect, drop, and reconnect at
-    any time; the coordinator only *requires* ``min_workers`` to be
-    registered before the first shard of a batch goes out.
-
-    Strict-policy batches surface the first failure exactly like the
-    local backends (the original exception where it survived pickling);
-    worker loss under strict aborts the batch, mirroring the pool's
-    ``BrokenProcessPool`` behaviour.
+    serve a whole campaign.  Workers may connect, drop, and reconnect at
+    any time; ``min_workers`` must be registered before the first shard
+    of a batch goes out.  Under ``strict`` the first failed run surfaces
+    as a ``RuntimeError`` caused by the worker's traceback, and a lost
+    worker aborts the batch, as a ``BrokenProcessPool`` does the pool's.
     """
 
     name = "remote"
@@ -273,8 +394,7 @@ class RemoteWorkerBackend(ExecutionBackend):
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
         self._conns: Dict[socket.socket, _WorkerConn] = {}
-        self._spec_counter = 0
-        self._shard_counter = 0
+        self._shard_ids = itertools.count(1)
         self._closed = False
 
     # -- plumbing ----------------------------------------------------------
@@ -289,11 +409,8 @@ class RemoteWorkerBackend(ExecutionBackend):
         return f"{self.host}:{self.port}"
 
     def describe(self) -> Dict[str, Any]:
-        return {
-            "backend": self.name,
-            "listen": self.connect_spec,
-            "min_workers": self.min_workers,
-        }
+        return {"backend": self.name, "listen": self.connect_spec,
+                "min_workers": self.min_workers}
 
     def workers_connected(self) -> int:
         return sum(1 for conn in self._conns.values() if conn.hello is not None)
@@ -304,37 +421,29 @@ class RemoteWorkerBackend(ExecutionBackend):
             return
         self._closed = True
         for conn in list(self._conns.values()):
-            try:
+            with suppress(OSError):
                 send_frame(conn.sock, OP_BYE)
-            except OSError:
-                pass
             self._drop(conn)
-        try:
+        with suppress(KeyError, ValueError):
             self._selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
         self._listener.close()
         self._selector.close()
 
     def _drop(self, conn: _WorkerConn) -> None:
-        try:
+        with suppress(KeyError, ValueError):
             self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
         self._conns.pop(conn.sock, None)
-        try:
+        with suppress(OSError):
             conn.sock.close()
-        except OSError:
-            pass
 
     def _accept(self) -> None:
         while True:
             try:
-                sock, addr = self._listener.accept()
+                sock, _ = self._listener.accept()
             except (BlockingIOError, OSError):
                 return
             sock.setblocking(False)
-            conn = _WorkerConn(sock, addr, max_frame_bytes=self.max_frame_bytes)
+            conn = _WorkerConn(sock, self.max_frame_bytes)
             self._conns[sock] = conn
             self._selector.register(sock, selectors.EVENT_READ, conn)
 
@@ -371,14 +480,10 @@ class RemoteWorkerBackend(ExecutionBackend):
 
     def _handle_hello(self, conn: _WorkerConn, payload: bytes) -> None:
         try:
-            hello = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            conn.hello = decode_hello(payload)
+        except RemoteProtocolError:
             self._drop(conn)
             return
-        if hello.get("version") != PROTOCOL_VERSION:
-            self._drop(conn)
-            return
-        conn.hello = hello
         obs_metrics.inc(
             "repro_remote_workers_joined_total",
             help="remote worker registrations accepted by a coordinator",
@@ -402,82 +507,41 @@ class RemoteWorkerBackend(ExecutionBackend):
     # -- ExecutionBackend --------------------------------------------------
 
     def run(self, spec, n_runs, *, chunk_size=None, **knobs) -> BatchResult:
+        from .registry import batch_identity
         from .resilience import _BatchExecution
 
         if self._closed:
             raise RuntimeError("remote backend is closed")
-        state = _BatchExecution(
-            spec,
-            n_runs,
-            workers=self.min_workers,
-            chunk_size=chunk_size or self.chunk_size,
-            **knobs,
-        )
-        self._spec_counter += 1
-        spec_id = self._spec_counter
-        spec_blob = pickle.dumps((spec_id, spec), protocol=pickle.HIGHEST_PROTOCOL)
+        batch = batch_identity(spec)  # a worker can only rebuild what has a name
+        state = _BatchExecution(spec, n_runs, workers=self.min_workers,
+                                chunk_size=chunk_size or self.chunk_size, **knobs)
         info: Dict[str, Any] = self.describe()
-        info.update(
-            spec_bytes=len(spec_blob),
-            shards_dispatched=0,
-            worker_losses=0,
-            bytes_sent=0,
-            bytes_received=0,
-        )
+        info.update(shards_dispatched=0, worker_losses=0, bytes_sent=0, bytes_received=0)
         self.last_run_info = info
         self._wait_for_workers(self.min_workers)
-        result = state.run(
-            lambda shards: self._run_wave(spec_id, spec_blob, shards, state, info)
-        )
+        result = state.run(lambda shards: self._run_wave(batch, shards, state, info))
         info["workers_connected"] = self.workers_connected()
         return result
 
-    def _next_shard_id(self) -> int:
-        self._shard_counter += 1
-        return self._shard_counter
-
-    def _send_to(self, conn: _WorkerConn, op: bytes, payload: bytes, info) -> bool:
-        """Send a frame to one worker; False (and drop) on a dead socket."""
+    def _dispatch(self, conn: _WorkerConn, batch, shard, state, info) -> bool:
+        """Send one shard of the named batch to ``conn``; False (and drop)
+        on a dead socket."""
+        shard_id, indices = shard
+        run_timeout = state.run_timeout
+        payload = encode_message({
+            "shard": shard_id, "batch": batch, "indices": indices,
+            "attempts": [state.attempts[i] for i in indices], "run_timeout": run_timeout,
+        })
         try:
             conn.sock.setblocking(True)
             try:
-                sent = send_frame(conn.sock, op, payload)
+                sent = send_frame(conn.sock, OP_SHARD, payload)
             finally:
                 conn.sock.setblocking(False)
         except OSError:
             self._drop(conn)
             return False
-        info["bytes_sent"] += sent
-        obs_metrics.inc(
-            "repro_remote_bytes_sent_total", sent,
-            help="bytes sent by remote coordinators",
-        )
-        return True
-
-    def _dispatch(
-        self,
-        conn: _WorkerConn,
-        spec_id: int,
-        spec_blob: bytes,
-        shard: Tuple[int, List[int]],
-        state,
-        run_timeout: Optional[float],
-        info: Dict[str, Any],
-    ) -> bool:
-        """Ship spec (once per worker per batch) + one shard to ``conn``."""
-        if conn.spec_sent != spec_id:
-            if not self._send_to(conn, OP_SPEC, spec_blob, info):
-                return False
-            conn.spec_sent = spec_id
-        shard_id, indices = shard
-        payload = pickle.dumps(
-            (spec_id, shard_id, list(indices),
-             {i: state.attempts[i] for i in indices}, run_timeout),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        if not self._send_to(conn, OP_SHARD, payload, info):
-            return False
-        conn.shard = (shard_id, list(indices))
+        conn.shard = shard
         conn.deadline = (
             None
             if run_timeout is None
@@ -486,25 +550,24 @@ class RemoteWorkerBackend(ExecutionBackend):
             # hung beyond the alarm (or mid-transfer)
             else time.monotonic() + run_timeout * (3 * len(indices) + 2) + 1.0
         )
+        info["bytes_sent"] += sent
         info["shards_dispatched"] += 1
+        obs_metrics.inc(
+            "repro_remote_bytes_sent_total", sent,
+            help="bytes sent by remote coordinators",
+        )
         obs_metrics.inc(
             "repro_remote_shards_dispatched_total",
             help="shards dispatched to remote workers",
         )
         return True
 
-    def _note_loss(
-        self,
-        conn: _WorkerConn,
-        label: str,
-        lost: List[Tuple[int, str]],
-        info: Dict[str, Any],
-    ) -> None:
-        """A worker died (or was disconnected) holding a shard."""
+    def _note_loss(self, conn: _WorkerConn, label: str, lost, info) -> None:
+        """A worker died, was disconnected or broke protocol holding a shard."""
+        self._drop(conn)
         if conn.shard is None:
             return
-        _, indices = conn.shard
-        lost.extend((i, label) for i in indices)
+        lost.extend((i, label) for i in conn.shard[1])
         conn.shard = None
         info["worker_losses"] += 1
         obs_metrics.inc(
@@ -512,27 +575,17 @@ class RemoteWorkerBackend(ExecutionBackend):
             help="remote worker connections lost while holding a shard",
         )
 
-    def _run_wave(
-        self,
-        spec_id: int,
-        spec_blob: bytes,
-        shards: List[List[int]],
-        state,
-        info: Dict[str, Any],
-    ) -> None:
+    def _run_wave(self, batch, shards: List[List[int]], state, info) -> None:
         """Dispatch one wave of shards across whoever is connected.
 
-        Workers may join mid-wave (they are put to work immediately) and
-        drop mid-shard (the shard's runs are recorded lost, one attempt
-        each, and the wave goes on).  If every worker is gone and none
-        returns within ``accept_timeout``, the remaining shards of the
-        wave are recorded lost rather than stalling forever — the retry
-        policy decides what happens to them next.  Results are folded
-        into ``state`` once the wave is over, so a strict abort never
-        leaves a shard in flight on an agent the next batch reuses.
+        Workers may join mid-wave (put to work at once) and drop mid-shard
+        (its runs are recorded lost, one attempt each).  If every worker
+        is gone for ``accept_timeout``, the wave's remaining shards are
+        recorded lost too, for the retry policy to judge.  Results are
+        folded into ``state`` once the wave is over, so a strict abort
+        never leaves a shard in flight on an agent the next batch reuses.
         """
-        run_timeout = state.run_timeout
-        queue = deque((self._next_shard_id(), list(s)) for s in shards)
+        queue = deque((next(self._shard_ids), list(s)) for s in shards)
         active = {shard_id for shard_id, _ in queue}
         results: List[Tuple[List[Any], Optional[Dict[str, int]]]] = []
         lost: List[Tuple[int, str]] = []
@@ -544,13 +597,9 @@ class RemoteWorkerBackend(ExecutionBackend):
         while queue or in_flight():
             # put every ready worker to work
             for conn in list(self._conns.values()):
-                if not queue:
-                    break
-                if conn.ready:
+                if queue and conn.ready:
                     shard = queue.popleft()
-                    if not self._dispatch(
-                        conn, spec_id, spec_blob, shard, state, run_timeout, info
-                    ):
+                    if not self._dispatch(conn, batch, shard, state, info):
                         queue.appendleft(shard)  # conn died before takeoff
             if queue and not self._conns:
                 # nobody to dispatch to: give agents accept_timeout to
@@ -558,15 +607,15 @@ class RemoteWorkerBackend(ExecutionBackend):
                 if starved_since is None:
                     starved_since = time.monotonic()
                 elif time.monotonic() - starved_since > self.accept_timeout:
-                    while queue:
-                        _, indices = queue.popleft()
-                        lost.extend((i, "worker-lost") for i in indices)
+                    lost.extend((i, "worker-lost") for _, shard in queue for i in shard)
                     break
             else:
                 starved_since = None
             for conn, op, payload in self._pump(0.05):
                 if op == OP_HELLO:
                     self._handle_hello(conn, payload)
+                elif op == OP_BYE:
+                    self._note_loss(conn, "worker-lost", lost, info)
                 elif op == OP_RESULT:
                     info["bytes_received"] += HEADER_SIZE + len(payload)
                     obs_metrics.inc(
@@ -575,32 +624,23 @@ class RemoteWorkerBackend(ExecutionBackend):
                         help="bytes received by remote coordinators",
                     )
                     try:
-                        shard_id, shard_outcomes, delta = pickle.loads(payload)
-                    except Exception:
+                        if conn.shard is None:
+                            raise RemoteProtocolError("RESULT from a worker given no shard")
+                        shard_id, indices = conn.shard
+                        outcomes, delta = decode_result(payload, shard_id, indices)
+                    except RemoteProtocolError:  # forged or malformed: runs lost
                         self._note_loss(conn, "worker-lost", lost, info)
-                        self._drop(conn)
                         continue
-                    if conn.shard is not None and conn.shard[0] == shard_id:
-                        # the worker is free again either way; only results
-                        # for *this* wave's shards are absorbed — a
-                        # straggler from an aborted batch (or a shard this
-                        # wave already wrote off) is discarded, its runs
-                        # having been charged an attempt and resubmitted
-                        conn.shard = None
-                        conn.deadline = None
-                        if shard_id in active:
-                            results.append((shard_outcomes, delta))
-                elif op == OP_BYE:
-                    self._note_loss(conn, "worker-lost", lost, info)
-                    self._drop(conn)
-            if run_timeout is not None:
+                    conn.shard = conn.deadline = None
+                    if shard_id in active:  # else a shard of an interrupted batch
+                        results.append((outcomes, delta))
+            if state.run_timeout is not None:
                 now = time.monotonic()
                 for conn in in_flight():
                     if conn.deadline is not None and now > conn.deadline:
                         self._note_loss(conn, "timeout", lost, info)
-                        self._drop(conn)
-        for shard_outcomes, delta in results:
-            state.absorb(shard_outcomes, delta)
+        for outcomes, delta in results:
+            state.absorb(outcomes, delta)
         state.absorb_lost(lost, detail="remote worker connection lost")
 
 
@@ -627,11 +667,8 @@ def reconnect_backoff(
 
 
 def _connect_with_retry(host: str, port: int, connect_timeout: float):
-    """Dial the coordinator, retrying for ``connect_timeout`` seconds.
-
-    Returns a blocking connected socket, or ``None`` if the deadline
-    passed without the coordinator answering.
-    """
+    """A blocking socket to the coordinator, dialled for up to
+    ``connect_timeout`` seconds; ``None`` if it never answered."""
     deadline = time.monotonic() + connect_timeout
     while True:
         try:
@@ -659,24 +696,19 @@ def serve_worker(
 ) -> int:
     """Agent loop: register with a coordinator, execute shards until BYE.
 
-    ``address`` is ``(host, port)`` or a ``"host:port"`` string.  The
-    agent retries the initial connection for ``connect_timeout`` seconds
-    (operators routinely start agents before the coordinator binds),
-    then serves batches until the coordinator says BYE or the connection
-    drops.  Returns a process exit status (0 = clean shutdown).
-
-    With ``reconnect=True`` a dropped connection is not the end: the
-    agent waits :func:`reconnect_backoff` (capped-exponential, jittered
-    deterministically from ``reconnect_seed`` — default the pid) and
-    dials again, up to ``max_reconnects`` times (unbounded if ``None``).
-    An explicit BYE always ends service; a coordinator that never
-    answers within ``connect_timeout`` ends the retry loop with 0 (the
-    coordinator is gone, same as today's dropped-connection exit).
+    ``address`` is ``(host, port)`` or ``"host:port"``.  The agent
+    retries the first dial for ``connect_timeout`` seconds (agents are
+    often started before the coordinator binds) and serves until BYE or a
+    dropped connection.  Returns an exit status: 1 if the first dial
+    failed, else 0.  With ``reconnect=True`` a drop is not the end: the
+    agent waits :func:`reconnect_backoff` (jittered from
+    ``reconnect_seed``, default the pid) and dials again, at most
+    ``max_reconnects`` times (``None``: unbounded).  BYE always ends
+    service.
 
     ``in_worker`` / ``result_send_hook`` are seams for the in-process
     harness and the chaos suite; real agents keep the defaults, so a
-    planned ``kill`` fault genuinely takes the agent down mid-shard — the
-    coordinator's loss accounting is the test subject.
+    planned ``kill`` fault really takes the agent down mid-shard.
     """
     host, port = address if isinstance(address, tuple) else parse_address(address)
     seed = os.getpid() if reconnect_seed is None else reconnect_seed
@@ -687,12 +719,7 @@ def serve_worker(
             # first dial failing is an operator error (status 1); a lost
             # coordinator that never comes back is a clean end of service
             return 1 if attempt == 0 else 0
-        outcome = _serve_connection(
-            sock,
-            in_worker=in_worker,
-            result_send_hook=result_send_hook,
-            max_frame_bytes=max_frame_bytes,
-        )
+        outcome = _serve_connection(sock, in_worker, result_send_hook, max_frame_bytes)
         if outcome == "bye" or not reconnect:
             return 0
         attempt += 1
@@ -701,18 +728,17 @@ def serve_worker(
         time.sleep(reconnect_backoff(seed, attempt, backoff_base, backoff_cap))
 
 
-def _serve_connection(
-    sock: socket.socket,
-    *,
-    in_worker: bool,
-    result_send_hook: Optional[Callable[[socket.socket, bytes], None]],
-    max_frame_bytes: Optional[int] = None,
-) -> str:
-    """One registered session with a coordinator -> ``"bye"`` | ``"lost"``."""
+def _serve_connection(sock, in_worker, result_send_hook, max_frame_bytes) -> str:
+    """One registered session with a coordinator -> ``"bye"`` | ``"lost"``.
+
+    A frame that is not a well-formed SHARD or BYE raises
+    :class:`RemoteProtocolError` (or :class:`WireError`) before any run.
+    """
+    from .resilience import _run_shard
+
     hello = {"version": PROTOCOL_VERSION, "pid": os.getpid()}
-    specs: Dict[int, Any] = {}
     try:
-        send_frame(sock, OP_HELLO, json.dumps(hello).encode("utf-8"))
+        send_frame(sock, OP_HELLO, encode_message(hello))
         while True:
             try:
                 op, payload = recv_frame(sock, max_frame_bytes=max_frame_bytes)
@@ -720,39 +746,15 @@ def _serve_connection(
                 return "lost"  # coordinator went away mid-session
             if op == OP_BYE:
                 return "bye"
-            if op == OP_SPEC:
-                spec_id, spec = pickle.loads(payload)
-                specs = {spec_id: spec}  # spec-once: newest batch only
-            elif op == OP_SHARD:
-                spec_id, shard_id, indices, attempts, run_timeout = pickle.loads(
-                    payload
-                )
-                spec = specs.get(spec_id)
-                if spec is None:
-                    raise RemoteProtocolError(
-                        f"shard {shard_id} references unknown spec {spec_id} "
-                        "(coordinator must send SPEC first)"
-                    )
-                from .resilience import _run_shard
-
-                outcomes, stats = _run_shard(
-                    spec, indices, attempts, run_timeout, in_worker=in_worker
-                )
-                send_frame(
-                    sock,
-                    OP_RESULT,
-                    pickle.dumps(
-                        (shard_id, outcomes, stats), protocol=pickle.HIGHEST_PROTOCOL
-                    ),
-                    send_hook=result_send_hook,
-                )
-            else:
+            if op != OP_SHARD:
                 raise RemoteProtocolError(f"unexpected opcode {op!r} in agent loop")
+            shard_id, spec, indices, attempts, run_timeout = decode_shard(payload)
+            outcomes, stats = _run_shard(spec, indices, attempts, run_timeout, in_worker)
+            send_frame(sock, OP_RESULT, encode_result(shard_id, outcomes, stats),
+                       send_hook=result_send_hook)
     finally:
-        try:
+        with suppress(OSError):
             sock.close()
-        except OSError:
-            pass
 
 
 class InProcessWorker:
@@ -768,10 +770,7 @@ class InProcessWorker:
     """
 
     def __init__(
-        self,
-        address,
-        *,
-        connect_timeout: float = 10.0,
+        self, address, *, connect_timeout: float = 10.0,
         result_send_hook: Optional[Callable[[socket.socket, bytes], None]] = None,
     ):
         self.exit_status: Optional[int] = None
@@ -780,9 +779,7 @@ class InProcessWorker:
         def _run() -> None:
             try:
                 self.exit_status = serve_worker(
-                    address,
-                    connect_timeout=connect_timeout,
-                    in_worker=False,
+                    address, connect_timeout=connect_timeout, in_worker=False,
                     result_send_hook=result_send_hook,
                 )
             except BaseException as exc:  # sabotage hooks unwind this way

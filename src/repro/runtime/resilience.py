@@ -25,7 +25,8 @@ Failure policies (:data:`FAILURE_POLICIES`):
 
 ``strict``
     the default: the first failure aborts the batch and re-raises (the
-    original exception where it survived pickling).  On the serial path
+    original exception where it survived pickling; from a remote worker,
+    a ``RuntimeError`` caused by the worker's traceback).  On the serial path
     no later run starts; on a pool the queued shards are cancelled and
     the workers terminated, so an abort never waits on a hung sibling.
 ``retry``
@@ -409,9 +410,12 @@ class _BatchExecution:
         self.attempts[index] += 1
         self.elapsed[index] += outcome.elapsed
         exc = outcome.exc
-        if exc is not None and outcome.worker_traceback is not None:
-            exc.__cause__ = _RemoteTraceback(outcome.worker_traceback)
-        self._note_failure(index, outcome.fault, outcome.error, exc)
+        cause = None
+        if outcome.worker_traceback is not None:
+            cause = _RemoteTraceback(outcome.worker_traceback)
+            if exc is not None:
+                exc.__cause__ = cause
+        self._note_failure(index, outcome.fault, outcome.error, exc, cause)
 
     def absorb_lost(
         self,
@@ -429,9 +433,19 @@ class _BatchExecution:
             )
 
     def _note_failure(
-        self, index: int, fault: str, error: str, exc: Optional[BaseException]
+        self,
+        index: int,
+        fault: str,
+        error: str,
+        exc: Optional[BaseException],
+        cause: Optional[BaseException] = None,
     ) -> None:
-        """One attempt of ``index`` failed; decide retry / abort / degrade."""
+        """One attempt of ``index`` failed; decide retry / abort / degrade.
+
+        Under ``strict`` the original exception is re-raised; without one
+        (a lost shard, or a run on a remote worker) a ``RuntimeError``
+        naming the run is, caused by the worker's traceback if any.
+        """
         if fault == "timeout":
             obs_metrics.inc(
                 "repro_run_timeouts_total",
@@ -443,7 +457,7 @@ class _BatchExecution:
             raise RuntimeError(
                 f"run {index} of {_spec_context(self.spec)} failed "
                 f"[{fault}]: {error}"
-            )
+            ) from cause
         if self.attempts[index] <= self.retries:
             self.retry.append(index)
             obs_metrics.inc(
@@ -456,7 +470,7 @@ class _BatchExecution:
             raise RetryExhaustedError(
                 f"run {index} of {_spec_context(self.spec)} still failing "
                 f"after {self.attempts[index]} attempts [{fault}]: {error}"
-            ) from exc
+            ) from (exc or cause)
         obs_metrics.inc(
             "repro_degrade_drops_total",
             help="runs dropped from a degraded report after exhausting retries",

@@ -66,7 +66,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..obs import metrics as obs_metrics
 from ..obs.journal import Journal
 from ..runtime.cache import CachedFactory, InstanceCache
-from ..runtime.faults import FaultPlan
 from ..runtime.remote import WireError
 from .queue import FairQueue
 from .wire import (
@@ -375,59 +374,29 @@ class ProofServer:
                     self._fail_frame(job.id, "execution-error", repr(exc))
                 ], False
         try:
-            spec = registry.get_task(req["task"])
-        except KeyError as exc:
-            return [self._fail_frame(job.id, "bad-request", exc.args[0])], False
-        if req["no_instance"] or req["adversary"]:
-            factory = spec.no_factory if req["no_instance"] else spec.yes_factory
-            if factory is None:
-                return [
-                    self._fail_frame(
-                        job.id, "bad-request",
-                        f"no built-in no-instance generator for {req['task']}",
-                    )
-                ], False
-            expect_accept = False
-        else:
-            factory = spec.yes_factory
-            expect_accept = True
-        kind = "no" if req["no_instance"] else "yes"
-        factory = self._cached_factory(req["task"], kind, factory)
-        prover_factory = None
-        if req["adversary"]:
-            prover_factory = spec.adversaries.get(req["adversary"])
-            if prover_factory is None:
-                return [
-                    self._fail_frame(
-                        job.id, "bad-request",
-                        f"unknown adversary {req['adversary']!r} for {req['task']}; "
-                        f"choose from {sorted(spec.adversaries)}",
-                    )
-                ], False
-        fault_plan = None
-        if req["inject_faults"]:
-            try:
-                fault_plan = FaultPlan.from_spec(req["inject_faults"])
-            except ValueError as exc:
-                return [
-                    self._fail_frame(job.id, "bad-request",
-                                     f"bad inject_faults spec: {exc}")
-                ], False
+            named = registry.resolve_batch(
+                req["task"],
+                no_instance=req["no_instance"],
+                adversary=req["adversary"] or None,
+                inject_faults=req["inject_faults"] or None,
+            )
+        except registry.UnnamedBatchError as exc:
+            return [self._fail_frame(job.id, "bad-request", str(exc))], False
         # in-memory, and only when its events will be read (see the
         # module docstring); without one the batch runs untraced
         journal = Journal() if self._reads_events(req) else None
         try:
             report = run_batch(
-                spec.protocol(c=req["c"]),
-                factory,
+                named.spec.protocol(c=req["c"]),
+                self._cached_factory(req["task"], named.kind, named.factory),
                 n_runs=req["runs"],
                 n=req["n"],
                 seed=req["seed"],
-                prover_factory=prover_factory,
+                prover_factory=named.prover_factory,
                 failure_policy=req["failure_policy"],
                 run_timeout=req["run_timeout"],
                 max_retries=req["max_retries"],
-                fault_plan=fault_plan,
+                fault_plan=named.fault_plan,
                 journal=journal,
                 backend=self._backend,
             )
@@ -449,7 +418,7 @@ class ProofServer:
             frames.extend(
                 (OP_EVENT, {"id": job.id, "event": event}) for event in job.events
             )
-        ok = report.acceptance_rate == 1.0 if expect_accept else True
+        ok = report.acceptance_rate == 1.0 if named.expect_accept else True
         frames.append(
             (
                 OP_RESULT,
@@ -458,7 +427,7 @@ class ProofServer:
                     "report": report.canonical_dict(),
                     "summary": report.summary(),
                     "ok": ok,
-                    "expect_accept": expect_accept,
+                    "expect_accept": named.expect_accept,
                     "degraded": bool(report.failures),
                     "failures": [rec.as_dict() for rec in report.failures],
                     "meta": {

@@ -1,9 +1,9 @@
 """Service wire protocol: JSON messages over the PR-7 frame format.
 
-The proof server speaks the same length-prefixed ``">cI"`` frames as the
-remote-worker protocol (:mod:`repro.runtime.remote`) — one-byte opcode
-plus big-endian uint32 payload length — but with its own opcode space
-and JSON payloads (requests cross trust boundaries; pickle does not).
+The proof server speaks the same length-prefixed ``">cI"`` frames and
+JSON codec as the remote-worker protocol (:mod:`repro.runtime.remote`)
+— one-byte opcode plus big-endian uint32 payload length — but with its
+own opcode space.
 
 Frame vocabulary (version 1)::
 
@@ -26,7 +26,6 @@ never allocating attacker-controlled sizes.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Optional, Tuple
 
 from ..runtime.remote import (  # noqa: F401  (re-exported for service users)
@@ -34,6 +33,8 @@ from ..runtime.remote import (  # noqa: F401  (re-exported for service users)
     RemoteProtocolError,
     WireError,
     _FrameBuffer,
+    decode_message,
+    encode_message,
     parse_address,
     recv_frame,
     send_frame,
@@ -65,20 +66,6 @@ MAX_N_PER_REQUEST = 1_000_000
 MAX_UPDATES_PER_REQUEST = 10_000
 
 REQUEST_KINDS = ("certify", "update")
-
-
-def encode_message(obj: Dict[str, Any]) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def decode_message(payload: bytes) -> Dict[str, Any]:
-    try:
-        obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"frame payload is not JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise WireError("frame payload must be a JSON object")
-    return obj
 
 
 def service_frame_buffer(

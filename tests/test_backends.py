@@ -12,10 +12,13 @@ mid-shard, a connection dropped mid-RESULT-blob) to show resubmission
 converges back to the fault-free serial bytes.
 """
 
+import json
 import os
+import pickle
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -36,7 +39,8 @@ from repro.runtime.registry import conformance_cases, get_task
 from repro.runtime.remote import (
     HEADER_SIZE,
     OP_HELLO,
-    OP_SPEC,
+    OP_RESULT,
+    OP_SHARD,
     InProcessWorker,
     RemoteProtocolError,
     RemoteWorkerBackend,
@@ -75,8 +79,8 @@ def remote_backend():
 
     The agents run on threads of this process (protocol-faithful at the
     socket layer; the per-view fake patches this process, so both decide
-    legs reach them) and serve every batch the module runs —
-    the spec-once protocol re-ships each batch's spec on first contact.
+    legs reach them) and serve every batch the module runs: each shard
+    names its batch, so nothing is held between batches.
     """
     backend = RemoteWorkerBackend(min_workers=2, accept_timeout=20.0)
     workers = [InProcessWorker(backend.address).start() for _ in range(2)]
@@ -305,9 +309,9 @@ class TestWireProtocol:
         a, b = socket.socketpair()
         try:
             payload = b"x" * 70_000  # bigger than one recv() buffer slice
-            send_frame(a, OP_SPEC, payload)
+            send_frame(a, OP_SHARD, payload)
             op, got = recv_frame(b)
-            assert op == OP_SPEC and got == payload
+            assert op == OP_SHARD and got == payload
         finally:
             a.close()
             b.close()
@@ -489,7 +493,7 @@ class TestFrameLimits:
 
         a, b = socket.socketpair()
         try:
-            a.sendall(__import__("struct").pack(">cI", OP_SPEC, (1 << 31) + 17))
+            a.sendall(__import__("struct").pack(">cI", OP_SHARD, (1 << 31) + 17))
             with pytest.raises(WireError, match="frame too large"):
                 recv_frame(b, max_frame_bytes=1 << 24)
         finally:
@@ -501,17 +505,17 @@ class TestFrameLimits:
 
         buf = _FrameBuffer(max_frame_bytes=16)
         with pytest.raises(WireError):
-            buf.feed(__import__("struct").pack(">cI", OP_SPEC, 17))
+            buf.feed(__import__("struct").pack(">cI", OP_SHARD, 17))
         # at the limit is fine
         ok = _FrameBuffer(max_frame_bytes=16)
-        frames = ok.feed(_encode_frame(OP_SPEC, b"x" * 16))
-        assert frames == [(OP_SPEC, b"x" * 16)]
+        frames = ok.feed(_encode_frame(OP_SHARD, b"x" * 16))
+        assert frames == [(OP_SHARD, b"x" * 16)]
 
     def test_send_side_enforces_the_same_limit(self):
         from repro.runtime.remote import WireError, _encode_frame
 
         with pytest.raises(WireError):
-            _encode_frame(OP_SPEC, b"x" * 17, max_frame_bytes=16)
+            _encode_frame(OP_SHARD, b"x" * 17, max_frame_bytes=16)
 
     def test_wire_error_is_a_protocol_error(self):
         from repro.runtime.remote import WireError
@@ -642,3 +646,305 @@ class TestWorkerReconnect:
         coord.join(timeout=5.0)
         listener.close()
         assert status == 0
+
+
+# ---------------------------------------------------------------------------
+# batches by name: the JSON frames and what they refuse
+# ---------------------------------------------------------------------------
+
+
+def _spec_of(runner, n=24, seed=11):
+    from repro.runtime.runner import _BatchSpec
+
+    return _BatchSpec(runner.protocol, runner.instance_factory,
+                      runner.prover_factory, n, seed,
+                      fault_plan=runner.fault_plan, trace=runner.trace)
+
+
+def _shard_frame(batch, indices=(0, 1), attempts=None, run_timeout=None):
+    from repro.runtime.remote import encode_message
+
+    indices = list(indices)
+    return encode_message({
+        "shard": 1, "batch": batch, "indices": indices,
+        "attempts": [0] * len(indices) if attempts is None else attempts,
+        "run_timeout": run_timeout,
+    })
+
+
+def _honest_batch(**over):
+    from repro.runtime.registry import batch_identity
+
+    spec = get_task("lr_sorting")
+    batch = batch_identity(_spec_of(BatchRunner(spec.protocol(), spec.yes_factory)))
+    batch.update(over)
+    return batch
+
+
+class TestNamedBatches:
+    @pytest.mark.parametrize("task,adversary", CASES,
+                             ids=[f"{t}-{a or 'honest'}" for t, a in CASES])
+    def test_names_rebuild_the_batch(self, task, adversary):
+        """identity -> SHARD frame -> worker spec runs the same records."""
+        from repro.runtime.registry import batch_identity
+        from repro.runtime.remote import decode_shard
+        from repro.runtime.runner import execute_one_run
+
+        spec = get_task(task)
+        factory = spec.no_factory if adversary and spec.no_factory else spec.yes_factory
+        runner = BatchRunner(
+            spec.protocol(c=3), factory,
+            prover_factory=spec.adversaries[adversary] if adversary else None,
+            fault_plan=FaultPlan(4, rate=0.5, kinds=("raise",),
+                                 overrides={2: ("hang", 3)}),
+            trace=True,
+        )
+        local = _spec_of(runner, n=20, seed=5)
+        shard_id, rebuilt, indices, attempts, timeout = decode_shard(
+            _shard_frame(batch_identity(local), indices=(3, 0), attempts=[1, 0],
+                         run_timeout=2)
+        )
+        assert (shard_id, indices, attempts, timeout) == (1, [3, 0], {3: 1, 0: 0}, 2.0)
+        assert type(rebuilt.protocol) is type(local.protocol)
+        assert rebuilt.protocol.c == 3 and rebuilt.trace
+        assert rebuilt.instance_factory is local.instance_factory
+        assert rebuilt.prover_factory is local.prover_factory
+        assert rebuilt.fault_plan.to_spec() == local.fault_plan.to_spec()
+        assert (execute_one_run(rebuilt, 0).canonical_dict()
+                == execute_one_run(local, 0).canonical_dict())
+
+    def test_fault_plan_spec_round_trips(self):
+        from repro.runtime.faults import PERSISTENT
+
+        plan = FaultPlan(-7, rate=0.125, kinds=("raise", "kill"), fires=2,
+                         hang_s=0.5, overrides={9: ("kill", PERSISTENT), 1: ("hang", 1)})
+        again = FaultPlan.from_spec(plan.to_spec())
+        assert again.to_spec() == plan.to_spec()
+        assert all(again.fault_at(i) == plan.fault_at(i) for i in range(64))
+
+    def test_cached_factory_travels_as_its_builder(self):
+        from repro.runtime.cache import CachedFactory
+        from repro.runtime.registry import batch_identity
+        from repro.runtime.remote import decode_shard
+
+        spec = get_task("planarity")
+        batch = batch_identity(_spec_of(BatchRunner(
+            spec.protocol(), CachedFactory("planarity:no", spec.no_factory))))
+        assert batch["cached"] and batch["no_instance"]
+        rebuilt = decode_shard(_shard_frame(batch))[1].instance_factory
+        assert isinstance(rebuilt, CachedFactory)
+        assert rebuilt.builder is spec.no_factory
+
+    @pytest.mark.parametrize("make", [
+        lambda s: (s.protocol(), lambda n, rng: s.yes_factory(n, rng), None),
+        lambda s: (s.protocol(), None, lambda inst: None),
+        lambda s: (type("Custom", (type(s.protocol()),), {})(), None, None),
+    ], ids=["lambda-factory", "custom-adversary", "protocol-subclass"])
+    def test_unnamed_batches_are_refused_before_any_frame(self, make):
+        """A worker could not rebuild these: no frame leaves the coordinator."""
+        from repro.runtime.registry import UnnamedBatchError
+
+        spec = get_task("lr_sorting")
+        protocol, factory, adversary = make(spec)
+        backend = RemoteWorkerBackend(min_workers=1, accept_timeout=5.0)
+        peer = socket.create_connection(backend.address)
+        try:
+            peer.sendall(_encode_frame_for_test(OP_HELLO, {"version": 2, "pid": 1}))
+            runner = BatchRunner(protocol, factory or spec.yes_factory,
+                                 prover_factory=adversary, backend=backend)
+            with pytest.raises(UnnamedBatchError):
+                runner.run(2, 24, seed=11)
+            peer.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                peer.recv(1)  # nothing was sent to the registered worker
+        finally:
+            peer.close()
+            backend.close()
+
+    def test_non_default_protocol_parameter_is_refused(self):
+        from repro.protocols.outerplanarity import OuterplanarityProtocol
+        from repro.runtime.registry import UnnamedBatchError, batch_identity
+
+        spec = get_task("outerplanarity")
+        batch_identity(_spec_of(BatchRunner(OuterplanarityProtocol(c=4), spec.yes_factory)))
+        with pytest.raises(UnnamedBatchError, match="other than c"):
+            batch_identity(_spec_of(BatchRunner(
+                OuterplanarityProtocol(c=2, stv_repetitions=3), spec.yes_factory)))
+        lr = get_task("lr_sorting")
+        with pytest.raises(UnnamedBatchError):
+            batch_identity(_spec_of(BatchRunner(
+                lr.protocol(truncate_to_three_rounds=True), lr.yes_factory)))
+
+    def test_strict_remote_failure_carries_the_worker_traceback(self):
+        """No exception object crosses the socket: a strict failure on a
+        real agent is a RuntimeError naming the run, caused by the agent's
+        formatted traceback."""
+        backend = RemoteWorkerBackend(min_workers=1, accept_timeout=30.0)
+        agent = _spawn_agent(backend.port)
+        try:
+            with pytest.raises(RuntimeError, match=r"run 1 .* failed \[raise\]") as info:
+                _run("treewidth2", runs=3, backend=backend,
+                     fault_plan=FaultPlan(0, overrides={1: ("raise", 1)}))
+        finally:
+            backend.close()
+            agent.wait(timeout=10)
+        assert "InjectedFault" in str(info.value.__cause__)
+        assert "Traceback" in str(info.value.__cause__)
+
+
+def _encode_frame_for_test(op, obj):
+    from repro.runtime.remote import _encode_frame, encode_message
+
+    return _encode_frame(op, encode_message(obj))
+
+
+def _result(outcomes, shard=1, stats=None):
+    from repro.runtime.remote import encode_message
+
+    return encode_message({"shard": shard, "outcomes": outcomes, "stats": stats})
+
+
+def _record(index, **over):
+    rec = {"index": index, "accepted": True, "proof_size_bits": 12, "n_rounds": 5,
+           "n_rejecting": 0, "wall_time": 0.5, "extra": None}
+    rec.update(over)
+    return rec
+
+
+class TestForgedFrames:
+    """Every forged frame is a typed error at its receiver."""
+
+    def test_a_well_formed_result_decodes(self):
+        from repro.runtime.remote import decode_result
+
+        failure = {"index": 1, "fault": "raise", "error": "boom", "elapsed": 1,
+                   "traceback": "tb"}
+        outcomes, stats = decode_result(
+            _result([_record(0), failure], stats={"hits": 1, "misses": 2}), 1, [0, 1])
+        assert outcomes[0].record.proof_size_bits == 12
+        assert (outcomes[1].fault, outcomes[1].elapsed, outcomes[1].exc) == (
+            "raise", 1.0, None)
+        assert stats == {"hits": 1, "misses": 2}
+
+    @pytest.mark.parametrize("payload,error", [
+        (pickle.dumps((1, [], None)), "WireError"),
+        (b"{not json", "WireError"),
+        (b"[1, 2]", "WireError"),
+        (_result([_record(0), _record(1)], shard=2), "RemoteProtocolError"),
+        (_result([_record(0), _record(5)]), "RemoteProtocolError"),
+        (_result([_record(0)]), "RemoteProtocolError"),
+        (_result([_record(0), _record(1, accepted=1)]), "RemoteProtocolError"),
+        (_result([_record(0), _record(1, proof_size_bits="12")]), "RemoteProtocolError"),
+        (_result([_record(0), _record(1, extra=[])]), "RemoteProtocolError"),
+        (_result([_record(0), dict(_record(1), surprise=1)]), "RemoteProtocolError"),
+        (_result([_record(0), {"index": 1, "fault": "meteor", "error": "",
+                              "elapsed": 0.0, "traceback": None}]),
+         "RemoteProtocolError"),
+        (_result([_record(0), _record(1)], stats={"hits": True, "misses": 0}),
+         "RemoteProtocolError"),
+    ], ids=["pickle", "not-json", "not-an-object", "unsent-shard",
+            "index-outside-shard", "missing-run", "bool-as-int", "str-as-int",
+            "extra-list", "unknown-field", "unknown-fault", "bad-stats"])
+    def test_forged_result_is_refused(self, payload, error):
+        from repro.runtime import remote
+
+        with pytest.raises(getattr(remote, error)):
+            remote.decode_result(payload, 1, [0, 1])
+
+    @pytest.mark.parametrize("batch,indices,attempts,match", [
+        (dict(task="warp_drive"), (0,), None, "unknown task"),
+        (dict(adversary="meteor"), (0,), None, "unknown adversary"),
+        (dict(task="planar_embedding", no_instance=True), (0,), None, "no-instance"),
+        (dict(faults="rate=lots"), (0,), None, "inject_faults"),
+        (dict(c="2"), (0,), None, "'c'"),
+        (dict(trace=None), (0,), None, "'trace'"),
+        ({}, (0, -1), None, ">= 0"),
+        ({}, (0, True), None, ">= 0"),
+        ({}, (0, 1), [0], "attempt count"),
+    ], ids=["unknown-task", "unknown-adversary", "no-generator", "bad-faults",
+            "str-c", "null-trace", "negative-index", "bool-index", "short-attempts"])
+    def test_forged_shard_is_refused(self, batch, indices, attempts, match):
+        from repro.runtime.remote import decode_shard
+
+        with pytest.raises(RemoteProtocolError, match=match):
+            decode_shard(_shard_frame(_honest_batch(**batch), indices, attempts))
+
+    def test_version_1_hello_is_refused_and_dropped(self):
+        from repro.runtime.remote import decode_hello
+
+        with pytest.raises(RemoteProtocolError, match="version 1"):
+            decode_hello(b'{"version": 1, "pid": 7}')
+        with pytest.raises(RemoteProtocolError):
+            decode_hello(b'{"version": 2, "pid": "7"}')
+        backend = RemoteWorkerBackend(min_workers=1, accept_timeout=0.5)
+        peer = socket.create_connection(backend.address)
+        try:
+            peer.sendall(_encode_frame_for_test(OP_HELLO, {"version": 1, "pid": 7}))
+            with pytest.raises(RuntimeError, match="only 0 of 1"):
+                _run("lr_sorting", runs=2, backend=backend)
+            peer.settimeout(5.0)
+            assert peer.recv(1) == b""  # the coordinator hung up on it
+        finally:
+            peer.close()
+            backend.close()
+
+    def test_worker_refuses_a_forged_shard_and_runs_nothing(self, monkeypatch):
+        from repro.runtime import runner
+        from repro.runtime.remote import OP_SHARD, serve_worker
+
+        ran = []
+        monkeypatch.setattr(runner, "execute_one_run", lambda *a: ran.append(a))
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def _coordinator():
+            conn, _ = listener.accept()
+            recv_frame(conn)  # HELLO
+            send_frame(conn, OP_SHARD, _shard_frame(_honest_batch(task="warp_drive")))
+            conn.settimeout(5.0)
+            try:
+                conn.recv(1)
+            finally:
+                conn.close()
+
+        coord = threading.Thread(target=_coordinator, daemon=True)
+        coord.start()
+        try:
+            with pytest.raises(RemoteProtocolError, match="unknown task"):
+                serve_worker(("127.0.0.1", port), connect_timeout=5.0, in_worker=False)
+        finally:
+            coord.join(timeout=5.0)
+            listener.close()
+        assert ran == []
+
+    def test_forged_result_drops_the_worker_and_the_runs_retry(self):
+        """A forging agent is dropped; its runs retry to the reference."""
+        reference = _run("lr_sorting", runs=6, seed=11).canonical_json()
+        backend = RemoteWorkerBackend(min_workers=1, accept_timeout=20.0)
+        forger = socket.create_connection(backend.address)
+        forger.sendall(_encode_frame_for_test(OP_HELLO, {"version": 2, "pid": 1}))
+        honest = []
+
+        def _forge():
+            _, payload = recv_frame(forger)
+            shard = json.loads(payload)
+            forged = [_record(i, accepted="yes") for i in shard["indices"]]
+            forger.sendall(_encode_frame_for_test(
+                OP_RESULT, {"shard": shard["shard"], "outcomes": forged, "stats": None}))
+            honest.append(InProcessWorker(backend.address).start())
+
+        thread = threading.Thread(target=_forge, daemon=True)
+        thread.start()
+        try:
+            report = _run("lr_sorting", runs=6, seed=11, backend=backend,
+                          chunk_size=2, failure_policy="retry", max_retries=3,
+                          backoff_base=0.01, backoff_cap=0.05)
+        finally:
+            backend.close()
+            thread.join(timeout=5)
+            forger.close()
+            for worker in honest:
+                worker.join(timeout=5)
+        assert report.canonical_json() == reference
+        assert not report.failures
+        assert backend.last_run_info["worker_losses"] >= 1

@@ -352,3 +352,23 @@ def test_churn_epochs_are_paused_and_collection_resumes(gc_restored, monkeypatch
     assert report.all_sound
     assert seen == [False] * 6  # 3 epochs, each also re-proved from scratch
     assert gc.isenabled()
+
+
+def test_churn_stream_generation_is_paused(gc_restored, monkeypatch):
+    """The stream's planarity tests of insert candidates run in the pause."""
+    from repro.dynamic import updates
+
+    gc.enable()
+    seen = []
+    predicate = updates.DYNAMIC_TASKS["planarity"]
+
+    def recording(g):
+        seen.append(gc.isenabled())
+        return predicate(g)
+
+    monkeypatch.setitem(updates.DYNAMIC_TASKS, "planarity", recording)
+    report = run_campaign(ChurnCampaignSpec(
+        task="planarity", n=N, seed=3, n_updates=4, stream="preserving"))
+    assert report.all_sound
+    assert seen and not any(seen)
+    assert gc.isenabled()

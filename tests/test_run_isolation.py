@@ -13,8 +13,9 @@ tracer must never record another run's rounds.  Three pins:
   runs;
 - an AST guard over ``src/repro``: the only ``global`` statements are the
   allowlisted process-wide ones, so per-run state cannot come back as a
-  module slot, and no module reads the environment, so no setting can
-  come back as an env var.
+  module slot, no module reads the environment, so no setting can
+  come back as an env var, and no module that reads a socket touches
+  pickle.
 """
 
 import ast
@@ -229,3 +230,23 @@ def test_no_module_reads_the_environment():
         ):
             reads.append((path, node.lineno))
     assert reads == []
+
+
+def test_no_socket_reader_touches_pickle():
+    """The modules that read sockets decode JSON only: no byte a peer
+    sends can reach pickle, by import, call or ``__import__`` name."""
+    readers = {"runtime/remote.py"} | {
+        f"service/{p.name}" for p in (SRC / "service").glob("*.py")
+    }
+    uses = []
+    for path, node in _src_nodes():
+        if path in readers and (
+            (isinstance(node, ast.Import)
+             and any(a.name.partition(".")[0] == "pickle" for a in node.names))
+            or (isinstance(node, ast.ImportFrom)
+                and (node.module or "").partition(".")[0] == "pickle")
+            or (isinstance(node, ast.Name) and node.id == "pickle")
+            or (isinstance(node, ast.Constant) and node.value == "pickle")
+        ):
+            uses.append((path, node.lineno))
+    assert len(readers) > 2 and uses == []
