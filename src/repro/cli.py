@@ -453,7 +453,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    from .runtime.remote import parse_address, serve_worker
+    from .runtime.remote import RemoteProtocolError, parse_address, serve_worker
 
     address = args.connect
     try:
@@ -463,13 +463,18 @@ def cmd_worker(args) -> int:
         print(exc)
         return 2
     print(f"worker {os.getpid()} connecting to {address} ...")
-    status = serve_worker(
-        address,
-        connect_timeout=args.connect_timeout,
-        reconnect=args.reconnect,
-        max_reconnects=args.max_reconnects,
-        reconnect_seed=args.reconnect_seed,
-    )
+    try:
+        status = serve_worker(
+            address,
+            connect_timeout=args.connect_timeout,
+            reconnect=args.reconnect,
+            max_reconnects=args.max_reconnects,
+            reconnect_seed=args.reconnect_seed,
+        )
+    except RemoteProtocolError as exc:
+        print(f"coordinator at {address} broke the worker protocol "
+              f"({type(exc).__name__}): {exc}")
+        return 1
     if status != 0:
         print(f"could not reach a coordinator at {address} "
               f"within {args.connect_timeout}s")

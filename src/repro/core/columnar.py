@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .labels import Label, LabelSchema
+from .labels import Label, LabelSchema, _field_plan
 
 # ---------------------------------------------------------------------------
 # sentinels
@@ -74,69 +74,11 @@ class Uncoverable(Exception):
 
 
 # ---------------------------------------------------------------------------
-# field-spec resolution: schema -> (shift, mask) extraction plans
+# column plans: schema -> (shift, mask) extraction per column
 # ---------------------------------------------------------------------------
-#
-# A *spec* describes how to pull one field path out of a payload integer:
-#
-#   ("leaf", shift, mask)   uint/felem/flag value = (payload >> shift) & mask
-#   ("maybe", shift, width) presence bit + value bits, decoded like
-#                           Label.get
-#   ("sub",)                the path names a present sub-label (presence
-#                           queries: the _sub/isinstance-Label idiom)
-#   ("missing",)            absent field, or a non-label on the descend path
-#   ("uncover",)            a sub-label read as a value, or widths beyond
-#                           int64 -- per-row fallback
-
-_MISSING_SPEC = ("missing",)
-_SUB_SPEC = ("sub",)
-_UNCOVER_SPEC = ("uncover",)
 
 #: widest leaf an int64 column can hold (values are non-negative)
 _MAX_LEAF_BITS = 62
-
-
-def _schema_entry(schema, name: str):
-    entry = schema.index.get(name)
-    return None if entry is None else schema.fields[entry[0]]
-
-
-def _resolve_spec(schema, path: tuple, unwrap: bool, want_sub: bool) -> tuple:
-    shift = 0
-    cur = schema
-    if unwrap:
-        # mirror path_outerplanarity._unwrap: descend into a "node" sub
-        # if present *and* label-kinded, else read the label itself
-        entry = _schema_entry(cur, "node")
-        if entry is not None and entry[1] == "label":
-            shift += entry[4]
-            cur = entry[3]
-    for depth, name in enumerate(path):
-        entry = _schema_entry(cur, name)
-        if entry is None:
-            return _MISSING_SPEC
-        _, kind, width, child, fshift = entry
-        if depth < len(path) - 1:
-            if kind != "label":
-                # _sub() on a non-label field yields None -> absent
-                return _MISSING_SPEC
-            shift += fshift
-            cur = child
-            continue
-        # last path element
-        if want_sub:
-            return _SUB_SPEC if kind == "label" else _MISSING_SPEC
-        if kind in ("uint", "felem", "flag"):
-            if width > _MAX_LEAF_BITS:
-                return _UNCOVER_SPEC
-            return ("leaf", shift + fshift, (1 << width) - 1)
-        if kind == "maybe":
-            if width - 1 > _MAX_LEAF_BITS:
-                return _UNCOVER_SPEC
-            return ("maybe", shift + fshift, width)
-        # a "label" read as a value leaf has no integer form
-        return _UNCOVER_SPEC
-    return _MISSING_SPEC  # empty path: nothing to extract
 
 
 #: a column request: (field path, want_sub, unwrap) -- want_sub asks "is
@@ -159,9 +101,10 @@ class _ColumnPlan:
     value ``mask``, the presence-bit offset ``pbit`` of a maybe leaf
     (relative to ``shift``), and the ``const`` a non-value entry reads
     (1 for a present sub-label, else MISSING).  ``uncover`` marks a
-    schema with an entry no int64 column holds; ``top`` is the highest
-    payload bit any entry reads, plus one.  The schema None (no label at
-    all) reads MISSING everywhere."""
+    schema with an entry no int64 column holds (a leaf wider than
+    ``_MAX_LEAF_BITS``, or a sub-label read as a value); ``top`` is the
+    highest payload bit any entry reads, plus one.  The schema None (no
+    label at all) reads MISSING everywhere."""
 
     __slots__ = ("kind", "shift", "mask", "pbit", "const", "uncover", "top")
 
@@ -170,22 +113,21 @@ class _ColumnPlan:
         self.uncover = False
         self.top = 0
         for path, want_sub, unwrap in specs:
-            if schema is None:  # no label at all
-                spec = _MISSING_SPEC
-            else:
-                spec = _resolve_spec(schema, path, unwrap, want_sub)
-            tag = spec[0]
+            field = None
+            if schema is not None:
+                field = _field_plan(schema, path, "node" if unwrap else None)
+            fkind, fshift, width = field or ("missing", 0, 0)
             kind, shift, mask, pbit, const = _CONST, 0, 0, 0, MISSING
-            if tag == "leaf":
-                kind, shift, mask = _LEAF, spec[1], spec[2]
-                self.top = max(self.top, shift + mask.bit_length())
-            elif tag == "maybe":
-                kind, shift, pbit = _MAYBE, spec[1], spec[2] - 1
+            if want_sub or fkind == "missing":
+                const = 1 if fkind == "label" else MISSING
+            elif fkind in ("uint", "felem", "flag") and width <= _MAX_LEAF_BITS:
+                kind, shift, mask = _LEAF, fshift, (1 << width) - 1
+                self.top = max(self.top, shift + width)
+            elif fkind == "maybe" and width - 1 <= _MAX_LEAF_BITS:
+                kind, shift, pbit = _MAYBE, fshift, width - 1
                 mask = (1 << pbit) - 1
-                self.top = max(self.top, shift + pbit + 1)
-            elif tag == "sub":
-                const = 1
-            elif tag == "uncover":
+                self.top = max(self.top, shift + width)
+            else:
                 self.uncover = True
             self.kind.append(kind)
             self.shift.append(shift)
@@ -444,12 +386,12 @@ def pow_mod(np, base, exp, mod: int, max_bits: int):
 
 
 # ---------------------------------------------------------------------------
-# vectorized Lemma-2.3 forest decode (decode_forest_fields over columns)
+# vectorized Lemma-2.3 forest decode (decode_forest_view over columns)
 # ---------------------------------------------------------------------------
 
 
 def _decode_forest_cols(np, csr, n: int, own):
-    """Columnar ``decode_forest_fields`` over all nodes at once.
+    """Columnar ``decode_forest_view`` over all nodes at once.
 
     ``own`` is the ``(c1, c2, parity, is_root)`` node columns.  Callers
     reject (or mark bad) nodes whose own/neighbor fields are MISSING
@@ -498,7 +440,7 @@ def _stv_reject(
     np, csr, n: int, reps: int, p: int, elem_bits: int,
     coin_vals, s_cols, z_cols, child_mask, is_root_mask, node_reps=None,
 ):
-    """Reject mask of ``check_node_fields`` (sans tree-port pinning).
+    """Reject mask of the STV ``check_node`` (sans tree-port pinning).
 
     ``coin_vals`` are the STV coin slices (already masked by the caller);
     ``child_mask`` is the per-slot decoded-children mask, ``is_root_mask``

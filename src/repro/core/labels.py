@@ -217,8 +217,7 @@ class Label:
 
     ``get``, ``[]`` and ``in`` read one field through the schema's name
     index by shift/mask, and a sub-label read is decoded once into a
-    cached child, so every sub-label has one identity (which the per-view
-    decode caches key on).
+    cached child, so reading it again costs one lookup.
 
     ``Label()`` is an empty label, and the chained builders (``uint``,
     ``flag``, ``field_elem``, ``maybe``, ``sub``) each append one field to
@@ -734,6 +733,41 @@ def wire_leaf_span(label: Label, path: FieldPath) -> Tuple[int, int]:
     raise ValueError("empty field path")
 
 
+# -- field plans ---------------------------------------------------------------
+
+
+def _field_plan(
+    schema: LabelSchema, path: FieldPath, within: Optional[str] = None
+) -> Optional[Tuple[str, int, int]]:
+    """``(kind, shift, width)`` of the field at ``path``, or None if missing.
+
+    The walk starts in the ``within`` sub-label when ``schema`` has a
+    label-kinded field of that name, else in ``schema`` itself.  Every
+    step but the last must name a sub-label; the last names the field,
+    which may itself be a sub-label (kind ``label``).  ``shift`` counts
+    the bits to the right of the field in the outer payload.  This is
+    the one schema walk behind the row plans of :func:`read_rows` and
+    the column plans of :mod:`repro.core.columnar`.
+    """
+    base = 0
+    if within is not None:
+        entry = schema.index.get(within)
+        if entry is not None and entry[1] == _SUB:
+            base, schema = entry[2], entry[4]
+    for depth, name in enumerate(path):
+        entry = schema.index.get(name)
+        if entry is None:
+            return None
+        pos, code, shift, _, arg = entry
+        if depth == len(path) - 1:
+            return schema.fields[pos][1], base + shift, schema.fields[pos][2]
+        if code != _SUB:
+            return None
+        base += shift
+        schema = arg
+    return None  # empty path
+
+
 # -- row reader ---------------------------------------------------------------
 
 #: row-decode plans by ``(schema, names, within)``: interned schemas key
@@ -752,17 +786,16 @@ def _row_plan(schema: LabelSchema, names: Tuple[str, ...], within: Optional[str]
     key = (schema, names, within)
     plan = _ROW_PLANS.get(key)
     if plan is None:
-        base, nested = 0, False
-        entry = schema.index.get(within) if within is not None else None
-        if entry is not None and entry[1] == _SUB:
-            base, schema, nested = entry[2], entry[4], True
+        sub = _field_plan(schema, (within,)) if within is not None else None
+        nested = sub is not None and sub[0] == "label"
         steps = []
         for name in names:
-            entry = schema.index.get(name)
-            if entry is None:
+            field = _field_plan(schema, (name,), within)
+            if field is None:
                 steps.append(False)
-            elif entry[1] == _INT or entry[1] == _FLAG:
-                steps.append((base + entry[2], entry[3], entry[1] == _FLAG))
+            elif field[0] in ("uint", "felem", "flag"):
+                kind, shift, width = field
+                steps.append((shift, (1 << width) - 1, kind == "flag"))
             else:
                 steps.append(None)
         plan = _ROW_PLANS.setdefault(key, (nested, tuple(steps)))

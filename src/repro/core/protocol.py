@@ -248,57 +248,6 @@ def gc_paused(fn: Callable) -> Callable:
     return paused
 
 
-# ---------------------------------------------------------------------------
-# decode caches: share pure label decodings across one decide sweep
-# ---------------------------------------------------------------------------
-#
-# The verifier is local, but much of what each node decodes from the
-# transcript is *shared*: a neighbor's forest-encoding label is decoded by
-# the neighbor itself and by every node adjacent to it (deg+1 times), the
-# LR sub-label of a round is re-extracted per incident edge, and so on.
-# All of these decodings are pure functions of the Label object, and the
-# transcript pins every round label alive for the whole interaction, so
-# ``id(label)`` is a stable key for the duration of one decide sweep.
-#
-# :meth:`Interaction.decide` hands a fresh :class:`DecodeCache` to every
-# view it builds (``NodeView.decode_cache``), so each shared structure is
-# decoded once per sweep instead of once per node.
-
-_CACHE_MISS = object()  # sentinel: distinguishes "absent" from cached None
-
-
-class DecodeCache:
-    """Memo for pure per-label decodings, partitioned by decode kind.
-
-    ``sub(kind)`` returns the plain dict for one kind of decoding (e.g.
-    ``"commit"``, ``"stv"``); keys are ``id(label)`` of transcript-held
-    labels.  :meth:`get` is the counting lookup the checkers use.
-    """
-
-    __slots__ = ("_subs", "hits", "misses")
-
-    def __init__(self):
-        self._subs: Dict[str, dict] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def sub(self, kind: str) -> dict:
-        memo = self._subs.get(kind)
-        if memo is None:
-            memo = self._subs[kind] = {}
-        return memo
-
-    def get(self, memo: dict, key, fn, *args):
-        """Memoized ``fn(*args)`` under ``key`` in ``memo`` (a sub() dict)."""
-        value = memo.get(key, _CACHE_MISS)
-        if value is not _CACHE_MISS:
-            self.hits += 1
-            return value
-        self.misses += 1
-        value = memo[key] = fn(*args)
-        return value
-
-
 class Interaction:
     """Referee for one protocol execution on one graph."""
 
@@ -397,17 +346,13 @@ class Interaction:
         kernel_ok = kernel_fb = None
         if kernel_out is not None:
             kernel_ok, kernel_fb = kernel_out
-        cache = None
         if sweep is not None:
             rejecting = sweep(self.graph, self.transcript, inputs)
         elif kernel_ok is not None and not kernel_fb.any():
             # fully covered: skip view construction entirely
             rejecting = [v for v in self.graph.nodes() if not kernel_ok[v]]
         else:
-            cache = DecodeCache()
-            views = build_views(
-                self.graph, self.transcript, inputs, shared_inputs, cache
-            )
+            views = build_views(self.graph, self.transcript, inputs, shared_inputs)
             if kernel_ok is not None:
                 rejecting = [
                     v
@@ -417,6 +362,8 @@ class Interaction:
             else:
                 rejecting = [v for v in self.graph.nodes() if not check(views[v])]
         if kernel_ok is not None:
+            # lazy import: obs builds on core, so core must not import obs
+            # at module load; the counters live outside canonical identity
             from ..obs import metrics as obs_metrics
 
             n_fb = int(kernel_fb.sum())
@@ -427,19 +374,6 @@ class Interaction:
             obs_metrics.inc(
                 "repro_vector_fallback_nodes_total", n_fb,
                 help="kernel-run nodes re-checked via the per-view path",
-            )
-        if cache is not None and (cache.hits or cache.misses):
-            # lazy import: obs builds on core, so core must not import obs
-            # at module load; the counters live outside canonical identity
-            from ..obs import metrics as obs_metrics
-
-            obs_metrics.inc(
-                "repro_decode_cache_hits_total", cache.hits,
-                help="decode-cache hits across decide sweeps",
-            )
-            obs_metrics.inc(
-                "repro_decode_cache_misses_total", cache.misses,
-                help="decode-cache misses across decide sweeps",
             )
         result = RunResult(
             accepted=not rejecting,

@@ -142,8 +142,8 @@ def forest_labels(cols: ForestColumns) -> List[Label]:
 
     There are at most ``MAX_COLORS^2 * 4`` distinct labels, and nodes with
     equal fields can share one frozen label (an adversarial edit is a new
-    label, spliced by ``with_value``); sharing lets the per-object
-    decode caches collapse equal labels into one memo entry.
+    label, spliced by ``with_value``), so a round of n labels holds at
+    most that many label objects.
     """
     schemas, payloads = FOREST_FORMAT.pack_columns(cols)
     interned: Dict[int, Label] = {}
@@ -168,7 +168,7 @@ class DecodedForestView:
 #: sentinel distinguishing "field absent" from any legal field value
 _ABSENT = object()
 
-#: a label's Lemma-2.3 payload, extracted once: (c1, c2, parity, is_root)
+#: a label's Lemma-2.3 fields: (c1, c2, parity, is_root)
 ForestFields = Tuple[object, object, object, object]
 
 
@@ -176,10 +176,7 @@ def forest_label_fields(label: Label) -> Optional[ForestFields]:
     """Extract ``(c1, c2, parity, is_root)`` from a Lemma-2.3 label.
 
     Returns None when any of the four fields is missing — exactly the
-    labels :func:`decode_forest_view` rejects as malformed.  The tuple is
-    a pure function of the label, so callers may memoize it per label
-    object (the decode-cache fast path) and decode once per run instead
-    of once per node.
+    labels :func:`decode_forest_view` rejects as malformed.
     """
     get = label.get
     c1 = get("c1", _ABSENT)
@@ -191,11 +188,31 @@ def forest_label_fields(label: Label) -> Optional[ForestFields]:
     return (c1, c2, parity, is_root)
 
 
-def decode_forest_fields(
-    own: ForestFields, neighbor_fields: Sequence[ForestFields]
+def decode_forest_view(
+    own: Label, neighbor_labels: Sequence[Label]
 ) -> Optional[DecodedForestView]:
-    """Port decode over pre-extracted field tuples (see decode_forest_view)."""
-    c1, c2, parity, is_root = own
+    """Recover a node's parent/children ports from Lemma-2.3 labels.
+
+    Returns None when the labels are malformed or ambiguous (the node
+    should reject in that case).  Matching rules from the paper's proof:
+
+    - parity(v) = 1: parent is the unique neighbor u with parity 0 and
+      c1(u) = c1(v); children are the neighbors with parity 0 and
+      c2(u) = c2(v).
+    - parity(v) = 0: parent is the unique neighbor u with parity 1 and
+      c2(u) = c2(v); children are the neighbors with parity 1 and
+      c1(u) = c1(v).
+    """
+    own_fields = forest_label_fields(own)
+    if own_fields is None:
+        return None
+    neighbor_fields = []
+    for lbl in neighbor_labels:
+        f = forest_label_fields(lbl)
+        if f is None:
+            return None
+        neighbor_fields.append(f)
+    c1, c2, parity, is_root = own_fields
     if parity == 1:
         pk, own_pc, ck, own_cc = 0, c1, 1, c2  # parent via c1, children via c2
     else:
@@ -220,33 +237,3 @@ def decode_forest_fields(
     if parent_port in children:
         return None  # a neighbor cannot be both parent and child
     return DecodedForestView(parent_port, children, False)
-
-
-def decode_forest_view(
-    own: Label, neighbor_labels: Sequence[Label]
-) -> Optional[DecodedForestView]:
-    """Recover a node's parent/children ports from Lemma-2.3 labels.
-
-    Returns None when the labels are malformed or ambiguous (the node
-    should reject in that case).  Matching rules from the paper's proof:
-
-    - parity(v) = 1: parent is the unique neighbor u with parity 0 and
-      c1(u) = c1(v); children are the neighbors with parity 0 and
-      c2(u) = c2(v).
-    - parity(v) = 0: parent is the unique neighbor u with parity 1 and
-      c2(u) = c2(v); children are the neighbors with parity 1 and
-      c1(u) = c1(v).
-
-    Implemented as extract-then-decode over :func:`forest_label_fields`
-    so the cached and uncached paths share one decoder.
-    """
-    own_fields = forest_label_fields(own)
-    if own_fields is None:
-        return None
-    nbr_fields = []
-    for lbl in neighbor_labels:
-        f = forest_label_fields(lbl)
-        if f is None:
-            return None
-        nbr_fields.append(f)
-    return decode_forest_fields(own_fields, nbr_fields)

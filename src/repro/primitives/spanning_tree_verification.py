@@ -153,11 +153,8 @@ StvFields = Tuple[Tuple[object, object], ...]
 
 
 def stv_label_fields(label: Label, repetitions: int) -> StvFields:
-    """Extract the ``(s{j}, Z{j})`` pairs of one round-3 label, once.
-
-    Pure in the label, hence memoizable per label object by the decode
-    cache: each label is read once per run instead of once per incident
-    edge."""
+    """The ``(s{j}, Z{j})`` pairs of one round-3 label, ``_ABSENT`` where
+    a field is missing."""
     get = label.get
     return tuple(
         (get(key_s, _ABSENT), get(key_z, _ABSENT))
@@ -167,7 +164,7 @@ def stv_label_fields(label: Label, repetitions: int) -> StvFields:
 
 def check_node(
     decoded: Optional[DecodedForestView],
-    own_coins: BitString,
+    own_coins,
     own_label: Label,
     neighbor_labels: Sequence[Label],
     repetitions: int,
@@ -176,38 +173,22 @@ def check_node(
     """The full local check of the spanning-tree verification at one node.
 
     ``decoded`` is the node's Lemma-2.3 decode of the claimed tree (None
-    means the encoding was malformed -> reject).  ``expected_tree_ports``
+    means the encoding was malformed -> reject); ``own_coins`` is its
+    round-2 coins, as for :func:`split_coins`.  ``expected_tree_ports``
     (optional) pins the decoded tree edges to an instance-supplied marked
     subgraph (the standalone task of Lemma 2.5); protocols that let the
     prover *commit* a tree leave it None.
     """
     if decoded is None:
         return False
-    return check_node_fields(
-        decoded,
-        own_coins,
-        stv_label_fields(own_label, repetitions),
-        [stv_label_fields(lbl, repetitions) for lbl in neighbor_labels],
-        repetitions,
-        expected_tree_ports,
-    )
-
-
-def check_node_fields(
-    decoded: DecodedForestView,
-    own_coins: BitString,
-    own_fields: StvFields,
-    neighbor_fields: Sequence[StvFields],
-    repetitions: int,
-    expected_tree_ports: Optional[Sequence[int]] = None,
-) -> bool:
-    """:func:`check_node` over pre-extracted ``stv_label_fields`` tuples."""
     if expected_tree_ports is not None:
         decoded_ports = set(decoded.children_ports)
         if decoded.parent_port is not None:
             decoded_ports.add(decoded.parent_port)
         if decoded_ports != set(expected_tree_ports):
             return False
+    own_fields = stv_label_fields(own_label, repetitions)
+    neighbor_fields = [stv_label_fields(lbl, repetitions) for lbl in neighbor_labels]
     x = split_coins(own_coins, repetitions)
     p = STV_FIELD.p
     children = decoded.children_ports

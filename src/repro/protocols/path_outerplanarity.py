@@ -51,7 +51,6 @@ from ..core.labels import (
 from ..core.network import Edge, Graph, norm_edge
 from ..core.protocol import (
     DecideBatch,
-    DecodeCache,
     DIPProtocol,
     Interaction,
     PendingDecide,
@@ -65,18 +64,16 @@ from ..primitives.edge_labels import FOREST_KEYS, EdgeLabelSimulation, N_FORESTS
 from ..primitives.forest_encoding import (
     FOREST_FORMAT,
     ForestColumns,
-    decode_forest_fields,
+    decode_forest_view,
     forest_encoding_columns,
-    forest_label_fields,
 )
 from ..core.columnar import chain_search, make_po_kernel
 from ..primitives.spanning_tree_verification import (
     STV_ELEM_BITS,
     STV_FIELD,
-    check_node_fields as stv_check_fields,
+    check_node as stv_check_node,
     honest_round3_columns,
     round3_format,
-    stv_label_fields,
 )
 from .instances import IN, OUT, PATH_LEFT, PATH_RIGHT, PathOuterplanarInstance
 from .lr_sorting import (
@@ -715,156 +712,48 @@ def _unwrap(label: Label) -> Label:
     return inner if isinstance(inner, Label) else label
 
 
-# ---------------------------------------------------------------------------
-# per-label extraction helpers (pure in the label object, hence memoizable
-# by the decode cache: a round-transcript label is shared between its owner
-# and all deg neighbors, so caching by id(label) turns deg+1 decodes into 1)
-# ---------------------------------------------------------------------------
+def _node_sub(label: Label, name: str) -> Optional[Label]:
+    """The ``name`` node sub-label of a (possibly wrapped) round label."""
+    return _sub(_unwrap(label), name)
 
-#: sentinel for an absent field / absent sub-label where None is a legal value
+
+#: sentinel for an absent field where None is a legal value
 _MISSING = object()
 
 
-def _commit_fields(wrapped: Label):
-    """Lemma-2.3 fields of the round-1 ``commit`` sub; None when the sub is
-    missing or its fields are malformed (both verdicts coincide: reject)."""
-    commit = _sub(_unwrap(wrapped), "commit")
-    if commit is None:
-        return None
-    return forest_label_fields(commit)
-
-
-def _forest_enc_fields(wrapped: Label):
-    """Extraction of the round-1 ``forests`` setup of one node.
-
-    None when the setup sub itself is absent.  Otherwise one entry per
-    forest: the forest's field tuple, None when its encoding fields are
-    malformed (that forest alone decodes to None), or ``_MISSING`` when
-    the ``forest{i}`` sub is absent (the *whole* simulation decode fails,
-    matching the stricter original behaviour)."""
-    setup = _sub(wrapped, "forests")
-    if setup is None:
-        return None
-    out = []
-    for key in FOREST_KEYS:
-        enc = _sub(setup, key)
-        out.append(_MISSING if enc is None else forest_label_fields(enc))
-    return tuple(out)
-
-
-def _stv_fields(wrapped: Label, t: int):
-    """STV field pairs of the round-3 ``stv`` sub; None when absent."""
-    stv = _sub(_unwrap(wrapped), "stv")
-    if stv is None:
-        return None
-    return stv_label_fields(stv, t)
-
-
-def _lr_rows(memo: dict, labels: Sequence[Label], names: Tuple[str, ...]) -> list:
+def _lr_rows(labels: Sequence[Label], names: Tuple[str, ...]) -> list:
     """The ``names`` rows of the ``lr`` subs of (possibly wrapped) round
-    labels, memoized in ``memo`` by label; a missing sub reads as
-    EMPTY_LABEL.  The labels not seen yet are decoded in one call."""
-    fresh = [lbl for lbl in labels if id(lbl) not in memo]
-    if fresh:
-        subs = [_sub(_unwrap(lbl), "lr") for lbl in fresh]
-        rows = read_rows([EMPTY_LABEL if lr is None else lr for lr in subs], names, _ABSENT)
-        for lbl, row in zip(fresh, rows):
-            memo[id(lbl)] = row
-    return [memo[id(lbl)] for lbl in labels]
+    labels; a missing sub reads as EMPTY_LABEL."""
+    subs = [_node_sub(lbl, "lr") for lbl in labels]
+    return read_rows([EMPTY_LABEL if lr is None else lr for lr in subs], names, _ABSENT)
 
 
-#: decode-cache kinds of the LR rounds 1/3/5
-_LR_MEMOS = ("po_lr1", "po_lr3", "po_lr5")
-
-
-def _nest_fields(wrapped: Label):
-    """``(above, has_left, has_right)`` of the round-3 ``nest`` sub.
-
-    None when the sub is absent; ``_MISSING`` marks individual absent
-    fields ("above" may legitimately hold None, so absence needs a
-    sentinel)."""
-    nest = _sub(_unwrap(wrapped), "nest")
-    if nest is None:
-        return None
-    get = nest.get
-    return (
-        get("above", _MISSING),
-        get("has_left", _MISSING),
-        get("has_right", _MISSING),
-    )
-
-
-def _e1_nest_fields(label: Label):
-    """``(ltail, lhead)`` of a round-1 edge label; ``_MISSING`` if absent."""
-    get = label.get
-    return (get("ltail", _MISSING), get("lhead", _MISSING))
-
-
-def _e3_nest_fields(label: Label):
-    """``(name_t, name_h, succ)`` of a round-3 edge label."""
-    get = label.get
-    return (get("name_t", _MISSING), get("name_h", _MISSING), get("succ", _MISSING))
-
-
-def check_path_outerplanarity_node(  # noqa: C901
+def check_path_outerplanarity_node(
     pm: PathOuterplanarityParams, view: NodeView
 ) -> bool:
     if pm.n == 1:
         return True
-    # one decode cache per decide sweep, shared by every view of it
-    cache = view.decode_cache
-    m_commit = cache.sub("po_commit")
-    m_stv = cache.sub(f"po_stv{pm.t}")
-
     own1 = view.own_labels[0]
     own3 = view.own_labels[1]
     nbr1 = view.neighbor_labels[0]
     nbr3 = view.neighbor_labels[1]
 
     # ---- 1. decode the committed path ----
-    # raw memo-dict lookups (uncounted, like the po_lr* kinds): _MISSING
-    # memoizes a malformed decode, since None is not a stable dict value
-    # to test against here
-    k = id(own1)
-    commit = m_commit.get(k)
-    if commit is None:
-        commit = m_commit[k] = _commit_fields(own1) or _MISSING
-    if commit is _MISSING:
+    commits = [_node_sub(lbl, "commit") for lbl in (own1, *nbr1)]
+    if any(c is None for c in commits):
         return False
-    nbr_commits = []
-    for lbl in nbr1:
-        k = id(lbl)
-        c = m_commit.get(k)
-        if c is None:
-            c = m_commit[k] = _commit_fields(lbl) or _MISSING
-        if c is _MISSING:
-            return False
-        nbr_commits.append(c)
-    decoded = decode_forest_fields(commit, nbr_commits)
+    decoded = decode_forest_view(commits[0], commits[1:])
     if decoded is None or len(decoded.children_ports) > 1:
         return False
     left_port = decoded.parent_port
     right_port = decoded.children_ports[0] if decoded.children_ports else None
 
     # ---- 2. spanning-tree verification of the commitment ----
-    t_reps = pm.t
-    k = id(own3)
-    stv_own = m_stv.get(k)
-    if stv_own is None:
-        stv_own = m_stv[k] = _stv_fields(own3, t_reps) or _MISSING
-    if stv_own is _MISSING:
+    stvs = [_node_sub(lbl, "stv") for lbl in (own3, *nbr3)]
+    if any(s is None for s in stvs):
         return False
-    stv_neighbors = []
-    for lbl in nbr3:
-        k = id(lbl)
-        s = m_stv.get(k)
-        if s is None:
-            s = m_stv[k] = _stv_fields(lbl, t_reps) or _MISSING
-        if s is _MISSING:
-            return False
-        stv_neighbors.append(s)
     stv_coins = view.coins[0].value & pm.stv_mask
-    if not stv_check_fields(decoded, stv_coins, stv_own, stv_neighbors, pm.t):
+    if not stv_check_node(decoded, stv_coins, stvs[0], stvs[1:], pm.t):
         return False
 
     # ---- 3. derive port kinds (path + claimed orientations) ----
@@ -882,12 +771,11 @@ def check_path_outerplanarity_node(  # noqa: C901
         if port == right_port:
             kinds.append(PATH_RIGHT)
             continue
-        e1 = edge1[port]
-        fwd = e1.get("fwd", _MISSING)
+        fwd = edge1[port].get("fwd", _MISSING)
         if fwd is _MISSING:
             return False
         if forest_views is _MISSING:
-            forest_views = _decode_simulation_forests(view, cache, own1, nbr1)
+            forest_views = _decode_simulation_forests(own1, nbr1)
         accountable_is_me = _is_accountable(forest_views, port)
         if accountable_is_me is None:
             return False  # edge not covered by the arboricity partition
@@ -896,14 +784,11 @@ def check_path_outerplanarity_node(  # noqa: C901
         (out_ports if i_am_tail else in_ports).append(port)
 
     # ---- 4. the LR-sorting stage over the committed path ----
-    # The field rows of the ``lr`` sub-labels, memoized per label (raw
-    # memo-dict access: these are the most frequent reads of the sweep).
     # A missing ``lr`` sub reads as an empty one: the owner's all-absent
     # row makes lr_check_node reject it.
     own, rows = [], []
     for i, names in enumerate(NODE_FIELDS):
-        labels = [view.own_labels[i], *view.neighbor_labels[i]]
-        own_row, *nbr_rows = _lr_rows(cache.sub(_LR_MEMOS[i]), labels, names)
+        own_row, *nbr_rows = _lr_rows([view.own_labels[i], *view.neighbor_labels[i]], names)
         own.append(own_row)
         rows.append(nbr_rows)
     edges = [read_rows(view.edge_labels[i], names, _ABSENT) for i, names in enumerate(EDGE_FIELDS)]
@@ -917,37 +802,24 @@ def check_path_outerplanarity_node(  # noqa: C901
         return False
 
     # ---- 5. nesting verification ----
-    return _check_nesting(pm, view, kinds, left_port, right_port, cache)
+    return _check_nesting(pm, view, kinds, left_port, right_port)
 
 
-def _decode_simulation_forests(view: NodeView, cache, own1: Label, nbr1):
-    """Decode the Lemma-2.4 forest encodings from the round-1 setup."""
-    cget = cache.get
-    memo = cache.sub("po_forests")
-    setup = cget(memo, id(own1), _forest_enc_fields, own1)
-    if setup is None:
+def _decode_simulation_forests(own1: Label, nbr1: Sequence[Label]):
+    """Decode the Lemma-2.4 forest encodings from the round-1 setup.
+
+    None when a ``forests`` setup or any of its ``forest{i}`` subs is
+    absent at the node or a neighbor; otherwise one decode per forest
+    (None for a forest whose encoding is malformed)."""
+    setups = [_sub(lbl, "forests") for lbl in (own1, *nbr1)]
+    if any(s is None for s in setups):
         return None
-    nbr_setups = []
-    for lbl in nbr1:
-        s = cget(memo, id(lbl), _forest_enc_fields, lbl)
-        if s is None:
-            return None
-        nbr_setups.append(s)
     out = []
-    for i in range(N_FORESTS):
-        own_enc = setup[i]
-        if own_enc is _MISSING:
+    for key in FOREST_KEYS:
+        encs = [_sub(s, key) for s in setups]
+        if any(e is None for e in encs):
             return None
-        bad = own_enc is None
-        encs = []
-        for s in nbr_setups:
-            e = s[i]
-            if e is _MISSING:
-                return None
-            if e is None:
-                bad = True
-            encs.append(e)
-        out.append(None if bad else decode_forest_fields(own_enc, encs))
+        out.append(decode_forest_view(encs[0], encs[1:]))
     return out
 
 
@@ -972,32 +844,24 @@ def _check_nesting(  # noqa: C901
     kinds: Sequence[str],
     left_port: Optional[int],
     right_port: Optional[int],
-    cache: DecodeCache,
 ) -> bool:
     w = pm.w
     own_name = (view.coins[0].value >> pm.stv_bits) & pm.name_mask
-    cget = cache.get
-    m_nest = cache.sub("po_nest")
     nbr3 = view.neighbor_labels[1]
 
-    def nest_of(port: int):
-        lbl = nbr3[port]
-        return cget(m_nest, id(lbl), _nest_fields, lbl)
-
-    def above_of(port: Optional[int]):
-        """above() of a neighbor node; 'missing' on malformed labels."""
+    def nest_field(port: Optional[int], name: str):
+        """A field of a neighbor's ``nest`` sub; _MISSING when absent."""
         if port is None:
-            return "missing"
-        info = nest_of(port)
-        if info is None or info[0] is _MISSING:
-            return "missing"
-        return info[0]
+            return _MISSING
+        nest = _node_sub(nbr3[port], "nest")
+        return _MISSING if nest is None else nest.get(name, _MISSING)
 
-    own3 = view.own_labels[1]
-    own_info = cget(m_nest, id(own3), _nest_fields, own3)
-    if own_info is None:
+    own_nest = _node_sub(view.own_labels[1], "nest")
+    if own_nest is None:
         return False
-    own_above, own_has_left, own_has_right = own_info
+    own_above = own_nest.get("above", _MISSING)
+    own_has_left = own_nest.get("has_left", _MISSING)
+    own_has_right = own_nest.get("has_right", _MISSING)
     if own_above is _MISSING or own_has_left is _MISSING or own_has_right is _MISSING:
         return False
 
@@ -1005,29 +869,18 @@ def _check_nesting(  # noqa: C901
     lefts: List[Tuple[int, Optional[int], bool, bool]] = []
     edge1 = view.edge_labels[0]
     edge3 = view.edge_labels[1]
-    # edge labels are shared by both endpoints: memoize their extracted
-    # nesting fields so each edge is read once per sweep (raw, uncounted)
-    m_e1 = cache.sub("po_e1")
-    m_e3 = cache.sub("po_e3")
     for port, kind in enumerate(kinds):
         if kind not in (OUT, IN):
             continue
-        e1 = edge1[port]
-        k1 = id(e1)
-        t1 = m_e1.get(k1)
-        if t1 is None:
-            t1 = m_e1[k1] = _e1_nest_fields(e1)
-        ltail, lhead = t1
-        if ltail is _MISSING or lhead is _MISSING:
+        e1, e3 = edge1[port], edge3[port]
+        fields = (
+            e1.get("ltail", _MISSING), e1.get("lhead", _MISSING),
+            e3.get("name_t", _MISSING), e3.get("name_h", _MISSING),
+            e3.get("succ", _MISSING),
+        )
+        if any(f is _MISSING for f in fields):
             return False
-        e3 = edge3[port]
-        k3 = id(e3)
-        t3 = m_e3.get(k3)
-        if t3 is None:
-            t3 = m_e3[k3] = _e3_nest_fields(e3)
-        name_t, name_h, succ = t3
-        if name_t is _MISSING or name_h is _MISSING or succ is _MISSING:
-            return False
+        ltail, lhead, name_t, name_h, succ = fields
         name = (name_t << w) | name_h
         # own coin must appear on the right side of the name
         if kind == OUT and name_t != own_name:
@@ -1061,7 +914,7 @@ def _check_nesting(  # noqa: C901
     # name(e1)=start_above, succ(e_i)=name(e_{i+1}), e_k longest-marked,
     # succ(e_k)=own_above?
     def chain_ok(entries, start_above, longest_flag_index) -> bool:
-        if start_above == "missing":
+        if start_above is _MISSING:
             return False
         return chain_search(entries, start_above, own_above, longest_flag_index, None)
 
@@ -1070,17 +923,17 @@ def _check_nesting(  # noqa: C901
     # values must agree unless an edge ends exactly at u (u.has_left, in
     # which case u's own condition-5 check covers the boundary)
     if rights:
-        if not chain_ok(rights, above_of(right_port), 0):
+        if not chain_ok(rights, nest_field(right_port, "above"), 0):
             return False
     elif right_port is not None:
-        u_info = nest_of(right_port)
-        if u_info is None or u_info[1] is _MISSING:
+        u_has_left = nest_field(right_port, "has_left")
+        if u_has_left is _MISSING:
             return False
-        if not u_info[1]:
-            if above_of(right_port) == "missing" or above_of(right_port) != own_above:
-                return False
+        # own_above is present, so a missing above(u) never equals it
+        if not u_has_left and nest_field(right_port, "above") != own_above:
+            return False
     # left-side consistency (condition 5): the chain of left edges starts
     # at above(w) of the left path neighbor
-    if lefts and not chain_ok(lefts, above_of(left_port), 1):
+    if lefts and not chain_ok(lefts, nest_field(left_port, "above"), 1):
         return False
     return True

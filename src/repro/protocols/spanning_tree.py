@@ -24,19 +24,14 @@ from ..core.protocol import (
 from ..core.transcript import RunResult
 from ..core.views import NodeView
 from ..graphs.spanning import RootedForest
-from ..primitives.forest_encoding import (
-    decode_forest_fields,
-    forest_label_fields,
-    forest_labels,
-)
+from ..primitives.forest_encoding import decode_forest_view, forest_labels
 from ..core.columnar import make_stv_kernel
 from ..primitives.spanning_tree_verification import (
     STV_ELEM_BITS,
     STV_FIELD,
-    check_node_fields,
+    check_node,
     honest_round3_columns,
     round3_format,
-    stv_label_fields,
 )
 from .instances import SpanningSubgraphInstance
 from .path_outerplanarity import StagedJob, run_staged
@@ -155,36 +150,11 @@ class SpanningTreeVerificationProtocol(DIPProtocol):
         enforce = self.enforce_instance_edges
 
         def check(view: NodeView) -> bool:
-            # per-sweep decode cache: each round label is shared with every
-            # neighbor, so extract its fields once instead of deg+1 times
-            cache = view.decode_cache
-            cget = cache.get
-            m_forest = cache.sub("stv_forest")
-            m_stv = cache.sub(f"stv_fields{reps}")
-            own0 = view.own_labels[0]
-            own_fields = cget(m_forest, id(own0), forest_label_fields, own0)
-            decoded = None
-            if own_fields is not None:
-                nbr_fields = []
-                for lbl in view.neighbor_labels[0]:
-                    f = cget(m_forest, id(lbl), forest_label_fields, lbl)
-                    if f is None:
-                        nbr_fields = None
-                        break
-                    nbr_fields.append(f)
-                if nbr_fields is not None:
-                    decoded = decode_forest_fields(own_fields, nbr_fields)
-            if decoded is None:
-                return False
-            own1 = view.own_labels[1]
-            return check_node_fields(
-                decoded,
+            return check_node(
+                decode_forest_view(view.own_labels[0], view.neighbor_labels[0]),
                 view.coins[0],
-                cget(m_stv, id(own1), stv_label_fields, own1, reps),
-                [
-                    cget(m_stv, id(lbl), stv_label_fields, lbl, reps)
-                    for lbl in view.neighbor_labels[1]
-                ],
+                view.own_labels[1],
+                view.neighbor_labels[1],
                 reps,
                 expected_tree_ports=view.input["tree_ports"] if enforce else None,
             )

@@ -52,6 +52,7 @@ import socket
 import struct
 import threading
 import time
+import traceback
 from collections import deque
 from contextlib import suppress
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -295,12 +296,21 @@ def decode_shard(payload: bytes):
 
 
 def encode_result(shard_id: int, outcomes, stats: Optional[Dict[str, int]]) -> bytes:
+    """A RESULT frame.  A failure's traceback is the worker's formatted
+    one, or else that of the exception it kept (an in-thread agent)."""
     return encode_message({"shard": shard_id, "stats": stats, "outcomes": [
         vars(o.record) if o.record is not None else {
             "index": o.index, "fault": o.fault, "error": o.error,
-            "elapsed": o.elapsed, "traceback": o.worker_traceback,
+            "elapsed": o.elapsed, "traceback": _traceback_of(o),
         } for o in outcomes
     ]})
+
+
+def _traceback_of(outcome) -> Optional[str]:
+    if outcome.worker_traceback is not None or outcome.exc is None:
+        return outcome.worker_traceback
+    exc = outcome.exc
+    return "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
 
 
 def decode_result(payload: bytes, shard_id: int, indices: List[int]):
@@ -700,11 +710,12 @@ def serve_worker(
     retries the first dial for ``connect_timeout`` seconds (agents are
     often started before the coordinator binds) and serves until BYE or a
     dropped connection.  Returns an exit status: 1 if the first dial
-    failed, else 0.  With ``reconnect=True`` a drop is not the end: the
-    agent waits :func:`reconnect_backoff` (jittered from
-    ``reconnect_seed``, default the pid) and dials again, at most
-    ``max_reconnects`` times (``None``: unbounded).  BYE always ends
-    service.
+    failed, else 0.  A frame that is not the worker protocol raises
+    :class:`RemoteProtocolError`.  With ``reconnect=True`` neither a drop
+    nor such a frame is the end: the agent hangs up, waits
+    :func:`reconnect_backoff` (jittered from ``reconnect_seed``, default
+    the pid) and dials again, at most ``max_reconnects`` times (``None``:
+    unbounded).  BYE always ends service.
 
     ``in_worker`` / ``result_send_hook`` are seams for the in-process
     harness and the chaos suite; real agents keep the defaults, so a
@@ -719,7 +730,12 @@ def serve_worker(
             # first dial failing is an operator error (status 1); a lost
             # coordinator that never comes back is a clean end of service
             return 1 if attempt == 0 else 0
-        outcome = _serve_connection(sock, in_worker, result_send_hook, max_frame_bytes)
+        try:
+            outcome = _serve_connection(sock, in_worker, result_send_hook, max_frame_bytes)
+        except RemoteProtocolError:
+            if not reconnect:
+                raise
+            outcome = "lost"  # the session is unusable: redial as after a drop
         if outcome == "bye" or not reconnect:
             return 0
         attempt += 1

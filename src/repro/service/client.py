@@ -92,11 +92,16 @@ class ServiceResult:
 
 
 def default_request_id(request: Dict[str, Any]) -> str:
-    """A stable id from the execution identity (retry-safe by construction)."""
+    """A stable id from the execution identity (retry-safe by construction).
+
+    A streamed request gets an id of its own: under a plain job's id it
+    would replay that job's stored frames, which hold no events.
+    """
     from .wire import request_key
 
     digest = hashlib.sha256(repr(request_key(request)).encode("utf-8")).hexdigest()
-    return f"{request['task']}-{request['seed']}-{digest[:16]}"
+    stream = "-stream" if request.get("stream") else ""
+    return f"{request['task']}-{request['seed']}{stream}-{digest[:16]}"
 
 
 class ServiceClient:

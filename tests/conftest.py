@@ -75,17 +75,17 @@ def per_view_decide(monkeypatch):
 
 
 @pytest.fixture
-def no_memo_decode_cache(monkeypatch):
-    """A decode cache that shares nothing between the views of a sweep:
-    every ``sub()`` call hands out a fresh dict, so each node decodes what
-    it reads itself.  The reference the shared cache is compared against."""
-    from repro.core import protocol
+def label_get_rows(monkeypatch):
+    """Read every field of :func:`~repro.core.labels.read_rows` through
+    :meth:`Label.get`, with no shift/mask plan: the plainest row reader,
+    the reference the plan-based row decode is compared against."""
+    from repro.core import labels
 
-    class NoMemoDecodeCache(protocol.DecodeCache):
-        def sub(self, kind):
-            return {}
+    def get_plan(schema, names, within):
+        nested = any(name == within and kind == "label" for name, kind, *_ in schema.fields)
+        return nested, (None,) * len(names)
 
-    monkeypatch.setattr(protocol, "DecodeCache", NoMemoDecodeCache)
+    monkeypatch.setattr(labels, "_row_plan", get_plan)
 
 
 @pytest.fixture(autouse=True)

@@ -34,7 +34,7 @@ from repro.runtime.backends import (
     plan_shards,
     resolve_backend,
 )
-from repro.runtime.faults import FaultPlan
+from repro.runtime.faults import FaultPlan, InjectedFault
 from repro.runtime.registry import conformance_cases, get_task
 from repro.runtime.remote import (
     HEADER_SIZE,
@@ -579,6 +579,67 @@ class TestWorkerReconnect:
         assert [op for op, _ in hellos] == [OP_HELLO, OP_HELLO]
         assert hellos[0][1]["pid"] == hellos[1][1]["pid"]
 
+    def test_forged_shard_is_a_drop_then_the_agent_serves(self):
+        """A reconnecting agent hangs up on a SHARD naming an unknown task,
+        redials, and serves a real batch that matches the serial one."""
+        from repro.runtime.remote import OP_SHARD, serve_worker
+
+        reference = _run("lr_sorting", runs=4, seed=11).canonical_json()
+        fake = socket.create_server(("127.0.0.1", 0))
+        port = fake.getsockname()[1]
+        exit_status = []
+        agent = threading.Thread(target=lambda: exit_status.append(serve_worker(
+            ("127.0.0.1", port), connect_timeout=10.0, in_worker=False,
+            reconnect=True, max_reconnects=3, backoff_base=0.01, backoff_cap=0.05,
+            reconnect_seed=1,
+        )), daemon=True)
+        agent.start()
+        try:
+            conn, _ = fake.accept()
+            with conn:
+                assert recv_frame(conn)[0] == OP_HELLO
+                send_frame(conn, OP_SHARD, _shard_frame(_honest_batch(task="warp_drive")))
+                conn.settimeout(5.0)
+                assert conn.recv(1) == b""  # the agent hung up
+        finally:
+            fake.close()
+        backend = RemoteWorkerBackend(port=port, min_workers=1, accept_timeout=20.0)
+        try:
+            report = _run("lr_sorting", runs=4, seed=11, backend=backend)
+        finally:
+            backend.close()
+            agent.join(timeout=10.0)
+        assert report.canonical_json() == reference
+        assert exit_status == [0]  # BYE ended service
+
+    def test_worker_cli_reports_a_forged_shard_in_one_line(self, capsys):
+        """Without --reconnect a forged SHARD ends ``repro worker`` with a
+        typed one-line error and status 1, not a traceback."""
+        from repro.cli import main
+
+        fake = socket.create_server(("127.0.0.1", 0))
+        port = fake.getsockname()[1]
+
+        def _coordinator():
+            conn, _ = fake.accept()
+            with conn:
+                recv_frame(conn)  # HELLO
+                send_frame(conn, OP_SHARD, _shard_frame(_honest_batch(task="warp_drive")))
+                conn.settimeout(5.0)
+                conn.recv(1)
+
+        coord = threading.Thread(target=_coordinator, daemon=True)
+        coord.start()
+        try:
+            status = main(["worker", "--connect", f"127.0.0.1:{port}",
+                           "--connect-timeout", "5"])
+        finally:
+            coord.join(timeout=5.0)
+            fake.close()
+        assert status == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "RemoteProtocolError" in out[-1] and "unknown task" in out[-1]
+
     def test_gives_up_after_max_reconnects(self):
         from repro.runtime.remote import serve_worker
 
@@ -790,6 +851,20 @@ class TestNamedBatches:
             agent.wait(timeout=10)
         assert "InjectedFault" in str(info.value.__cause__)
         assert "Traceback" in str(info.value.__cause__)
+
+    def test_strict_in_thread_failure_carries_the_traceback(self, remote_backend):
+        """An in-thread agent keeps the exception itself, and its RESULT
+        carries that exception's formatted traceback; a serial run raises
+        the original exception, uncaused."""
+        plan = FaultPlan(0, overrides={1: ("raise", 1)})
+        with pytest.raises(RuntimeError, match=r"run 1 .* failed \[raise\]") as info:
+            _run("treewidth2", runs=3, backend=remote_backend, fault_plan=plan)
+        cause = str(info.value.__cause__)
+        assert "Traceback" in cause and "InjectedFault" in cause
+        assert ", in fire\n" in cause  # the frame that raised
+        with pytest.raises(InjectedFault) as serial:
+            _run("treewidth2", runs=3, fault_plan=plan)
+        assert serial.value.__cause__ is None
 
 
 def _encode_frame_for_test(op, obj):

@@ -9,7 +9,9 @@ path performs:
    field, on both chained-builder and wire-decoded rows (Hypothesis
    drives this over random nested labels);
 2. the leaf shifts agree with :func:`wire_leaf_span` -- the columns read
-   exactly the bits the mutation engine reports as the field's wire span;
+   exactly the bits the mutation engine reports as the field's wire span
+   -- and the column plans and the row plans of ``read_rows``, both built
+   by the one field-plan builder, agree on every uint/felem/flag leaf;
 3. a degenerate member (one node, or no edge) never reaches a kernel,
    every other member does (there is no size floor), and numpy is only
    imported once a kernel runs;
@@ -39,7 +41,14 @@ from repro.core.columnar import (
     extract_columns,
     run_kernel,
 )
-from repro.core.labels import EMPTY_LABEL, PackedLabel, wire_leaf_span
+from repro.core.labels import (
+    EMPTY_LABEL,
+    Label,
+    PackedLabel,
+    _field_plan,
+    _row_plan,
+    wire_leaf_span,
+)
 from repro.core.network import Graph
 from repro.core.protocol import DecideBatch, run_context
 from repro.core.transcript import Transcript
@@ -105,20 +114,81 @@ class TestExtractionProperty:
     @given(labels())
     @settings(max_examples=100, deadline=None)
     def test_leaf_shifts_agree_with_wire_leaf_span(self, lbl):
-        """The columns read exactly the bits wire_leaf_span reports."""
+        """The field plans read exactly the bits wire_leaf_span reports
+        (for a maybe: the presence bit plus the value bits)."""
         schema, _ = lbl.pack()
         total = schema.total_width
         for path, kind, value, width in lbl.walk():
-            spec = columnar._resolve_spec(schema, tuple(path), False, False)
             offset, span_width = wire_leaf_span(lbl, path)
-            if kind in ("uint", "felem", "flag"):
-                assert spec == ("leaf", total - offset - width, (1 << width) - 1)
-                assert span_width == width
-            else:  # maybe: the span covers presence bit + value bits, like the spec
-                assert spec == ("maybe", total - offset - span_width, span_width)
+            assert span_width == width
+            assert _field_plan(schema, tuple(path)) == (kind, total - offset - width, width)
         for name, kind, _, _ in lbl.fields():
             if kind == "label":  # a sub-label read as a value has no int64 form
-                assert columnar._resolve_spec(schema, (name,), False, False) == ("uncover",)
+                assert columnar._ColumnPlan(schema, (((name,), False, False),)).uncover
+
+    @given(labels())
+    @settings(max_examples=100, deadline=None)
+    def test_column_and_row_plans_agree(self, lbl):
+        """The columnar kernels and :func:`read_rows` read every
+        uint/felem/flag leaf with one shift, mask and kind, top-level
+        fields and the fields of each sub-label alike."""
+        schema, _ = lbl.pack()
+        groups = [(None, lbl)] + [
+            (name, value) for name, kind, value, _ in lbl.fields() if kind == "label"
+        ]
+        for within, node in groups:
+            names = tuple(node.names())
+            kinds = [kind for _, kind, _, _ in node.fields()]
+            prefix = (within,) if within is not None else ()
+            col = columnar._ColumnPlan(
+                schema, tuple((prefix + (name,), False, False) for name in names)
+            )
+            _, steps = _row_plan(schema, names, within)
+            for i, kind in enumerate(kinds):
+                if kind not in ("uint", "felem", "flag"):
+                    continue
+                assert col.kind[i] == columnar._LEAF
+                assert steps[i] == (col.shift[i], col.mask[i], kind == "flag")
+
+
+class TestFieldPlan:
+    """The one schema walk, on a fixed layout: ``a`` (3 bits), then the
+    sub-label ``node`` holding ``x`` (4 bits) and the flag ``f``."""
+
+    @staticmethod
+    def schema():
+        node = Label().uint("x", 5, 4).flag("f", True)
+        return Label().uint("a", 2, 3).sub("node", node).pack()[0]
+
+    def test_within_starts_the_walk_in_the_sub_label(self):
+        schema = self.schema()
+        assert _field_plan(schema, ("x",), "node") == ("uint", 1, 4)
+        assert _field_plan(schema, ("f",), "node") == ("flag", 0, 1)
+        assert _field_plan(schema, ("node", "x")) == _field_plan(schema, ("x",), "node")
+        # ``node`` has no ``a``: a within read does not fall back to the top
+        assert _field_plan(schema, ("a",), "node") is None
+
+    def test_within_that_is_no_sub_label_walks_from_the_top(self):
+        schema = self.schema()
+        assert _field_plan(schema, ("a",), "a") == ("uint", 5, 3)
+        assert _field_plan(schema, ("a",), "edge") == ("uint", 5, 3)
+        assert _field_plan(schema, ("x",), "edge") is None
+
+    def test_missing_names_and_paths_through_a_leaf(self):
+        schema = self.schema()
+        assert _field_plan(schema, ("zz",)) is None
+        assert _field_plan(schema, ("node", "zz")) is None
+        assert _field_plan(schema, ("a", "x")) is None
+        assert _field_plan(schema, ()) is None
+
+    def test_a_sub_label_itself_is_a_label_kinded_field(self):
+        schema = self.schema()
+        assert _field_plan(schema, ("node",)) == ("label", 0, 5)
+        assert _row_plan(schema, ("node", "a"), None) == (False, (None, (5, 7, False)))
+        assert _row_plan(schema, ("x", "f", "a"), "node") == (
+            True,
+            ((1, 15, False), (0, 1, True), False),
+        )
 
 
 # -- gates ------------------------------------------------------------------

@@ -19,9 +19,9 @@ per-sub-run execution the batch replaces:
   ``test_decomposition_stages.py``, and a block of arboricity 4 that
   sends the union simulation to its per-graph fallback);
 - with the kernels; with every node on the per-view checker (the
-  ``per_view_decide`` fake); and on the per-view checker with a decode
-  cache that shares nothing between views (plus the
-  ``no_memo_decode_cache`` fake), the plain per-node reference;
+  ``per_view_decide`` fake), the plain per-node reference; and on the
+  per-view checker with every row field read through ``Label.get``
+  (plus the ``label_get_rows`` fake) instead of a shift/mask plan;
   ``planar_embedding`` (batches of one) is the control.
 
 More pins: a batch in which one member carries an uncoverable label
@@ -75,7 +75,7 @@ ADVERSARIES = (None, "fuzz_r1", "fuzz_r3", "fuzz_r5")
 MODES = {
     "kernels": (),
     "per_view": ("per_view_decide",),
-    "per_view_no_memo": ("per_view_decide", "no_memo_decode_cache"),
+    "per_view_label_get": ("per_view_decide", "label_get_rows"),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.labels import EMPTY_LABEL, BitString, Label, nest_labels
 from repro.core.network import Graph, path_graph
-from repro.core.protocol import DecodeCache, Interaction, ProtocolError
+from repro.core.protocol import Interaction, ProtocolError
 from repro.core.transcript import Transcript
 from repro.core.views import build_views
 
@@ -108,9 +108,6 @@ class TestViews:
         assert v1.neighbor(0, 1)["id"] == 2
         assert "e01" in v1.edge_labels[0][0]
         assert v1.edge_labels[0][1].bit_size() == 0
-        # no cache passed: build_views makes one for the whole sweep
-        assert isinstance(v1.decode_cache, DecodeCache)
-        assert all(v.decode_cache is v1.decode_cache for v in views.values())
 
     def test_nest_labels(self):
         merged = nest_labels(("a", "b"), (Label().flag("x", True), EMPTY_LABEL))

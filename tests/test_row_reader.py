@@ -214,8 +214,26 @@ def test_path_outerplanarity_lr_sub_labels(n):
         for lbl in labels:
             lr = _sub(_unwrap(lbl), "lr")
             subs.append(EMPTY_LABEL if lr is None else lr)
-        memo = {}
-        assert _lr_rows(memo, labels, names) == reference(subs, names)
-        assert _lr_rows(memo, labels, names) == reference(subs, names)  # memoized
+        assert _lr_rows(labels, names) == reference(subs, names)
     for i, names in enumerate(EDGE_FIELDS):
         assert_rows(list(rounds[i].edge_labels.values()), names)
+
+
+@pytest.mark.parametrize("simulate", [False, True], ids=["native", "simulated"])
+@pytest.mark.parametrize("n", [3, 33])
+def test_label_get_rows_reads_like_the_plans(n, simulate, request):
+    """The ``label_get_rows`` fake, the per-view reference that reads every
+    field through ``Label.get``, returns the rows of the shift/mask plans
+    on real LR rounds, value and type alike."""
+    instance = get_task("lr_sorting").yes_factory(n, random.Random(n))
+    result = LRSortingProtocol(c=2, simulate_edge_labels=simulate).execute(
+        instance, rng=random.Random(n))
+    rounds = result.transcript.prover_rounds()
+    reads = [(list(r.labels.values()), names, "node") for r, names in zip(rounds, NODE_FIELDS)]
+    reads += [(list(r.edge_labels.values()), names, None) for r, names in zip(rounds, EDGE_FIELDS)]
+    planned = [read_rows(labels, names, _ABSENT, within) for labels, names, within in reads]
+    request.getfixturevalue("label_get_rows")
+    for (labels, names, within), rows in zip(reads, planned):
+        got = read_rows(labels, names, _ABSENT, within)
+        assert got == rows == reference(labels, names, within)
+        assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in rows]

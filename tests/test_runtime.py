@@ -20,7 +20,9 @@ from repro.runtime import (
     run_streams,
     task_names,
 )
-from repro.runtime.registry import lr_sorting_yes, path_outerplanarity_yes
+from repro.analysis.experiments import run_batch
+from repro.runtime.registry import canonical_name, lr_sorting_yes, path_outerplanarity_yes
+from repro.runtime.runner import _usable_cores
 
 
 def _crashing_factory(n, rng):
@@ -328,3 +330,90 @@ class TestReportFormatting:
         table = report.failure_table()
         assert table.count("\n") == 4  # header + one row per dropped run
         assert "RunTimeoutError('run 3')" in table
+
+
+class TestAutoSerial:
+    def test_small_batch_falls_back_to_serial(self):
+        spec = get_task("lr_sorting")
+        auto = BatchRunner(
+            spec.protocol(c=2), spec.yes_factory, workers=2, min_runs_per_shard=8
+        )
+        reference = BatchRunner(spec.protocol(c=2), spec.yes_factory, workers=0)
+        small = auto.run(4, 32, seed=5)  # 4 < 8 * 2 -> serial
+        assert "auto_serial" in small.meta
+        assert small.workers == 2  # the configured layout stays visible
+        assert small.canonical_json() == reference.run(4, 32, seed=5).canonical_json()
+
+    def test_large_batch_keeps_pool_when_cores_allow(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.runner._usable_cores", lambda: 4)
+        spec = get_task("lr_sorting")
+        runner = BatchRunner(
+            spec.protocol(c=2), spec.yes_factory, workers=2, min_runs_per_shard=2
+        )
+        assert runner._auto_serial_reason(16) is None
+
+    def test_single_core_box_falls_back(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.runner._usable_cores", lambda: 1)
+        spec = get_task("lr_sorting")
+        runner = BatchRunner(
+            spec.protocol(c=2), spec.yes_factory, workers=2, min_runs_per_shard=1
+        )
+        reason = runner._auto_serial_reason(64)
+        assert reason is not None and "core" in reason
+
+    def test_default_never_second_guesses(self):
+        spec = get_task("lr_sorting")
+        runner = BatchRunner(spec.protocol(c=2), spec.yes_factory, workers=2)
+        assert runner._auto_serial_reason(1) is None  # pool path preserved
+
+    def test_usable_cores_positive(self):
+        assert _usable_cores() >= 1
+
+    def test_run_batch_defaults_to_auto_serial(self):
+        spec = get_task("lr_sorting")
+        report = run_batch(
+            spec.protocol, spec.yes_factory, n_runs=3, n=32, seed=1, workers=2
+        )
+        assert "auto_serial" in report.meta
+
+    def test_validation(self):
+        spec = get_task("lr_sorting")
+        with pytest.raises(ValueError):
+            BatchRunner(spec.protocol(c=2), spec.yes_factory, min_runs_per_shard=0)
+
+
+class TestProtocolNormalization:
+    def test_run_batch_accepts_protocol_class(self):
+        spec = get_task("lr_sorting")
+        by_class = run_batch(spec.protocol, spec.yes_factory, n_runs=2, n=32, seed=4)
+        by_inst = run_batch(spec.protocol(), spec.yes_factory, n_runs=2, n=32, seed=4)
+        assert by_class.canonical_json() == by_inst.canonical_json()
+
+    def test_non_protocol_raises_type_error_at_entry(self):
+        spec = get_task("lr_sorting")
+        with pytest.raises(TypeError, match="execute"):
+            BatchRunner(object(), spec.yes_factory)
+        with pytest.raises(TypeError, match="execute"):
+            run_batch("planarity", spec.yes_factory, n_runs=1, n=16)
+
+
+class TestRegistryAliases:
+    def test_no_self_aliases_and_all_distinct(self):
+        from repro.runtime.registry import _ALIASES
+
+        names = set(task_names())
+        for alias, target in _ALIASES.items():
+            assert alias != target, f"self-alias {alias!r} is a no-op"
+            assert alias not in names, f"alias {alias!r} shadows a real task"
+            assert target in names, f"alias {alias!r} -> unregistered {target!r}"
+        # aliases map to *distinct* tasks: no two spell the same target
+        targets = list(_ALIASES.values())
+        assert len(targets) == len(set(targets))
+
+    def test_alias_resolution_still_works(self):
+        assert canonical_name("treewidth_2") == "treewidth2"
+        assert canonical_name("treewidth-2") == "treewidth2"
+        assert get_task("treewidth_2") is get_task("treewidth2")
+        # the dropped self-alias changed nothing observable
+        assert canonical_name("series_parallel") == "series_parallel"
+        assert get_task("series_parallel").name == "series_parallel"

@@ -729,12 +729,34 @@ class TestCLI:
         assert p_payload["events"] == []
         assert p_payload["report"] == s_payload["report"]
 
-    def test_stream_after_plain_submit_says_it_replayed(self, tmp_path, capsys):
-        """A ``--stream`` submit whose default id names a finished plain
-        job replays that job: no events, and the CLI says why."""
+    def test_stream_after_plain_submit_gets_events(self, tmp_path, capsys):
+        """A streamed request's default id is its own, so ``--stream``
+        after a plain submit of the same parameters runs and streams."""
         artifact = str(tmp_path / "s.json")
         with service() as (server, addr):
             args = ("lr_sorting", "--runs", "2", "--n", "16", "--seed", "6")
+            assert self._submit(addr, *args) == 0
+            capsys.readouterr()
+            assert self._submit(addr, *args, "--stream", "--json", artifact) == 0
+        out = capsys.readouterr().out
+        assert "replayed" not in out
+        with open(artifact) as f:
+            payload = json.load(f)
+        assert payload["ack_status"] == "queued"
+        kinds = [e["event"] for e in payload["events"]]
+        assert kinds[0] == "batch_start" and kinds[-1] == "batch_end"
+        # the plain default id is unchanged; the streamed one differs
+        plain = ServiceClient(addr).build_request("lr_sorting", runs=2, n=16, seed=6)
+        assert plain["id"] == "lr_sorting-6-bb67dab01496a67e"
+        assert payload["request"]["id"] == "lr_sorting-6-stream-bb67dab01496a67e"
+
+    def test_stream_after_plain_submit_says_it_replayed(self, tmp_path, capsys):
+        """A ``--stream`` submit whose id names a finished plain job
+        replays that job: no events, and the CLI says why."""
+        artifact = str(tmp_path / "s.json")
+        with service() as (server, addr):
+            args = ("lr_sorting", "--runs", "2", "--n", "16", "--seed", "6",
+                    "--request-id", "once")
             assert self._submit(addr, *args) == 0
             capsys.readouterr()
             assert self._submit(addr, *args, "--stream", "--json", artifact) == 0

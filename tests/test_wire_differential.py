@@ -7,10 +7,10 @@ identical* for every registered task: canonical batch reports (which
 cover acceptance, proof-size bits, and rejection counts per run) must be
 byte-identical between serial runs and 2-worker runs, fuzz adversaries
 must mutate the same fields with the same outcomes and the same reported
-wire offsets, and the shared decode cache against a no-memo one and the
-columnar kernels against the per-view checker must collapse to a single
-canonical report.  The no-memo and per-view fakes patch this process
-only, so they run serially; the 2-worker legs run the default path.
+wire offsets, and the default decide (the columnar kernels or the
+LR-sorting sweep) against the per-view checker must collapse to a single
+canonical report.  The per-view fake patches this process only, so it
+runs serially; the 2-worker legs run the default path.
 
 The worker legs matter most: shard results cross a process boundary, so
 they exercise the packed ``ProverRound`` blob transport end to end.
@@ -80,15 +80,15 @@ class TestFuzzDifferential:
 
 
 class TestFullCross:
-    """Shared cache serially and on 2 workers, no-memo cache serially: one
-    report."""
+    """Default decide serially and on 2 workers, per-view checker
+    serially: one report."""
 
     @pytest.mark.parametrize("task", ["lr_sorting", "path_outerplanarity"])
-    def test_cache_cross_is_byte_identical(self, task, request):
+    def test_decide_cross_is_byte_identical(self, task, request):
         baseline = _run(task).canonical_json()
         assert _run(task, workers=2).canonical_json() == baseline, "workers"
-        request.getfixturevalue("no_memo_decode_cache")
-        assert _run(task).canonical_json() == baseline, "no-memo cache"
+        request.getfixturevalue("per_view_decide")
+        assert _run(task).canonical_json() == baseline, "per-view"
 
 
 class TestVectorDifferential:
